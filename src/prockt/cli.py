@@ -43,6 +43,10 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
+# smallest accepted value of each numeric flag that sizes or bounds work
+FLAG_MINIMUMS = {"batch_size": 1, "epochs": 1, "patience": 1, "concurrency": 1,
+                 "max_retries": 1, "max_len": 2}
+
 
 class UsageError(Exception):
     pass
@@ -332,6 +336,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for name, low in FLAG_MINIMUMS.items():
+            value = getattr(args, name, low)
+            if value < low:
+                raise ValidationError(f"--{name.replace('_', '-')} must be at least {low}, "
+                                      f"got {value}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

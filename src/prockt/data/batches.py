@@ -1,9 +1,8 @@
-"""Padded, next-step-shifted training batches.
+"""Padded training batches; targets are the inputs shifted left by one.
 
-Position t of every array describes step t of a window; targets at
+Position t of every input array describes step t of a window; targets at
 position t describe step t+1 (next-step prediction). Proficiency inputs
-at position t always come from step t itself, never from the target
-step.
+at position t always come from step t itself, never from the target step.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import DIMENSIONS, Problem, StudentSequence
+from .schema import DIMENSIONS, Problem, StudentSequence, ValidationError
 
 MP_IMPUTE = 0.5  # neutral midpoint for absent dimensions (mask bit 0)
 
@@ -40,23 +39,37 @@ class Vocab:
         return len(self.concept_index)
 
 
+def shift_left(x: np.ndarray) -> np.ndarray:
+    """x[:, t] -> x[:, t+1]; the last position becomes padding (0)."""
+    out = np.zeros_like(x)
+    out[:, :-1] = x[:, 1:]
+    return out
+
+
 @dataclass
 class Batch:
     question_ids: np.ndarray    # (B, T) int64, 0 = padding
     concept_ids: np.ndarray     # (B, T) int64, 0 = padding
     correctness: np.ndarray     # (B, T) int64 in {0, 1}
     mp_inputs: np.ndarray       # (B, T, 8): 4 ratio values then 4 mask bits
-    targets_correct: np.ndarray  # (B, T) float, correctness of step t+1
-    targets_mp: np.ndarray      # (B, T, 4), ratios of step t+1
-    target_mp_mask: np.ndarray  # (B, T, 4), present bits of step t+1
     valid_mask: np.ndarray      # (B, T), 1 where step t is real
+
+    @property
+    def targets_correct(self) -> np.ndarray:  # (B, T), correctness of step t+1
+        return shift_left(self.correctness)
+
+    @property
+    def targets_mp(self) -> np.ndarray:  # (B, T, 4), ratios of step t+1
+        return shift_left(self.mp_inputs[..., :4])
+
+    @property
+    def target_mp_mask(self) -> np.ndarray:  # (B, T, 4), present bits of step t+1
+        return shift_left(self.mp_inputs[..., 4:])
 
     @property
     def target_mask(self) -> np.ndarray:
         """1 where position t has a real next step to predict."""
-        shifted = np.zeros_like(self.valid_mask)
-        shifted[:, :-1] = self.valid_mask[:, 1:]
-        return self.valid_mask * shifted
+        return self.valid_mask * shift_left(self.valid_mask)
 
     @property
     def max_len(self) -> int:
@@ -76,13 +89,21 @@ def _mp_features(rec) -> tuple[np.ndarray, np.ndarray]:
 
 def make_batches(sequences: list[StudentSequence], problems: dict[str, Problem],
                  vocab: Vocab, max_len: int = 200, batch_size: int = 16) -> list[Batch]:
-    """Window, shift, pad, and group sequences into batches.
+    """Window, pad, and group sequences into batches.
 
     Sequences longer than ``max_len`` are chunked into consecutive
     windows; the last real position of each window carries no target.
+    Raises ``ValidationError`` naming every id missing from ``vocab``.
     """
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2, got {max_len}")
+    used = [(rec.problem_id, problems[rec.problem_id].kc_ids[0])
+            for seq in sequences for rec in seq.steps]
+    unknown_q = sorted({q for q, _ in used} - vocab.question_index.keys())
+    unknown_c = sorted({c for _, c in used} - vocab.concept_index.keys())
+    if unknown_q or unknown_c:
+        raise ValidationError(f"ids missing from the vocabulary: problems {unknown_q}, "
+                              f"concepts {unknown_c}")
     windows = []
     for seq in sequences:
         for start in range(0, len(seq.steps), max_len):
@@ -96,9 +117,6 @@ def make_batches(sequences: list[StudentSequence], problems: dict[str, Problem],
         c = np.zeros((B, max_len), dtype=np.int64)
         r = np.zeros((B, max_len), dtype=np.int64)
         mp_in = np.zeros((B, max_len, 8))
-        tgt_r = np.zeros((B, max_len))
-        tgt_mp = np.zeros((B, max_len, 4))
-        tgt_mp_mask = np.zeros((B, max_len, 4))
         valid = np.zeros((B, max_len))
         for bi, steps in enumerate(group):
             for t, rec in enumerate(steps):
@@ -110,14 +128,6 @@ def make_batches(sequences: list[StudentSequence], problems: dict[str, Problem],
                 mp_in[bi, t, :4] = values
                 mp_in[bi, t, 4:] = mask
                 valid[bi, t] = 1.0
-                if t + 1 < len(steps):
-                    nxt = steps[t + 1]
-                    tgt_r[bi, t] = nxt.correct
-                    nvalues, nmask = _mp_features(nxt)
-                    tgt_mp[bi, t] = nvalues
-                    tgt_mp_mask[bi, t] = nmask
         batches.append(Batch(question_ids=q, concept_ids=c, correctness=r,
-                             mp_inputs=mp_in, targets_correct=tgt_r,
-                             targets_mp=tgt_mp, target_mp_mask=tgt_mp_mask,
-                             valid_mask=valid))
+                             mp_inputs=mp_in, valid_mask=valid))
     return batches

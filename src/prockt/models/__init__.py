@@ -1,5 +1,5 @@
 from .config import BACKBONES, VARIANTS, ConfigError, ModelConfig
-from .base import KTModel, Predictions, layer_norm, shift_left
+from .base import KTModel, Predictions, layer_norm
 from .recurrent import RecurrentKT
 from .attention import AttentionKT
 
@@ -14,5 +14,4 @@ def build_model(config: ModelConfig) -> KTModel:
 __all__ = [
     "AttentionKT", "BACKBONES", "ConfigError", "KTModel", "ModelConfig",
     "Predictions", "RecurrentKT", "VARIANTS", "build_model", "layer_norm",
-    "shift_left",
 ]

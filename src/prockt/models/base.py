@@ -13,24 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import nn
-from ..data.batches import Batch
+from ..data.batches import Batch, shift_left
 from ..data.schema import DIMENSIONS
 from .config import ModelConfig
 
 LOGIT_CLAMP = 15.0
+LAYER_NORM_EPS = 1e-5
 
 
 @dataclass
 class Predictions:
     r_pred: nn.Tensor              # (B, T), P(next answer correct)
     mp_pred: nn.Tensor | None      # (B, T, 4) in the statuskt variant, else None
-
-
-def shift_left(ids: np.ndarray) -> np.ndarray:
-    """ids[t] -> ids[t+1]; the last position becomes padding (0)."""
-    out = np.zeros_like(ids)
-    out[:, :-1] = ids[:, 1:]
-    return out
 
 
 class KTModel:
@@ -123,9 +117,9 @@ class KTModel:
         raise NotImplementedError
 
 
-def layer_norm(x: nn.Tensor, gain: nn.Tensor, bias: nn.Tensor, eps: float = 1e-5) -> nn.Tensor:
+def layer_norm(x: nn.Tensor, gain: nn.Tensor, bias: nn.Tensor) -> nn.Tensor:
     mu = nn.mean(x, axis=-1, keepdims=True)
     centered = nn.add(x, nn.mul(mu, -1.0))
     var = nn.mean(nn.mul(centered, centered), axis=-1, keepdims=True)
-    inv = nn.power(nn.add(var, eps), -0.5)
+    inv = nn.power(nn.add(var, LAYER_NORM_EPS), -0.5)
     return nn.add(nn.mul(nn.mul(centered, inv), gain), bias)

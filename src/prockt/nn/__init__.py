@@ -5,7 +5,6 @@ from .tensor import (
     as_tensor,
     clamp,
     concat,
-    default_dtype,
     dropout,
     embedding_lookup,
     exp,
@@ -17,7 +16,6 @@ from .tensor import (
     power,
     relu,
     reshape,
-    set_default_dtype,
     sigmoid,
     slice_,
     softmax,
@@ -34,9 +32,8 @@ from . import init
 
 __all__ = [
     "Adam", "PROB_EPS", "ShapeError", "Tensor", "add", "as_tensor", "bce",
-    "check_gradients", "clamp", "concat", "default_dtype", "dropout",
-    "embedding_lookup", "exp", "init", "load_checkpoint", "log",
-    "masked_mean", "masked_mse", "matmul", "mean", "mul", "numeric_gradient",
-    "power", "relu", "reshape", "save_checkpoint", "set_default_dtype",
+    "check_gradients", "clamp", "concat", "dropout", "embedding_lookup", "exp",
+    "init", "load_checkpoint", "log", "masked_mean", "masked_mse", "matmul", "mean",
+    "mul", "numeric_gradient", "power", "relu", "reshape", "save_checkpoint",
     "sigmoid", "slice_", "softmax", "stack", "sum_", "tanh", "transpose",
 ]

@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .tensor import Tensor, default_dtype
+from .tensor import Tensor
 
 
 def save_checkpoint(path, params: dict[str, Tensor], meta: dict | None = None) -> None:
@@ -34,6 +34,6 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
         doc = json.load(fh)
     params = {}
     for name, entry in doc["params"].items():
-        data = np.asarray(entry["data"], dtype=default_dtype()).reshape(entry["shape"])
+        data = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
         params[name] = Tensor(data, requires_grad=True)
     return params, doc.get("meta", {})

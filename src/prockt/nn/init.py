@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-from .tensor import Tensor, default_dtype
+from .tensor import Tensor
 
 
 def named_rng(seed: int, name: str) -> np.random.Generator:
@@ -25,13 +25,13 @@ def uniform_fan_in(seed: int, name: str, shape: tuple[int, ...], fan_in: int | N
         fan_in = shape[0]
     bound = 1.0 / np.sqrt(fan_in)
     rng = named_rng(seed, name)
-    data = rng.uniform(-bound, bound, size=shape).astype(default_dtype())
+    data = rng.uniform(-bound, bound, size=shape)
     return Tensor(data, requires_grad=True)
 
 
 def zeros(shape: tuple[int, ...]) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=default_dtype()), requires_grad=True)
+    return Tensor(np.zeros(shape), requires_grad=True)
 
 
 def ones(shape: tuple[int, ...]) -> Tensor:
-    return Tensor(np.ones(shape, dtype=default_dtype()), requires_grad=True)
+    return Tensor(np.ones(shape), requires_grad=True)

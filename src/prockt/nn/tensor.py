@@ -2,8 +2,7 @@
 
 Every differentiable op builds a node in an implicit computation graph;
 ``Tensor.backward()`` topologically sorts the graph and accumulates
-gradients into every ``requires_grad`` leaf. All math is done in numpy,
-float64 by default (switchable to float32 for speed).
+gradients into every ``requires_grad`` leaf. All math is numpy float64.
 """
 
 from __future__ import annotations
@@ -11,27 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 
-_DTYPE = np.float64
-
-
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-def set_default_dtype(dtype) -> None:
-    global _DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"unsupported dtype {dtype}")
-    _DTYPE = dtype
-
-
-def default_dtype():
-    return _DTYPE
-
-
 class Tensor:
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None, op=""):
-        self.data = np.asarray(data, dtype=_DTYPE)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = tuple(parents)
@@ -47,12 +32,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def item(self) -> float:
         return float(self.data)
@@ -97,41 +76,8 @@ class Tensor:
             if node is not self and not node.requires_grad and node._parents:
                 node.grad = None
 
-    # -- operator sugar ---------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return slice_(self, key)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
 
 
 def as_tensor(x) -> Tensor:

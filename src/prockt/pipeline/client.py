@@ -89,6 +89,8 @@ class HttpChatClient:
 
 # -- deterministic mock ---------------------------------------------------
 
+SATISFY_PROB = 0.7     # P(verdict 1) for an answered indicator
+UNANSWERED_PROB = 0.2  # P(the mock student answers "I don't know")
 _CODE_KEY_RE = re.compile(r'"((?:CU|SC|PF|AR)[0-9]+)"\s*:')
 _ANSWER_RE = re.compile(r'\{\s*"((?:CU|SC|PF|AR)[0-9]+)"\s*:\s*"((?:[^"\\]|\\.)*)"\s*\}')
 
@@ -117,9 +119,7 @@ class MockChatClient:
     bit-identically across runs.
     """
 
-    def __init__(self, satisfy_prob: float = 0.7, unanswered_prob: float = 0.2):
-        self.satisfy_prob = satisfy_prob
-        self.unanswered_prob = unanswered_prob
+    def __init__(self):
         self.calls = 0
 
     def complete(self, system_message: str, user_message: str, params: ChatParams) -> str:
@@ -164,9 +164,9 @@ class MockChatClient:
         for code in codes:
             rng = np.random.default_rng(_seed_from("response", prompt, code))
             roll = rng.random()
-            if roll < self.unanswered_prob:
+            if roll < UNANSWERED_PROB:
                 out[code] = "I don't know"
-            elif roll < self.unanswered_prob + 0.2:
+            elif roll < UNANSWERED_PROB + 0.2:
                 out[code] = f"Not written, but likely the step for {code} was done mentally."
             else:
                 out[code] = f"The written work shows the step for {code}."
@@ -182,5 +182,5 @@ class MockChatClient:
                 verdicts[code] = 0
             else:
                 rng = np.random.default_rng(_seed_from("verdict", prompt, code))
-                verdicts[code] = int(rng.random() < self.satisfy_prob)
+                verdicts[code] = int(rng.random() < SATISFY_PROB)
         return json.dumps(verdicts)

@@ -16,7 +16,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..data.io import Dataset
@@ -25,7 +25,6 @@ from . import prompts
 from .client import ChatClient, ChatParams
 from .parsing import parse_indicators, parse_responses, parse_verdicts
 from .ratios import compute_mp_ratios
-from .types import Indicator, IndicatorSet
 
 log = logging.getLogger(__name__)
 
@@ -161,20 +160,13 @@ def run_pipeline(dataset: Dataset, client: ChatClient, cache_dir,
     interactions get all-absent ratios and are listed in the report.
     """
     runner = PipelineRunner(client, cache_dir, params)
-    jobs = [(seq_i, step_i, dataset.problems[rec.problem_id], rec)
-            for seq_i, seq in enumerate(dataset.sequences)
-            for step_i, rec in enumerate(seq.steps)]
+    jobs = [(dataset.problems[rec.problem_id], rec)
+            for seq in dataset.sequences for rec in seq.steps]
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+        outs = list(pool.map(lambda job: runner._process(*job), jobs))
 
     report = PipelineReport()
-    results: dict[tuple[int, int], dict] = {}
-    if concurrency > 1:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            outs = list(pool.map(lambda j: runner._process(j[2], j[3]), jobs))
-    else:
-        outs = [runner._process(problem, rec) for _, _, problem, rec in jobs]
-
-    for (seq_i, step_i, _, _), (key, audit, was_cached) in zip(jobs, outs):
-        results[(seq_i, step_i)] = audit
+    for key, audit, was_cached in outs:
         if was_cached:
             report.cached += 1
         if audit["status"] == "ok":
@@ -183,21 +175,12 @@ def run_pipeline(dataset: Dataset, client: ChatClient, cache_dir,
             report.failed += 1
             report.failures.append(key)
 
-    annotated_sequences = []
-    for seq_i, seq in enumerate(dataset.sequences):
-        steps = []
-        for step_i, rec in enumerate(seq.steps):
-            audit = results[(seq_i, step_i)]
-            if audit["status"] == "ok":
-                mp = MPRatios.from_json(audit["ratios"])
-            else:
-                mp = MPRatios.absent()
-            steps.append(InteractionRecord(
-                student_id=rec.student_id, problem_id=rec.problem_id,
-                selected_answer=rec.selected_answer, correct=rec.correct,
-                duration=rec.duration, process_text=rec.process_text,
-                timestamp=rec.timestamp, mp=mp))
-        annotated_sequences.append(StudentSequence(student_id=seq.student_id, steps=steps))
+    mps = iter(MPRatios.from_json(audit["ratios"]) if audit["status"] == "ok"
+               else MPRatios.absent() for _, audit, _ in outs)
+    annotated_sequences = [
+        StudentSequence(student_id=seq.student_id,
+                        steps=[replace(rec, mp=next(mps)) for rec in seq.steps])
+        for seq in dataset.sequences]
 
     if report.failed:
         log.warning("pipeline finished with %d/%d failed interactions (%.1f%%)",

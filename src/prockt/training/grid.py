@@ -58,5 +58,4 @@ def grid_search(model_factory: Callable[[float], KTModel],
                 best = GridResult(best_lr=lr, best_dropout=dropout,
                                   best_result=result, best_model=model, table=table)
     assert best is not None
-    best.table = table
     return best

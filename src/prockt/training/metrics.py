@@ -43,13 +43,13 @@ def auc(labels, scores) -> float:
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def acc(labels, scores, threshold: float = 0.5) -> float:
-    """Thresholded accuracy; a score exactly at the threshold counts as positive."""
+def acc(labels, scores) -> float:
+    """Accuracy at threshold 0.5; a score of exactly 0.5 counts as positive."""
     y = np.asarray(labels)
     s = np.asarray(scores, dtype=float)
     if y.size == 0:
         raise ValueError("acc needs at least one prediction")
-    return float(np.mean((s >= threshold) == (y == 1)))
+    return float(np.mean((s >= 0.5) == (y == 1)))
 
 
 def gather_predictions(model: KTModel, batches: list[Batch]

@@ -95,6 +95,21 @@ class TestExitCodes:
         assert main(["train", "--data", str(data),
                      "--out", str(tmp_path / "run")] + TRAIN_FLAGS) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--batch-size", "0"), ("train", "--epochs", "0"),
+        ("train", "--patience", "0"), ("train", "--max-len", "1"),
+        ("eval", "--batch-size", "0"), ("extract-mp", "--concurrency", "0"),
+        ("extract-mp", "--max-retries", "0")])
+    def test_bad_numeric_flag_is_a_validation_error(self, command, flag, value,
+                                                     tmp_path, capsys):
+        # the flag is rejected before any of these paths is opened
+        d = str(tmp_path / "missing")
+        required = {"train": ["--data", d, "--out", d],
+                    "eval": ["--checkpoint", d, "--data", d],
+                    "extract-mp": ["--data", d, "--out", d, "--cache", d]}
+        assert main([command] + required[command] + [flag, value]) == EXIT_VALIDATION
+        assert flag in capsys.readouterr().err
+
 
 class TestSynth:
     def test_outputs_and_manifest(self, workspace):
@@ -159,6 +174,20 @@ class TestTrainEvalReport:
         doc = json.loads(out.read_text())
         assert {"auc", "acc", "n_predictions"} <= set(doc)
         assert doc["n_predictions"] > 0
+
+    def test_eval_on_unknown_ids_lists_them(self, workspace, tmp_path, capsys):
+        data = tmp_path / "renamed"
+        data.mkdir()
+        # every problem and concept id gets a name the checkpoint has never seen
+        for name in ("problems.json", "interactions.jsonl"):
+            text = (workspace / "annotated" / name).read_text()
+            (data / name).write_text(text.replace('"p0', '"q0').replace('"kc0', '"kd0'))
+        assert main(["eval", "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                     "--data", str(data)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        for line in (data / "interactions.jsonl").read_text().splitlines():
+            assert repr(json.loads(line)["problem_id"]) in err
+        assert "'kd0" in err
 
     def test_report_table(self, workspace, tmp_path, capsys):
         out = tmp_path / "report.md"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset, make_problem, make_record
 from prockt.data import (
+    DIMENSIONS,
+    MP_IMPUTE,
     Dataset,
     DatasetFormatError,
     MPRatios,
@@ -22,6 +25,7 @@ from prockt.data import (
     save_dataset,
     split,
 )
+from prockt.data.batches import shift_left
 
 
 class TestSchema:
@@ -250,18 +254,53 @@ class TestBatches:
         batches = make_batches(seqs, problems, vocab, max_len=4, batch_size=2)
         assert [b.valid_mask.shape[0] for b in batches] == [2, 2, 1]
 
-    def test_targets_are_next_step(self, dataset):
+    def test_targets_are_next_step(self):
+        problems = {f"p{i}": make_problem(pid=f"p{i}", kc_ids=[f"kc{i % 2}"]) for i in range(3)}
+        vocab = Vocab.from_problems(problems)
+        seqs = [StudentSequence(student_id=f"s{s}", steps=[
+            make_record(sid=f"s{s}", pid=f"p{t % 3}", correct=(s + t) % 2, timestamp=t,
+                        mp=None if (s + t) % 3 == 0 else MPRatios.from_counts(
+                            {"CU": (t % 4, 4), "SC": (s, 3), "AR": (1, t + 1)}))
+            for t in range(7)]) for s in range(3)]
+
+        def expected(rec):
+            """(correct, ratios, present bits) of target step ``rec``; None is padding."""
+            if rec is None:
+                return 0, [0.0] * 4, [0.0] * 4
+            present = [rec.mp is not None and rec.mp.present[d] for d in DIMENSIONS]
+            values = [rec.mp.values[d] if p else MP_IMPUTE for d, p in zip(DIMENSIONS, present)]
+            return rec.correct, values, [float(p) for p in present]
+
+        # 7 steps cut at max_len 2 and 3; whole at 7; padded at 10
+        for max_len in (2, 3, 7, 10):
+            [batch] = make_batches(seqs, problems, vocab, max_len=max_len, batch_size=16)
+            windows = [seq.steps[i:i + max_len] for seq in seqs for i in range(0, 7, max_len)]
+            assert batch.question_ids.shape == (len(windows), max_len)
+            for bi, steps in enumerate(windows):
+                for t in range(max_len):
+                    if t < len(steps):
+                        assert batch.correctness[bi, t] == steps[t].correct
+                    nxt = steps[t + 1] if t + 1 < len(steps) else None
+                    correct, values, present = expected(nxt)
+                    assert batch.target_mask[bi, t] == float(nxt is not None)
+                    assert batch.targets_correct[bi, t] == correct
+                    np.testing.assert_array_equal(batch.targets_mp[bi, t], values)
+                    np.testing.assert_array_equal(batch.target_mp_mask[bi, t], present)
+
+    def test_targets_follow_replaced_inputs(self, dataset):
         vocab = Vocab.from_problems(dataset.problems)
         [batch] = make_batches(dataset.sequences, dataset.problems, vocab,
                                max_len=10, batch_size=16)
-        for bi, seq in enumerate(dataset.sequences):
-            for t, rec in enumerate(seq.steps):
-                assert batch.correctness[bi, t] == rec.correct
-                if t + 1 < len(seq.steps):
-                    assert batch.targets_correct[bi, t] == seq.steps[t + 1].correct
-                    assert batch.target_mask[bi, t] == 1.0
-                else:
-                    assert batch.target_mask[bi, t] == 0.0
+        flipped = dataclasses.replace(batch, correctness=1 - batch.correctness)
+        np.testing.assert_array_equal(flipped.targets_correct[:, :-1],
+                                      1 - batch.correctness[:, 1:])
+
+    def test_unknown_ids_are_all_listed(self, dataset):
+        # p1 and p3 are the only problems of concept kc1
+        vocab = Vocab.from_problems({pid: p for pid, p in dataset.problems.items()
+                                     if pid not in ("p1", "p3")})
+        with pytest.raises(ValidationError, match=r"problems \['p1', 'p3'\], concepts \['kc1'\]"):
+            make_batches(dataset.sequences, dataset.problems, vocab, max_len=10)
 
     def test_window_boundary_has_no_target(self):
         problems = {"p0": make_problem(pid="p0")}
@@ -315,3 +354,9 @@ class TestBatches:
         vocab = Vocab.from_problems(dataset.problems)
         with pytest.raises(ValueError):
             make_batches(dataset.sequences, dataset.problems, vocab, max_len=1)
+
+
+class TestShiftLeft:
+    def test_shift(self):
+        ids = np.array([[1, 2, 3], [4, 5, 6]])
+        np.testing.assert_array_equal(shift_left(ids), [[2, 3, 0], [5, 6, 0]])

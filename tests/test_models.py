@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prockt import nn
-from prockt.models import ConfigError, ModelConfig, build_model, shift_left
+from prockt.models import ConfigError, ModelConfig, build_model
 from prockt.training.loss import composite_loss
 from prockt.verify import toy_batch
 
@@ -267,9 +267,3 @@ class TestGradientFlow:
             assert p.grad is not None, name
             assert np.isfinite(p.grad).all(), name
             assert np.abs(p.grad).sum() > 0, name
-
-
-class TestShiftLeft:
-    def test_shift(self):
-        ids = np.array([[1, 2, 3], [4, 5, 6]])
-        np.testing.assert_array_equal(shift_left(ids), [[2, 3, 0], [5, 6, 0]])
