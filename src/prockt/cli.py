@@ -123,9 +123,16 @@ def cmd_synth(args) -> int:
     for key, value in overrides.items():
         if not hasattr(config, key):
             raise UsageError(f"unknown simulator config key {key!r}")
-        current = getattr(config, key)
-        setattr(config, key, type(current)(value))
-    config.__post_init__()
+        kind = type(getattr(config, key))
+        try:
+            setattr(config, key, kind(value))
+        except ValueError:
+            raise ValidationError(f"simulator config key {key!r}: expected "
+                                  f"{kind.__name__}, got {value!r}") from None
+    try:
+        config.__post_init__()
+    except ValueError as exc:
+        raise ValidationError(f"simulator config: {exc}") from None
     dataset = synth.generate(config)
     save_dataset(args.out, dataset)
     write_manifest(args.out, "synth", config.__dict__, config.seed,

@@ -22,27 +22,11 @@ class RecurrentKT(KTModel):
                 rng: np.random.Generator | None = None) -> Predictions:
         self._check_batch(batch)
         cfg = self.config
-        d = cfg.embed_dim
-        B, T = batch.question_ids.shape
-
         x = self.interaction_embedding(batch)
         x = nn.dropout(x, cfg.dropout, rng=rng, training=training)
 
         wx, wh, b = self.params["rnn.wx"], self.params["rnn.wh"], self.params["rnn.b"]
-        # precompute the input contribution for all steps at once
-        xw = nn.matmul(x, wx)  # (B, T, 4d)
-        h = nn.Tensor(np.zeros((B, d)))
-        c = nn.Tensor(np.zeros((B, d)))
-        hs = []
-        for t in range(T):
-            gates = nn.add(nn.add(xw[:, t, :], nn.matmul(h, wh)), b)
-            i = nn.sigmoid(gates[:, 0 * d:1 * d])
-            f = nn.sigmoid(gates[:, 1 * d:2 * d])
-            g = nn.tanh(gates[:, 2 * d:3 * d])
-            o = nn.sigmoid(gates[:, 3 * d:4 * d])
-            c = nn.add(nn.mul(f, c), nn.mul(i, g))
-            h = nn.mul(o, nn.tanh(c))
-            hs.append(h)
-        state = nn.stack(hs, axis=1)  # (B, T, d)
+        xw = nn.matmul(x, wx)  # (B, T, 4d): the input contribution for all steps at once
+        state = nn.lstm(xw, wh, b)  # (B, T, d)
         state = nn.dropout(state, cfg.dropout, rng=rng, training=training)
         return self.readout(state, self.next_question_embedding(batch))

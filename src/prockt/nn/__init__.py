@@ -9,6 +9,7 @@ from .tensor import (
     embedding_lookup,
     exp,
     log,
+    lstm,
     masked_mean,
     matmul,
     mean,
@@ -19,7 +20,6 @@ from .tensor import (
     sigmoid,
     slice_,
     softmax,
-    stack,
     sum_,
     tanh,
     transpose,
@@ -33,7 +33,7 @@ from . import init
 __all__ = [
     "Adam", "PROB_EPS", "ShapeError", "Tensor", "add", "as_tensor", "bce",
     "check_gradients", "clamp", "concat", "dropout", "embedding_lookup", "exp",
-    "init", "load_checkpoint", "log", "masked_mean", "masked_mse", "matmul", "mean",
-    "mul", "numeric_gradient", "power", "relu", "reshape", "save_checkpoint",
-    "sigmoid", "slice_", "softmax", "stack", "sum_", "tanh", "transpose",
+    "init", "load_checkpoint", "log", "lstm", "masked_mean", "masked_mse", "matmul",
+    "mean", "mul", "numeric_gradient", "power", "relu", "reshape", "save_checkpoint",
+    "sigmoid", "slice_", "softmax", "sum_", "tanh", "transpose",
 ]

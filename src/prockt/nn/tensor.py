@@ -326,9 +326,10 @@ def slice_(a, key) -> Tensor:
     out_data = a.data[key]
 
     def backward_fn(g):
-        full = np.zeros_like(a.data)
-        full[key] = g
-        a._accumulate(full)
+        # a.grad is always an array owned by a, so adding in place is safe
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[key] += g
 
     return _make(out_data, (a,), backward_fn, "slice")
 
@@ -346,11 +347,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return _make(out_data, tuple(tensors), backward_fn, "concat")
 
 
-def stack(tensors, axis: int = 0) -> Tensor:
-    expanded = [reshape(t, t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors]
-    return concat(expanded, axis=axis)
-
-
 def embedding_lookup(table, indices) -> Tensor:
     """Gather rows of a (vocab, dim) table; gradient scatter-adds."""
     table = as_tensor(table)
@@ -360,8 +356,68 @@ def embedding_lookup(table, indices) -> Tensor:
     out_data = table.data[idx]
 
     def backward_fn(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx.reshape(-1), g.reshape(-1, table.shape[1]))
-        table._accumulate(full)
+        vocab, dim = table.shape
+        # one flat bin per table cell; bincount adds in input order, as np.add.at does
+        keys = idx.reshape(-1, 1) * dim + np.arange(dim)
+        full = np.bincount(keys.ravel(), weights=g.reshape(-1), minlength=vocab * dim)
+        table._accumulate(full.reshape(vocab, dim))
 
     return _make(out_data, (table,), backward_fn, "embedding_lookup")
+
+
+def lstm(xw, wh, b) -> Tensor:
+    """Single-layer LSTM over a (B, T, 4d) input projection; returns (B, T, d).
+
+    Gates are laid out [input, forget, cell, output] along the last axis and
+    the state starts at zero. The forward does the float operations of the
+    per-step ``add``/``matmul``/``sigmoid``/``tanh``/``mul`` graph in the same
+    order, so its output matches that graph bit for bit. Backward is
+    hand-written BPTT.
+    """
+    xw, wh, b = as_tensor(xw), as_tensor(wh), as_tensor(b)
+    B, T, four_d = xw.shape
+    d = four_d // 4
+    if four_d != 4 * d or wh.shape != (d, four_d) or b.shape != (four_d,):
+        raise ShapeError(f"lstm: incompatible shapes {xw.shape}, {wh.shape}, {b.shape}")
+    acts = np.empty((4, B, T, d))  # i, f, o after sigmoid, g after tanh
+    cs = np.empty((B, T, d))
+    tcs = np.empty((B, T, d))
+    hs = np.empty((B, T, d))
+    h = np.zeros((B, d))
+    c = np.zeros((B, d))
+    for t in range(T):
+        gates = (xw.data[:, t, :] + np.matmul(h, wh.data)) + b.data
+        i = 1.0 / (1.0 + np.exp(-gates[:, :d]))
+        f = 1.0 / (1.0 + np.exp(-gates[:, d:2 * d]))
+        g = np.tanh(gates[:, 2 * d:3 * d])
+        o = 1.0 / (1.0 + np.exp(-gates[:, 3 * d:]))
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        acts[:, :, t] = i, f, g, o
+        cs[:, t], tcs[:, t], hs[:, t] = c, tc, h
+
+    def backward_fn(grad):
+        dgates = np.empty_like(xw.data)
+        da = np.empty((B, four_d))
+        dh_next = np.zeros((B, d))
+        dc_next = np.zeros((B, d))
+        for t in reversed(range(T)):
+            i, f, g, o = acts[:, :, t]
+            dh = grad[:, t] + dh_next
+            dc = dc_next + dh * o * (1.0 - tcs[:, t] * tcs[:, t])
+            c_prev = cs[:, t - 1] if t else np.zeros((B, d))
+            da[:, :d] = dc * g * i * (1.0 - i)
+            da[:, d:2 * d] = dc * c_prev * f * (1.0 - f)
+            da[:, 2 * d:3 * d] = dc * i * (1.0 - g * g)
+            da[:, 3 * d:] = dh * tcs[:, t] * o * (1.0 - o)
+            dgates[:, t] = da
+            dc_next = dc * f
+            if t:
+                dh_next = np.matmul(da, wh.data.T)
+        xw._accumulate(dgates)
+        # step 0 saw h = 0, so it adds nothing to dwh
+        wh._accumulate(hs[:, :-1].reshape(-1, d).T @ dgates[:, 1:].reshape(-1, four_d))
+        b._accumulate(dgates.sum(axis=(0, 1)))
+
+    return _make(hs, (xw, wh, b), backward_fn, "lstm")

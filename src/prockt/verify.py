@@ -34,6 +34,9 @@ def op_cases(seed: int):
     labels = (rng.random((2, 3)) < 0.5).astype(float)
     targets = rng.random((2, 3))
     drop_mask = (rng.random((2, 3)) < 0.5) / 0.5  # fixed mask stands in for dropout
+    xw = _rand(rng, 2, 3, 8)  # B=2, T=3, d=2
+    wh = _rand(rng, 2, 8)
+    bias = _rand(rng, 8)
 
     def reduce(x):
         return nn.sum_(nn.mul(x, x))
@@ -55,6 +58,7 @@ def op_cases(seed: int):
         ("log", lambda: nn.sum_(nn.log(nn.add(nn.mul(a23, a23), 0.5))), [a23]),
         ("exp", lambda: reduce(nn.exp(a23)), [a23]),
         ("relu", lambda: reduce(nn.relu(nn.add(a23, 0.05))), [a23]),
+        ("lstm", lambda: reduce(nn.lstm(xw, wh, bias)), [xw, wh, bias]),
         ("bce", lambda: nn.bce(labels, nn.sigmoid(probs_logit), mask), [probs_logit]),
         ("masked_mse", lambda: nn.masked_mse(targets, nn.sigmoid(probs_logit), mask),
          [probs_logit]),

@@ -33,11 +33,6 @@ class TestForwardValues:
         out = nn.relu(Tensor([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
-    def test_stack_matches_numpy(self, rng):
-        parts = [rng.normal(size=(2, 3)) for _ in range(4)]
-        out = nn.stack([Tensor(p) for p in parts], axis=1)
-        np.testing.assert_array_equal(out.data, np.stack(parts, axis=1))
-
     def test_embedding_lookup_gathers_rows(self, rng):
         table = rng.normal(size=(10, 3))
         idx = np.array([[1, 4], [4, 0]])
@@ -78,12 +73,28 @@ class TestBackwardValues:
         nn.sum_(x[0, 1:]).backward()
         np.testing.assert_array_equal(x.grad, [[0, 1, 1], [0, 0, 0]])
 
+    def test_overlapping_slices_accumulate(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        nn.sum_(nn.add(nn.mul(x[:, :2], 2.0), x[:, 1:])).backward()
+        np.testing.assert_array_equal(x.grad, [[2, 3, 1], [2, 3, 1]])
+
     def test_embedding_repeated_index_accumulates(self):
         table = Tensor(np.zeros((5, 2)), requires_grad=True)
         nn.sum_(nn.embedding_lookup(table, np.array([1, 1, 3]))).backward()
         expect = np.zeros((5, 2))
         expect[1] = 2.0
         expect[3] = 1.0
+        np.testing.assert_array_equal(table.grad, expect)
+
+    def test_embedding_backward_matches_add_at(self, rng):
+        table = Tensor(rng.normal(size=(7, 5)), requires_grad=True)
+        idx = rng.integers(0, 7, size=(4, 9))
+        idx[0, :3] = 0  # padding index, repeated
+        out = nn.embedding_lookup(table, idx)
+        weights = rng.normal(size=out.shape)
+        nn.sum_(nn.mul(out, weights)).backward()
+        expect = np.zeros((7, 5))
+        np.add.at(expect, idx.reshape(-1), weights.reshape(-1, 5))
         np.testing.assert_array_equal(table.grad, expect)
 
     def test_non_scalar_backward_rejected(self):

@@ -74,6 +74,14 @@ class TestExitCodes:
         assert main(["synth", "--config", str(cfg),
                      "--out", str(tmp_path / "d")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_simulator_value_is_a_validation_error(self, value, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"num_students = {value}\n")
+        assert main(["synth", "--config", str(cfg),
+                     "--out", str(tmp_path / "d")]) == EXIT_VALIDATION
+        assert "num_students" in capsys.readouterr().err
+
     def test_too_few_students_is_a_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text("num_students = 2\nnum_problems = 5\n"

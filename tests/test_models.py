@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -267,3 +268,68 @@ class TestGradientFlow:
             assert p.grad is not None, name
             assert np.isfinite(p.grad).all(), name
             assert np.abs(p.grad).sum() > 0, name
+
+
+def unrolled_recurrent_forward(model, batch, training=False, rng=None):
+    """``RecurrentKT.forward`` with the LSTM unrolled into per-step graph nodes."""
+    cfg = model.config
+    d = cfg.embed_dim
+    B, T = batch.question_ids.shape
+    x = nn.dropout(model.interaction_embedding(batch), cfg.dropout, rng=rng, training=training)
+    wx, wh, b = model.params["rnn.wx"], model.params["rnn.wh"], model.params["rnn.b"]
+    xw = nn.matmul(x, wx)
+    h = nn.Tensor(np.zeros((B, d)))
+    c = nn.Tensor(np.zeros((B, d)))
+    hs = []
+    for t in range(T):
+        gates = nn.add(nn.add(xw[:, t, :], nn.matmul(h, wh)), b)
+        i = nn.sigmoid(gates[:, 0 * d:1 * d])
+        f = nn.sigmoid(gates[:, 1 * d:2 * d])
+        g = nn.tanh(gates[:, 2 * d:3 * d])
+        o = nn.sigmoid(gates[:, 3 * d:4 * d])
+        c = nn.add(nn.mul(f, c), nn.mul(i, g))
+        h = nn.mul(o, nn.tanh(c))
+        hs.append(nn.reshape(h, (B, 1, d)))
+    state = nn.dropout(nn.concat(hs, axis=1), cfg.dropout, rng=rng, training=training)
+    return model.readout(state, model.next_question_embedding(batch))
+
+
+class TestFusedLSTM:
+    @pytest.mark.parametrize("training", (True, False))
+    def test_matches_unrolled_graph(self, training):
+        # forward arithmetic is the same, in the same order, so outputs are
+        # bit-identical; rnn.wh and rnn.b sum their gradient in another order
+        model = build_model(small_config("recurrent", dropout=0.2, seed=4))
+        batch = toy_batch(5)
+        results = []
+        for forward in (model.forward, partial(unrolled_recurrent_forward, model)):
+            rng = np.random.default_rng(11) if training else None
+            preds = forward(batch, training=training, rng=rng)
+            loss = composite_loss(batch.targets_correct, preds.r_pred,
+                                  batch.targets_mp, preds.mp_pred,
+                                  batch.target_mp_mask, batch.target_mask, alpha=0.5)
+            for p in model.parameters().values():
+                p.grad = None
+            loss.backward()
+            grads = {n: p.grad.copy() for n, p in model.parameters().items()}
+            results.append((preds.r_pred.data, preds.mp_pred.data, loss.item(), grads))
+        (r_fused, mp_fused, loss_fused, g_fused), (r_ref, mp_ref, loss_ref, g_ref) = results
+        np.testing.assert_array_equal(r_fused, r_ref)
+        np.testing.assert_array_equal(mp_fused, mp_ref)
+        assert loss_fused == loss_ref
+        for name, ref in g_ref.items():
+            err = np.abs(g_fused[name] - ref).max() / np.abs(ref).max()
+            assert err <= 1e-12, (name, err)
+
+    def test_graph_has_one_lstm_node(self):
+        model = build_model(small_config("recurrent"))
+        preds = model.forward(toy_batch(0))
+        ops, stack, seen = [], [preds.r_pred], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                ops.append(node._op)
+                stack.extend(node._parents)
+        assert ops.count("lstm") == 1
+        assert ops.count("slice") == 1  # r_pred's [..., 0]

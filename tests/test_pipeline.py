@@ -1,5 +1,7 @@
 import json
 import re
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -460,6 +462,28 @@ class TestHttpChatClient:
 # -- mock client schema ---------------------------------------------------
 
 class TestMockChatClient:
+    def test_call_count_is_exact_under_threads(self):
+        client = MockChatClient()
+        threads_n, calls_each = 8, 2000
+
+        def worker():
+            for _ in range(calls_each):
+                with pytest.raises(ChatClientError):  # counted, then rejected
+                    client.complete("", "unrecognized", ChatParams())
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert client.calls == threads_n * calls_each
+
     def test_stage_one_covers_every_dimension(self, problem):
         client = MockChatClient()
         raw = client.complete("", render_indicator_prompt(problem), ChatParams())
