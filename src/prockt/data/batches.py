@@ -1,4 +1,5 @@
-"""Padded training batches; targets are the inputs shifted left by one.
+"""Training batches padded to their longest window; targets are the inputs
+shifted left by one.
 
 Position t of every input array describes step t of a window; targets at
 position t describe step t+1 (next-step prediction). Proficiency inputs
@@ -71,10 +72,6 @@ class Batch:
         """1 where position t has a real next step to predict."""
         return self.valid_mask * shift_left(self.valid_mask)
 
-    @property
-    def max_len(self) -> int:
-        return self.question_ids.shape[1]
-
 
 def _mp_features(rec) -> tuple[np.ndarray, np.ndarray]:
     values = np.full(4, MP_IMPUTE)
@@ -89,10 +86,13 @@ def _mp_features(rec) -> tuple[np.ndarray, np.ndarray]:
 
 def make_batches(sequences: list[StudentSequence], problems: dict[str, Problem],
                  vocab: Vocab, max_len: int = 200, batch_size: int = 16) -> list[Batch]:
-    """Window, pad, and group sequences into batches.
+    """Window, group, and pad sequences into batches.
 
     Sequences longer than ``max_len`` are chunked into consecutive
     windows; the last real position of each window carries no target.
+    Windows are grouped in order, ``batch_size`` at a time, and each batch
+    is right-padded only to the length of its longest window, so its
+    width T is at most ``max_len``.
     Raises ``ValidationError`` naming every id missing from ``vocab``.
     """
     if max_len < 2:
@@ -112,12 +112,12 @@ def make_batches(sequences: list[StudentSequence], problems: dict[str, Problem],
     batches = []
     for b0 in range(0, len(windows), batch_size):
         group = windows[b0:b0 + batch_size]
-        B = len(group)
-        q = np.zeros((B, max_len), dtype=np.int64)
-        c = np.zeros((B, max_len), dtype=np.int64)
-        r = np.zeros((B, max_len), dtype=np.int64)
-        mp_in = np.zeros((B, max_len, 8))
-        valid = np.zeros((B, max_len))
+        B, T = len(group), max(len(steps) for steps in group)
+        q = np.zeros((B, T), dtype=np.int64)
+        c = np.zeros((B, T), dtype=np.int64)
+        r = np.zeros((B, T), dtype=np.int64)
+        mp_in = np.zeros((B, T, 8))
+        valid = np.zeros((B, T))
         for bi, steps in enumerate(group):
             for t, rec in enumerate(steps):
                 problem = problems[rec.problem_id]

@@ -46,7 +46,7 @@ class AttentionKT(KTModel):
         pos = nn.embedding_lookup(self.params["embed.position"],
                                   np.broadcast_to(np.arange(T), (B, T)))
         x = nn.add(self.interaction_embedding(batch), pos)
-        x = nn.dropout(x, cfg.dropout, rng=rng, training=training)
+        x = self._dropout(x, training, rng)
         next_q = self.next_question_embedding(batch)
 
         q = self._split_heads(nn.matmul(next_q, self.params["attn.wq"]), B, T)
@@ -60,7 +60,7 @@ class AttentionKT(KTModel):
         allowed = causal[None, None, :, :] & key_valid
         bias = np.where(allowed, 0.0, MASK_FILL)
         weights = nn.softmax(nn.add(scores, bias))
-        weights = nn.dropout(weights, cfg.dropout, rng=rng, training=training)
+        weights = self._dropout(weights, training, rng)
 
         ctx = nn.matmul(weights, v)  # (B, h, T, dh)
         ctx = nn.reshape(nn.transpose(ctx, (0, 2, 1, 3)), (B, T, cfg.embed_dim))
@@ -71,6 +71,6 @@ class AttentionKT(KTModel):
                                             self.params["ffn.b1"])),
                              self.params["ffn.w2"]),
                    self.params["ffn.b2"])
-        f = nn.dropout(f, cfg.dropout, rng=rng, training=training)
+        f = self._dropout(f, training, rng)
         state = layer_norm(nn.add(f, h1), self.params["ln2.gain"], self.params["ln2.bias"])
         return self.readout(state, next_q)

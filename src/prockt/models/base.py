@@ -75,9 +75,28 @@ class KTModel:
     # -- shared forward pieces -------------------------------------------
 
     def _check_batch(self, batch: Batch) -> None:
-        if batch.max_len != self.config.max_len:
+        T = batch.question_ids.shape[1]
+        if T > self.config.max_len:
             raise nn.ShapeError(
-                f"batch max_len {batch.max_len} != model max_len {self.config.max_len}")
+                f"batch length {T} exceeds model max_len {self.config.max_len}")
+
+    def _dropout(self, x: nn.Tensor, training: bool,
+                 rng: np.random.Generator | None) -> nn.Tensor:
+        """Dropout whose mask is drawn as for a batch padded to ``max_len``.
+
+        Time is axis 1 of a (B, T, d) activation and axes 2 and 3 of (B, h, T, T)
+        attention weights. Drawing at the padded shape and keeping the first T
+        positions makes ``rng`` advance, and the real positions' masks come out,
+        as on a batch padded to ``max_len``, so training does not depend on how
+        far ``make_batches`` trimmed a batch.
+        """
+        L = self.config.max_len
+        if x.data.ndim == 3:
+            draw_shape = (x.shape[0], L, x.shape[2])
+        else:
+            draw_shape = (*x.shape[:2], L, L)
+        return nn.dropout(x, self.config.dropout, rng=rng, training=training,
+                          draw_shape=draw_shape)
 
     def interaction_embedding(self, batch: Batch) -> nn.Tensor:
         """e_t = question + concept + response embeddings (+ fused ratios)."""

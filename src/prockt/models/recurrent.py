@@ -21,12 +21,11 @@ class RecurrentKT(KTModel):
     def forward(self, batch: Batch, training: bool = False,
                 rng: np.random.Generator | None = None) -> Predictions:
         self._check_batch(batch)
-        cfg = self.config
         x = self.interaction_embedding(batch)
-        x = nn.dropout(x, cfg.dropout, rng=rng, training=training)
+        x = self._dropout(x, training, rng)
 
         wx, wh, b = self.params["rnn.wx"], self.params["rnn.wh"], self.params["rnn.b"]
         xw = nn.matmul(x, wx)  # (B, T, 4d): the input contribution for all steps at once
         state = nn.lstm(xw, wh, b)  # (B, T, d)
-        state = nn.dropout(state, cfg.dropout, rng=rng, training=training)
+        state = self._dropout(state, training, rng)
         return self.readout(state, self.next_question_embedding(batch))

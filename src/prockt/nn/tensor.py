@@ -39,9 +39,17 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``.
+
+        ``fresh`` says the caller has just allocated ``grad`` and hands it
+        over: no other node holds it, so a first gradient keeps it without
+        a copy. A ``grad`` that may be shared or be a view is copied, because
+        ``slice_`` backward later adds into ``self.grad`` in place.
+        """
         if self.grad is None:
-            self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
+            self.grad = (np.asarray(grad, dtype=self.data.dtype) if fresh
+                         else np.array(grad, dtype=self.data.dtype, copy=True))
         else:
             self.grad = self.grad + grad
 
@@ -67,7 +75,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
+        self._accumulate(np.ones_like(self.data), fresh=True)
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
@@ -125,8 +133,8 @@ def mul(a, b) -> Tensor:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
 
     def backward_fn(g):
-        a._accumulate(_unbroadcast(g * b.data, a.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.shape))
+        a._accumulate(_unbroadcast(g * b.data, a.shape), fresh=True)
+        b._accumulate(_unbroadcast(g * a.data, b.shape), fresh=True)
 
     return _make(out_data, (a, b), backward_fn, "mul")
 
@@ -141,8 +149,8 @@ def matmul(a, b) -> Tensor:
     def backward_fn(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        a._accumulate(_unbroadcast(ga, a.shape))
-        b._accumulate(_unbroadcast(gb, b.shape))
+        a._accumulate(_unbroadcast(ga, a.shape), fresh=True)
+        b._accumulate(_unbroadcast(gb, b.shape), fresh=True)
 
     return _make(out_data, (a, b), backward_fn, "matmul")
 
@@ -152,7 +160,7 @@ def power(a, p: float) -> Tensor:
     out_data = a.data ** p
 
     def backward_fn(g):
-        a._accumulate(g * p * a.data ** (p - 1))
+        a._accumulate(g * p * a.data ** (p - 1), fresh=True)
 
     return _make(out_data, (a,), backward_fn, "power")
 
@@ -162,7 +170,7 @@ def log(a) -> Tensor:
     out_data = np.log(a.data)
 
     def backward_fn(g):
-        a._accumulate(g / a.data)
+        a._accumulate(g / a.data, fresh=True)
 
     return _make(out_data, (a,), backward_fn, "log")
 
@@ -172,7 +180,7 @@ def exp(a) -> Tensor:
     out_data = np.exp(a.data)
 
     def backward_fn(g):
-        a._accumulate(g * out_data)
+        a._accumulate(g * out_data, fresh=True)
 
     return _make(out_data, (a,), backward_fn, "exp")
 
@@ -182,7 +190,7 @@ def sigmoid(a) -> Tensor:
     out_data = 1.0 / (1.0 + np.exp(-a.data))
 
     def backward_fn(g):
-        a._accumulate(g * out_data * (1.0 - out_data))
+        a._accumulate(g * out_data * (1.0 - out_data), fresh=True)
 
     return _make(out_data, (a,), backward_fn, "sigmoid")
 
@@ -192,7 +200,7 @@ def tanh(a) -> Tensor:
     out_data = np.tanh(a.data)
 
     def backward_fn(g):
-        a._accumulate(g * (1.0 - out_data * out_data))
+        a._accumulate(g * (1.0 - out_data * out_data), fresh=True)
 
     return _make(out_data, (a,), backward_fn, "tanh")
 
@@ -202,7 +210,7 @@ def relu(a) -> Tensor:
     out_data = np.maximum(a.data, 0.0)
 
     def backward_fn(g):
-        a._accumulate(g * (a.data > 0.0))
+        a._accumulate(g * (a.data > 0.0), fresh=True)
 
     return _make(out_data, (a,), backward_fn, "relu")
 
@@ -214,7 +222,7 @@ def clamp(a, lo: float, hi: float) -> Tensor:
     inside = (a.data >= lo) & (a.data <= hi)
 
     def backward_fn(g):
-        a._accumulate(g * inside)
+        a._accumulate(g * inside, fresh=True)
 
     return _make(out_data, (a,), backward_fn, "clamp")
 
@@ -228,13 +236,20 @@ def softmax(a) -> Tensor:
 
     def backward_fn(g):
         dot = (g * out_data).sum(axis=-1, keepdims=True)
-        a._accumulate(out_data * (g - dot))
+        a._accumulate(out_data * (g - dot), fresh=True)
 
     return _make(out_data, (a,), backward_fn, "softmax")
 
 
-def dropout(a, rate: float, rng: np.random.Generator | None = None, training: bool = True) -> Tensor:
-    """Inverted dropout: kept activations scaled by 1/(1-rate); identity in eval."""
+def dropout(a, rate: float, rng: np.random.Generator | None = None, training: bool = True,
+            draw_shape: tuple[int, ...] | None = None) -> Tensor:
+    """Inverted dropout: kept activations scaled by 1/(1-rate); identity in eval.
+
+    With ``draw_shape`` (no smaller than ``a`` on any axis) the uniform draws
+    are made at that shape and their leading corner masks ``a``: ``rng``
+    advances as for a tensor of ``draw_shape``, and ``a`` gets the mask that
+    tensor would get on that corner.
+    """
     a = as_tensor(a)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -242,13 +257,17 @@ def dropout(a, rate: float, rng: np.random.Generator | None = None, training: bo
         return a
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    keep = (rng.random(a.shape) >= rate).astype(a.data.dtype)
+    draw_shape = a.shape if draw_shape is None else tuple(draw_shape)
+    if len(draw_shape) != a.data.ndim or any(n < m for n, m in zip(draw_shape, a.shape)):
+        raise ShapeError(f"dropout: draw shape {draw_shape} does not cover {a.shape}")
+    corner = tuple(slice(m) for m in a.shape)
+    keep = (rng.random(draw_shape)[corner] >= rate).astype(a.data.dtype)
     scale = 1.0 / (1.0 - rate)
     mask = keep * scale
     out_data = a.data * mask
 
     def backward_fn(g):
-        a._accumulate(g * mask)
+        a._accumulate(g * mask, fresh=True)
 
     return _make(out_data, (a,), backward_fn, "dropout")
 
@@ -275,7 +294,7 @@ def mean(a, axis=None, keepdims=False) -> Tensor:
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.shape) / denom)
+        a._accumulate(np.broadcast_to(g, a.shape) / denom, fresh=True)
 
     return _make(out_data, (a,), backward_fn, "mean")
 
@@ -293,7 +312,7 @@ def masked_mean(a, mask) -> Tensor:
     out_data = np.array((a.data * m).sum() / denom)
 
     def backward_fn(g):
-        a._accumulate(g * m / denom)
+        a._accumulate(g * m / denom, fresh=True)
 
     return _make(out_data, (a,), backward_fn, "masked_mean")
 
@@ -341,8 +360,9 @@ def concat(tensors, axis: int = -1) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
 
     def backward_fn(g):
+        # the pieces are disjoint views of g, which this node never reads again
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            t._accumulate(piece)
+            t._accumulate(piece, fresh=True)
 
     return _make(out_data, tuple(tensors), backward_fn, "concat")
 
@@ -360,7 +380,7 @@ def embedding_lookup(table, indices) -> Tensor:
         # one flat bin per table cell; bincount adds in input order, as np.add.at does
         keys = idx.reshape(-1, 1) * dim + np.arange(dim)
         full = np.bincount(keys.ravel(), weights=g.reshape(-1), minlength=vocab * dim)
-        table._accumulate(full.reshape(vocab, dim))
+        table._accumulate(full.reshape(vocab, dim), fresh=True)
 
     return _make(out_data, (table,), backward_fn, "embedding_lookup")
 
@@ -415,9 +435,10 @@ def lstm(xw, wh, b) -> Tensor:
             dc_next = dc * f
             if t:
                 dh_next = np.matmul(da, wh.data.T)
-        xw._accumulate(dgates)
+        xw._accumulate(dgates, fresh=True)
         # step 0 saw h = 0, so it adds nothing to dwh
-        wh._accumulate(hs[:, :-1].reshape(-1, d).T @ dgates[:, 1:].reshape(-1, four_d))
-        b._accumulate(dgates.sum(axis=(0, 1)))
+        wh._accumulate(hs[:, :-1].reshape(-1, d).T @ dgates[:, 1:].reshape(-1, four_d),
+                       fresh=True)
+        b._accumulate(dgates.sum(axis=(0, 1)), fresh=True)
 
     return _make(hs, (xw, wh, b), backward_fn, "lstm")

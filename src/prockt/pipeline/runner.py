@@ -66,10 +66,10 @@ class CompletionCache:
         return hashlib.sha256(f"{stage}\x1f{prompt}".encode()).hexdigest()
 
     def get(self, stage: str, prompt: str) -> str | None:
-        path = self.dir / f"{self.key(stage, prompt)}.txt"
-        if path.exists():
-            return path.read_text()
-        return None
+        try:
+            return (self.dir / f"{self.key(stage, prompt)}.txt").read_text()
+        except FileNotFoundError:
+            return None
 
     def put(self, stage: str, prompt: str, completion: str) -> None:
         _atomic_write(self.dir / f"{self.key(stage, prompt)}.txt", completion)
@@ -121,12 +121,9 @@ class PipelineRunner:
         }
 
     def _load_audit(self, key: str) -> dict | None:
-        path = self.audit_dir / f"{key}.json"
-        if not path.exists():
-            return None
         try:
-            return json.loads(path.read_text())
-        except json.JSONDecodeError:
+            return json.loads((self.audit_dir / f"{key}.json").read_text())
+        except (FileNotFoundError, json.JSONDecodeError):
             return None
 
     def _process(self, problem: Problem, record: InteractionRecord) -> tuple[str, dict, bool]:

@@ -316,7 +316,7 @@ def test_criterion_9_predictions_are_causal():
         model = build_model(mc)
         for i in range(25):
             batch = toy_batch(seed=1000 + i)
-            t0 = int(rng.integers(0, batch.max_len - 1))
+            t0 = int(rng.integers(0, batch.question_ids.shape[1] - 1))
             base = model.forward(batch)
             pert = model.forward(_perturb_future(batch, t0, rng))
             worst = max(worst,

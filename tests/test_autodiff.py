@@ -39,6 +39,12 @@ class TestForwardValues:
         out = nn.embedding_lookup(Tensor(table), idx)
         np.testing.assert_array_equal(out.data, table[idx])
 
+    def test_dropout_draw_shape_keeps_the_leading_corner(self):
+        small = nn.dropout(Tensor(np.ones((2, 3, 4))), 0.5, rng=np.random.default_rng(3),
+                           draw_shape=(2, 5, 4))
+        large = nn.dropout(Tensor(np.ones((2, 5, 4))), 0.5, rng=np.random.default_rng(3))
+        np.testing.assert_array_equal(small.data, large.data[:, :3])
+
 
 class TestBackwardValues:
     def test_square_gradient(self):
@@ -77,6 +83,32 @@ class TestBackwardValues:
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         nn.sum_(nn.add(nn.mul(x[:, :2], 2.0), x[:, 1:])).backward()
         np.testing.assert_array_equal(x.grad, [[2, 3, 1], [2, 3, 1]])
+
+    @pytest.mark.parametrize("same", (True, False))
+    @pytest.mark.parametrize("reverse", (True, False))
+    def test_slices_never_write_into_a_shared_gradient(self, same, reverse):
+        # add hands one gradient array to both parents, and slice_ adds into
+        # a parent's gradient in place; the order of the terms moves which
+        # backward runs first
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        y = x if same else Tensor(np.ones((2, 3)), requires_grad=True)
+        w = np.array([[1.0, -2.0, 3.0], [4.0, 5.0, -6.0]])
+        s = nn.add(x, y)
+        terms = [nn.sum_(nn.mul(s, w)), nn.sum_(s[:, :2]), nn.sum_(x[:, 1:]), nn.sum_(y[0])]
+        if reverse:
+            terms.reverse()
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = nn.add(loss, term)
+        loss.backward()
+        ds = w + np.array([[1, 1, 0], [1, 1, 0]])
+        dx = ds + np.array([[0, 1, 1], [0, 1, 1]])
+        dy = ds + np.array([[1, 1, 1], [0, 0, 0]])
+        if same:
+            np.testing.assert_array_equal(x.grad, dx + dy)
+        else:
+            np.testing.assert_array_equal(x.grad, dx)
+            np.testing.assert_array_equal(y.grad, dy)
 
     def test_embedding_repeated_index_accumulates(self):
         table = Tensor(np.zeros((5, 2)), requires_grad=True)
@@ -120,6 +152,12 @@ class TestShapeErrors:
     def test_masked_mean_mask_mismatch(self):
         with pytest.raises(ShapeError):
             nn.masked_mean(Tensor(np.ones((2, 3))), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("draw_shape", ((2, 2), (2, 3, 1)))
+    def test_dropout_draw_shape_must_cover_input(self, draw_shape):
+        with pytest.raises(ShapeError):
+            nn.dropout(Tensor(np.ones((2, 3))), 0.5, rng=np.random.default_rng(0),
+                       draw_shape=draw_shape)
 
 
 class TestLosses:

@@ -254,6 +254,20 @@ class TestBatches:
         batches = make_batches(seqs, problems, vocab, max_len=4, batch_size=2)
         assert [b.valid_mask.shape[0] for b in batches] == [2, 2, 1]
 
+    def test_batch_width_is_longest_window(self):
+        problems = {"p0": make_problem(pid="p0")}
+        vocab = Vocab.from_problems(problems)
+        # windows of 3, 1 | 4, 2 | 2 steps at max_len 4, two to a batch
+        seqs = [StudentSequence(student_id=f"s{i}", steps=[
+            make_record(sid=f"s{i}", pid="p0", timestamp=t) for t in range(n)])
+            for i, n in enumerate((3, 1, 6, 2))]
+        batches = make_batches(seqs, problems, vocab, max_len=4, batch_size=2)
+        assert [b.question_ids.shape for b in batches] == [(2, 3), (2, 4), (1, 2)]
+        assert [b.valid_mask.sum(axis=1).tolist() for b in batches] == [[3, 1], [4, 2], [2]]
+        for b in batches:
+            for arr in (b.concept_ids, b.correctness, b.mp_inputs[..., 0], b.target_mask):
+                assert arr.shape == b.valid_mask.shape
+
     def test_targets_are_next_step(self):
         problems = {f"p{i}": make_problem(pid=f"p{i}", kc_ids=[f"kc{i % 2}"]) for i in range(3)}
         vocab = Vocab.from_problems(problems)
@@ -271,13 +285,14 @@ class TestBatches:
             values = [rec.mp.values[d] if p else MP_IMPUTE for d, p in zip(DIMENSIONS, present)]
             return rec.correct, values, [float(p) for p in present]
 
-        # 7 steps cut at max_len 2 and 3; whole at 7; padded at 10
+        # 7 steps cut at max_len 2 and 3; whole at 7 and 10 (width 7)
         for max_len in (2, 3, 7, 10):
             [batch] = make_batches(seqs, problems, vocab, max_len=max_len, batch_size=16)
             windows = [seq.steps[i:i + max_len] for seq in seqs for i in range(0, 7, max_len)]
-            assert batch.question_ids.shape == (len(windows), max_len)
+            T = min(max_len, 7)
+            assert batch.question_ids.shape == (len(windows), T)
             for bi, steps in enumerate(windows):
-                for t in range(max_len):
+                for t in range(T):
                     if t < len(steps):
                         assert batch.correctness[bi, t] == steps[t].correct
                     nxt = steps[t + 1] if t + 1 < len(steps) else None

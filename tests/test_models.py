@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -6,6 +6,7 @@ import pytest
 
 from prockt import nn
 from prockt.models import ConfigError, ModelConfig, build_model
+from prockt.training import TrainConfig, train
 from prockt.training.loss import composite_loss
 from prockt.verify import toy_batch
 
@@ -189,10 +190,18 @@ class TestForward:
         preds = build_model(small_config(backbone)).forward(empty)
         assert np.isfinite(preds.r_pred.data).all()
 
-    def test_max_len_mismatch_rejected(self):
-        model = build_model(small_config("recurrent", max_len=16))
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    def test_batch_longer_than_max_len_rejected(self, backbone):
+        model = build_model(small_config(backbone, max_len=4))
         with pytest.raises(nn.ShapeError):
-            model.forward(toy_batch(0))
+            model.forward(toy_batch(0))  # T = 8
+
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    def test_batch_shorter_than_max_len_accepted(self, backbone):
+        model = build_model(small_config(backbone, max_len=16))
+        preds = model.forward(toy_batch(0))  # T = 8
+        assert preds.r_pred.shape == (2, 8)
+        assert preds.mp_pred.shape == (2, 8, 4)
 
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_dropout_needs_rng_in_training(self, backbone):
@@ -234,7 +243,7 @@ class TestCausality:
         model = build_model(small_config(backbone, variant))
         batch = toy_batch(3)
         base = model.forward(batch)
-        for t0 in range(batch.max_len - 1):
+        for t0 in range(batch.question_ids.shape[1] - 1):
             preds = model.forward(perturb_future(batch, t0, seed=100 + t0))
             np.testing.assert_allclose(preds.r_pred.data[:, :t0 + 1],
                                        base.r_pred.data[:, :t0 + 1], atol=1e-12)
@@ -333,3 +342,86 @@ class TestFusedLSTM:
                 stack.extend(node._parents)
         assert ops.count("lstm") == 1
         assert ops.count("slice") == 1  # r_pred's [..., 0]
+
+
+def trimmed_batch(seed, lengths):
+    """A toy batch cut to its longest window, the rest of each row zero padding."""
+    batch = toy_batch(seed)
+    T = max(lengths)
+    real = np.arange(T)[None, :] < np.array(lengths)[:, None]
+
+    def cut(a):
+        a = a[:, :T].copy()
+        a[~real] = 0
+        return a
+
+    return replace(batch, **{f.name: cut(getattr(batch, f.name)) for f in fields(batch)})
+
+
+def padded_to(batch, max_len):
+    """``batch`` right-padded with zeros to ``max_len`` positions."""
+    def pad(a):
+        return np.pad(a, [(0, 0), (0, max_len - a.shape[1])] + [(0, 0)] * (a.ndim - 2))
+
+    return replace(batch, **{f.name: pad(getattr(batch, f.name)) for f in fields(batch)})
+
+
+def loss_of(batch, preds):
+    return composite_loss(batch.targets_correct, preds.r_pred,
+                          batch.targets_mp, preds.mp_pred,
+                          batch.target_mp_mask, batch.target_mask, alpha=0.5)
+
+
+class TestTrimmedBatches:
+    """Batches cut to their longest window against the same batches padded to
+    max_len: causal ops and dropout masks drawn at the padded shape make the
+    real positions agree; sums over more (zero) terms may round differently."""
+
+    MAX_LEN = 11
+
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    @pytest.mark.parametrize("training", (True, False))
+    def test_step_matches_padded_batch(self, backbone, training):
+        model = build_model(small_config(backbone, max_len=self.MAX_LEN, dropout=0.2, seed=3))
+
+        def run(batch):
+            rng = np.random.default_rng(12) if training else None
+            preds = model.forward(batch, training=training, rng=rng)
+            loss = loss_of(batch, preds)
+            for p in model.parameters().values():
+                p.grad = None
+            loss.backward()
+            grads = {n: p.grad.copy() for n, p in model.parameters().items()}
+            state = rng.bit_generator.state if training else None
+            return preds.r_pred.data[:, :6], preds.mp_pred.data[:, :6], loss.item(), grads, state
+
+        trimmed = trimmed_batch(6, (6, 3))
+        r_trim, mp_trim, loss_trim, g_trim, rng_trim = run(trimmed)
+        r_pad, mp_pad, loss_pad, g_pad, rng_pad = run(padded_to(trimmed, self.MAX_LEN))
+        np.testing.assert_allclose(r_trim, r_pad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mp_trim, mp_pad, rtol=0, atol=1e-12)
+        assert abs(loss_trim - loss_pad) <= 1e-12
+        for name, ref in g_pad.items():
+            err = np.abs(g_trim[name] - ref).max() / np.abs(ref).max()
+            assert err <= 1e-12, (name, err)
+        assert rng_trim == rng_pad  # the dropout draws consumed the same stream
+
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    def test_training_matches_padded_batches(self, backbone):
+        trimmed = [trimmed_batch(7, (6, 3)), trimmed_batch(8, (2, 5)), trimmed_batch(9, (8, 8))]
+        padded = [padded_to(b, self.MAX_LEN) for b in trimmed]
+        runs = []
+        for batches in (trimmed, padded):
+            model = build_model(small_config(backbone, max_len=self.MAX_LEN,
+                                             dropout=0.2, seed=5))
+            result = train(model, batches, batches,
+                           TrainConfig(lr=1e-2, max_epochs=3, patience=3, seed=2))
+            runs.append((result.history, model.parameters()))
+        (hist_trim, params_trim), (hist_pad, params_pad) = runs
+        assert len(hist_trim) == len(hist_pad) == 3
+        for a, b in zip(hist_trim, hist_pad):
+            assert abs(a.train_loss - b.train_loss) <= 1e-12
+            assert abs(a.val_auc - b.val_auc) <= 1e-12
+        for name, ref in params_pad.items():
+            err = np.abs(params_trim[name].data - ref.data).max() / np.abs(ref.data).max()
+            assert err <= 1e-12, (name, err)
