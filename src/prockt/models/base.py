@@ -117,19 +117,17 @@ class KTModel:
                       nn.embedding_lookup(self.params["embed.concept"], nc))
 
     def readout(self, state: nn.Tensor, next_q: nn.Tensor) -> Predictions:
+        """All heads as one matmul on their weights and biases side by side."""
         z = nn.concat([state, next_q], axis=-1)
-        r_logit = nn.add(nn.matmul(z, self.params["head.correct.weight"]),
-                         self.params["head.correct.bias"])
-        r_pred = nn.sigmoid(nn.clamp(r_logit, -LOGIT_CLAMP, LOGIT_CLAMP))[..., 0]
-        mp_pred = None
+        heads = ["head.correct"]
         if self.config.variant == "statuskt":
-            cols = []
-            for dim in DIMENSIONS:
-                logit = nn.add(nn.matmul(z, self.params[f"head.mp.{dim}.weight"]),
-                               self.params[f"head.mp.{dim}.bias"])
-                cols.append(nn.sigmoid(nn.clamp(logit, -LOGIT_CLAMP, LOGIT_CLAMP)))
-            mp_pred = nn.concat(cols, axis=-1)
-        return Predictions(r_pred=r_pred, mp_pred=mp_pred)
+            heads += [f"head.mp.{dim}" for dim in DIMENSIONS]
+        w = nn.concat([self.params[f"{h}.weight"] for h in heads], axis=-1)
+        b = nn.concat([self.params[f"{h}.bias"] for h in heads], axis=-1)
+        logits = nn.add(nn.matmul(z, w), b)
+        probs = nn.sigmoid(nn.clamp(logits, -LOGIT_CLAMP, LOGIT_CLAMP))
+        mp_pred = probs[..., 1:] if self.config.variant == "statuskt" else None
+        return Predictions(r_pred=probs[..., 0], mp_pred=mp_pred)
 
     def forward(self, batch: Batch, training: bool = False,
                 rng: np.random.Generator | None = None) -> Predictions:

@@ -29,6 +29,9 @@ from .optim import Adam
 from .checkpoint import load_checkpoint, save_checkpoint
 from .gradcheck import check_gradients, numeric_gradient
 from . import init
+from .heap import keep_heap
+
+keep_heap()
 
 __all__ = [
     "Adam", "PROB_EPS", "ShapeError", "Tensor", "add", "as_tensor", "bce",

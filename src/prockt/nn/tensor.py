@@ -140,7 +140,26 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product with numpy's broadcasting rules.
+
+    An N-D ``a`` times a 2-D ``b`` (a dense layer) runs as one 2-D GEMM in
+    every direction: ``a`` is viewed as ``(-1, k)``, so the weight gradient
+    is one ``a2.T @ g2`` rather than a stacked product summed over the
+    leading axes.
+    """
     a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim >= 2 and b.data.ndim == 2:
+        k, n = b.shape
+        if a.shape[-1] != k:
+            raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+        a2 = a.data.reshape(-1, k)
+
+        def backward_fn(g):
+            g2 = g.reshape(-1, n)
+            a._accumulate((g2 @ b.data.T).reshape(a.shape), fresh=True)
+            b._accumulate(a2.T @ g2, fresh=True)
+
+        return _make((a2 @ b.data).reshape(*a.shape[:-1], n), (a, b), backward_fn, "matmul")
     try:
         out_data = np.matmul(a.data, b.data)
     except ValueError:

@@ -1,10 +1,16 @@
 """Orchestration of the three-stage pipeline over a dataset.
 
-Per interaction: render stage prompt -> completion (content-addressed
-cache) -> parse -> next stage -> ratios. Every interaction gets an audit
-record on disk; a rerun over the same data reuses audits and issues no
-client calls. A stage that keeps failing flags the interaction with
-all-absent ratios and the run continues.
+Per interaction: render stage prompt -> completion (cached) -> parse ->
+next stage -> ratios. Every interaction gets an audit record in the
+cache; a rerun over the same data reuses audits and issues no client
+calls. A stage that keeps failing flags the interaction with all-absent
+ratios and the run continues.
+
+A cache directory holds two append-only logs of ``[key, value]`` JSON
+lines: ``completions.jsonl`` and ``audit.jsonl``. Completions are keyed
+on (stage, model, temperature, prompt); audits on the record's ids,
+timestamp, trace and answer, the problem, the three prompt templates,
+the model and the temperature, so a change to any of them is a miss.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -34,7 +40,7 @@ class PipelineReport:
     annotated: int = 0
     failed: int = 0
     cached: int = 0
-    failures: list[str] = field(default_factory=list)  # audit keys of failed interactions
+    failures: list[str] = field(default_factory=list)  # audit_key of each failed interaction
 
     @property
     def failure_rate(self) -> float:
@@ -47,55 +53,112 @@ class PipelineReport:
                 "failures": list(self.failures)}
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _digest(*parts: str) -> str:
+    return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
 
 
-class CompletionCache:
-    """Completions keyed by SHA-256 of (stage, rendered prompt)."""
+class JsonLog:
+    """An append-only file of ``[key, value]`` JSON lines, read once into a dict.
 
-    def __init__(self, cache_dir: Path):
-        self.dir = cache_dir / "completions"
-        os.makedirs(self.dir, exist_ok=True)
+    A record is appended as one ``os.write`` on an ``O_APPEND`` descriptor,
+    so processes sharing the file never interleave lines. A torn last line
+    (a crash mid-write) is skipped on load, and the first append then starts
+    a new line so that the torn one cannot swallow it.
+    """
 
-    @staticmethod
-    def key(stage: str, prompt: str) -> str:
-        return hashlib.sha256(f"{stage}\x1f{prompt}".encode()).hexdigest()
+    def __init__(self, path: Path):
+        self._fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+        with open(self._fd, "rb", closefd=False) as fh:
+            data = fh.read()
+        self._torn = not data.endswith(b"\n") and bool(data)
+        self._lock = threading.Lock()
+        self.entries: dict = {}
+        for line in data.splitlines():
+            try:
+                key, value = json.loads(line)
+            except (ValueError, TypeError):
+                continue  # torn by a crash mid-write, or empty
+            self.entries[key] = value
 
-    def get(self, stage: str, prompt: str) -> str | None:
-        try:
-            return (self.dir / f"{self.key(stage, prompt)}.txt").read_text()
-        except FileNotFoundError:
-            return None
+    def get(self, key: str):
+        return self.entries.get(key)
 
-    def put(self, stage: str, prompt: str, completion: str) -> None:
-        _atomic_write(self.dir / f"{self.key(stage, prompt)}.txt", completion)
+    def put(self, key: str, value) -> None:
+        line = json.dumps([key, value]).encode() + b"\n"
+        with self._lock:
+            if self._torn:
+                line = b"\n" + line
+                self._torn = False
+            written = os.write(self._fd, line)
+            if written != len(line):  # e.g. a full disk: the line is torn
+                self._torn = True
+                raise OSError(f"short write to a cache log: {written} of {len(line)} bytes")
+            self.entries[key] = value
+
+    def close(self) -> None:
+        os.close(self._fd)
 
 
 def audit_key(record: InteractionRecord) -> str:
-    raw = f"{record.student_id}\x1f{record.problem_id}\x1f{record.timestamp}"
-    return hashlib.sha256(raw.encode()).hexdigest()[:24]
+    """Names an interaction by every field of the record that its audit depends on."""
+    return _digest(record.student_id, record.problem_id, str(record.timestamp),
+                   record.process_text, record.selected_answer)[:24]
 
 
 class PipelineRunner:
+    """Annotates interactions through ``client``, caching in ``cache_dir``.
+
+    Reads the audit log at once and the completion log at the first audit
+    miss, so a warm run never reads completions; ``close`` closes both.
+    """
+
     def __init__(self, client: ChatClient, cache_dir, params: ChatParams | None = None):
         self.client = client
-        self.cache_dir = Path(cache_dir)
-        self.cache = CompletionCache(self.cache_dir)
-        self.audit_dir = self.cache_dir / "audit"
-        os.makedirs(self.audit_dir, exist_ok=True)
         self.params = params or ChatParams()
+        self.cache_dir = Path(cache_dir)
+        os.makedirs(self.cache_dir, exist_ok=True)
+        self.audits = JsonLog(self.cache_dir / "audit.jsonl")
+        self.completions: JsonLog | None = None  # opened at the first audit miss
+        self._setting = (str(getattr(client, "model", "")), repr(self.params.temperature))
+        self._templates = _digest(prompts.INDICATOR_TEMPLATE, prompts.STUDENT_TEMPLATE,
+                                  prompts.EVAL_TEMPLATE)
+        self._problem_keys: dict[str, str] = {}
+        self._in_flight: dict[str, threading.Event] = {}
+        self._flight_lock = threading.Lock()
+
+    def close(self) -> None:
+        self.audits.close()
+        if self.completions is not None:
+            self.completions.close()
 
     def _complete(self, stage: str, prompt: str) -> str:
-        cached = self.cache.get(stage, prompt)
-        if cached is not None:
-            return cached
-        completion = self.client.complete("", prompt, self.params)
-        self.cache.put(stage, prompt, completion)
-        return completion
+        """The cached completion of ``prompt``, else one client call for it.
+
+        Single flight: a thread that finds the key in flight waits for that
+        call. If the call fails, nothing is shared and the waiters go round
+        again, so one of them makes its own call.
+        """
+        key = _digest(stage, *self._setting, prompt)
+        while True:
+            with self._flight_lock:
+                if self.completions is None:
+                    self.completions = JsonLog(self.cache_dir / "completions.jsonl")
+                completion = self.completions.get(key)
+                if completion is not None:
+                    return completion
+                flight = self._in_flight.get(key)
+                if flight is None:
+                    flight = self._in_flight[key] = threading.Event()
+                    break
+            flight.wait()
+        try:
+            completion = self.client.complete("", prompt, self.params)
+            self.completions.put(key, completion)
+            return completion
+        finally:
+            with self._flight_lock:
+                del self._in_flight[key]
+            flight.set()
 
     def _annotate_one(self, problem: Problem, record: InteractionRecord) -> dict:
         prompt1 = prompts.render_indicator_prompt(problem)
@@ -120,17 +183,19 @@ class PipelineRunner:
             "annotated_at": time.time(),
         }
 
-    def _load_audit(self, key: str) -> dict | None:
-        try:
-            return json.loads((self.audit_dir / f"{key}.json").read_text())
-        except (FileNotFoundError, json.JSONDecodeError):
-            return None
+    def _audit_log_key(self, problem: Problem, record: InteractionRecord) -> str:
+        problem_key = self._problem_keys.get(problem.problem_id)
+        if problem_key is None:
+            problem_key = self._problem_keys[problem.problem_id] = _digest(
+                json.dumps(problem.to_json(), sort_keys=True), self._templates,
+                *self._setting)
+        return _digest(audit_key(record), problem_key)[:32]
 
-    def _process(self, problem: Problem, record: InteractionRecord) -> tuple[str, dict, bool]:
-        key = audit_key(record)
-        audit = self._load_audit(key)
+    def _process(self, problem: Problem, record: InteractionRecord) -> tuple[dict, bool]:
+        key = self._audit_log_key(problem, record)
+        audit = self.audits.get(key)
         if audit is not None:
-            return key, audit, True
+            return audit, True
         try:
             audit = self._annotate_one(problem, record)
         except Exception as exc:
@@ -144,8 +209,8 @@ class PipelineRunner:
                 "error": f"{type(exc).__name__}: {exc}",
                 "annotated_at": time.time(),
             }
-        _atomic_write(self.audit_dir / f"{key}.json", json.dumps(audit, indent=1))
-        return key, audit, False
+        self.audits.put(key, audit)
+        return audit, False
 
 
 def run_pipeline(dataset: Dataset, client: ChatClient, cache_dir,
@@ -159,21 +224,24 @@ def run_pipeline(dataset: Dataset, client: ChatClient, cache_dir,
     runner = PipelineRunner(client, cache_dir, params)
     jobs = [(dataset.problems[rec.problem_id], rec)
             for seq in dataset.sequences for rec in seq.steps]
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        outs = list(pool.map(lambda job: runner._process(*job), jobs))
+    try:
+        with ThreadPoolExecutor(max_workers=concurrency) as pool:
+            outs = list(pool.map(lambda job: runner._process(*job), jobs))
+    finally:
+        runner.close()
 
     report = PipelineReport()
-    for key, audit, was_cached in outs:
+    for (_, rec), (audit, was_cached) in zip(jobs, outs):
         if was_cached:
             report.cached += 1
         if audit["status"] == "ok":
             report.annotated += 1
         else:
             report.failed += 1
-            report.failures.append(key)
+            report.failures.append(audit_key(rec))
 
     mps = iter(MPRatios.from_json(audit["ratios"]) if audit["status"] == "ok"
-               else MPRatios.absent() for _, audit, _ in outs)
+               else MPRatios.absent() for audit, _ in outs)
     annotated_sequences = [
         StudentSequence(student_id=seq.student_id,
                         steps=[replace(rec, mp=next(mps)) for rec in seq.steps])

@@ -37,6 +37,8 @@ def op_cases(seed: int):
     xw = _rand(rng, 2, 3, 8)  # B=2, T=3, d=2
     wh = _rand(rng, 2, 8)
     bias = _rand(rng, 8)
+    a234 = _rand(rng, 2, 3, 4)  # a dense layer over (B, T, k)
+    m42 = _rand(rng, 4, 2)
 
     def reduce(x):
         return nn.sum_(nn.mul(x, x))
@@ -46,6 +48,7 @@ def op_cases(seed: int):
         ("add_broadcast", lambda: reduce(nn.add(a23, m34[:, 0])), [a23, m34]),
         ("mul", lambda: reduce(nn.mul(a23, b23)), [a23, b23]),
         ("matmul", lambda: reduce(nn.matmul(a23, m34)), [a23, m34]),
+        ("matmul_3d", lambda: reduce(nn.matmul(a234, m42)), [a234, m42]),
         ("concat", lambda: reduce(nn.concat([a23, b23], axis=1)), [a23, b23]),
         ("slice", lambda: reduce(a23[:, 1:3]), [a23]),
         ("embedding_lookup", lambda: reduce(nn.embedding_lookup(table, idx)), [table]),

@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from prockt import nn
+from prockt.nn import heap
 from prockt.nn import Adam, ShapeError, Tensor, bce, check_gradients, masked_mse
 from prockt.verify import check_ops
 
@@ -16,6 +18,25 @@ class TestForwardValues:
         a = rng.normal(size=(4, 4))
         out = nn.matmul(Tensor(a), Tensor(np.eye(4)))
         np.testing.assert_array_equal(out.data, a)
+
+    @pytest.mark.parametrize("shape,transposed", [((3, 4, 5), False), ((2, 3, 4, 5), False),
+                                                  ((3, 4, 5), True)])
+    def test_flattened_matmul_matches_stacked(self, rng, shape, transposed):
+        # oracle: numpy's stacked matmul, with the weight gradient summed
+        # over the leading axes; 1e-12 relative
+        a_data = rng.normal(size=shape)
+        if transposed:  # a non-contiguous input
+            a_data = np.swapaxes(rng.normal(size=(shape[0], shape[2], shape[1])), 1, 2)
+        a = Tensor(a_data, requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+        g = rng.normal(size=(*shape[:-1], 6))
+        out = nn.matmul(a, w)
+        nn.sum_(nn.mul(out, g)).backward()
+        np.testing.assert_allclose(out.data, np.matmul(a_data, w.data), rtol=1e-12)
+        np.testing.assert_allclose(a.grad, np.matmul(g, w.data.T), rtol=1e-12)
+        stacked_dw = np.matmul(np.swapaxes(a_data, -1, -2), g)
+        np.testing.assert_allclose(w.grad, stacked_dw.reshape(-1, 5, 6).sum(axis=0),
+                                   rtol=1e-12)
 
     def test_softmax_of_constant_row_is_uniform(self):
         out = nn.softmax(Tensor(np.full((2, 5), 3.7)))
@@ -148,6 +169,10 @@ class TestShapeErrors:
     def test_matmul_mismatch(self):
         with pytest.raises(ShapeError):
             nn.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+
+    def test_dense_matmul_mismatch(self):
+        with pytest.raises(ShapeError):
+            nn.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((4, 5))))
 
     def test_masked_mean_mask_mismatch(self):
         with pytest.raises(ShapeError):
@@ -293,3 +318,21 @@ class TestCheckpoint:
         for name in params:
             np.testing.assert_array_equal(loaded[name].data, params[name].data)
             assert loaded[name].requires_grad
+
+
+class TestHeapGuard:
+    def test_sets_both_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(heap.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        heap.keep_heap()
+        assert calls == [(heap.M_MMAP_THRESHOLD, heap.MMAP_THRESHOLD),
+                         (heap.M_TRIM_THRESHOLD, heap.TRIM_THRESHOLD)]
+
+    def test_is_a_no_op_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(heap.ctypes, "CDLL", lambda name: SimpleNamespace())
+        heap.keep_heap()

@@ -218,6 +218,39 @@ class TestForward:
                                       none.forward(batch).r_pred.data)
 
 
+class TestFusedReadout:
+    """Oracle: each head as its own numpy matmul, as before the heads were fused."""
+
+    @pytest.mark.parametrize("variant", ("original", "statuskt"))
+    def test_heads_match_separate_matmuls(self, rng, variant):
+        model = build_model(small_config("recurrent", variant))
+        for p in model.params.values():  # non-zero biases, so each lands in its column
+            p.data = rng.normal(size=p.shape)
+        state = nn.Tensor(rng.normal(size=(2, 8, 8)), requires_grad=True)
+        next_q = nn.Tensor(rng.normal(size=(2, 8, 8)))
+        preds = model.readout(state, next_q)
+        z = np.concatenate([state.data, next_q.data], axis=-1)
+
+        def head(name):
+            logit = z @ model.params[f"{name}.weight"].data + model.params[f"{name}.bias"].data
+            return 1.0 / (1.0 + np.exp(-np.clip(logit, -15.0, 15.0)))
+
+        np.testing.assert_allclose(preds.r_pred.data, head("head.correct")[..., 0], rtol=1e-12)
+        if variant == "original":
+            assert preds.mp_pred is None
+            return
+        mp = np.concatenate([head(f"head.mp.{d}") for d in ("CU", "SC", "PF", "AR")], axis=-1)
+        np.testing.assert_allclose(preds.mp_pred.data, mp, rtol=1e-12)
+        # each head's parameters get the gradient of their own column only
+        nn.sum_(preds.mp_pred[..., 2]).backward()
+        assert model.params["head.mp.PF.weight"].grad is not None
+        for other in ("head.correct.weight", "head.mp.CU.bias"):
+            grad = model.params[other].grad
+            assert grad is None or not grad.any()
+        np.testing.assert_allclose(model.params["head.mp.PF.bias"].grad,
+                                   [(mp[..., 2] * (1 - mp[..., 2])).sum()], rtol=1e-12)
+
+
 def perturb_future(batch, t0, seed):
     """Randomize every future input that must not affect position t0."""
     rng = np.random.default_rng(seed)

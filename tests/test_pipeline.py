@@ -1,7 +1,9 @@
 import json
+import os
 import re
 import sys
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, make_problem
+from prockt.data import Dataset
 from prockt.pipeline import (
     ChatClientError,
     ChatParams,
@@ -31,6 +34,8 @@ from prockt.pipeline import (
     render_student_prompt,
     run_pipeline,
 )
+from prockt.pipeline import prompts
+from prockt.pipeline.runner import JsonLog
 from prockt.pipeline.prompts import EVAL_TEMPLATE, INDICATOR_TEMPLATE, STUDENT_TEMPLATE
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -378,8 +383,12 @@ class TestRunPipeline:
     def test_audit_records_reconstruct_ratios(self, tmp_path):
         data = make_dataset(num_students=1, steps=2)
         out, _ = run_pipeline(data, MockChatClient(), tmp_path)
+        lines = (tmp_path / "audit.jsonl").read_text().splitlines()
+        docs = {(d["student_id"], d["problem_id"], d["timestamp"]): d
+                for _, d in map(json.loads, lines)}
+        assert len(lines) == len(docs) == 2
         for step_i, rec in enumerate(data.sequences[0].steps):
-            doc = json.loads((tmp_path / "audit" / f"{audit_key(rec)}.json").read_text())
+            doc = docs[(rec.student_id, rec.problem_id, rec.timestamp)]
             assert doc["status"] == "ok"
             recomputed = {}
             for cat in ("CU", "SC", "PF", "AR"):
@@ -391,6 +400,177 @@ class TestRunPipeline:
             assert doc["ratios"]["counts"] == {
                 d: list(recomputed.get(d, (0, 0))) for d in ("CU", "SC", "PF", "AR")}
             assert out.sequences[0].steps[step_i].mp.to_json() == doc["ratios"]
+
+
+class CountingClient:
+    """Wraps the mock: sleeps ``delay`` seconds per call and counts prompts.
+
+    ``fail_first`` names a prompt whose first call fails after 50 ms, long
+    enough for other workers to be waiting for it.
+    """
+
+    def __init__(self, delay=0.001, model="", fail_first=None):
+        self.inner = MockChatClient()
+        self.delay = delay
+        if model:
+            self.model = model
+        self.fail_first = fail_first
+        self.prompts = []
+        self._lock = threading.Lock()
+
+    def complete(self, system_message, user_message, params):
+        with self._lock:
+            self.prompts.append(user_message)
+            fail = user_message == self.fail_first
+            if fail:
+                self.fail_first = None
+        time.sleep(0.05 if fail else self.delay)
+        if fail:
+            raise ChatClientError("injected failure of the first call")
+        return self.inner.complete(system_message, user_message, params)
+
+
+def distinct_students(num_students, steps):
+    """Students with their own traces, so stage-2/3 prompts differ by student."""
+    data = make_dataset(num_students=num_students, steps=steps)
+    for seq in data.sequences:
+        for rec in seq.steps:
+            rec.process_text += f"\nby {seq.student_id}"
+    return data
+
+
+class TestCacheLog:
+    def test_cache_is_two_logs(self, tmp_path):
+        run_pipeline(make_dataset(), MockChatClient(), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["audit.jsonl",
+                                                              "completions.jsonl"]
+        assert len((tmp_path / "audit.jsonl").read_text().splitlines()) == 12
+
+    def test_torn_last_line_is_skipped_and_next_append_survives(self, tmp_path):
+        data = make_dataset(num_students=3, steps=4)
+        run_pipeline(data, MockChatClient(), tmp_path)
+        log_path = tmp_path / "audit.jsonl"
+        text = log_path.read_text()
+        log_path.write_text(text[:-40])  # a crash in the middle of the last record
+        client = MockChatClient()
+        _, report = run_pipeline(data, client, tmp_path)
+        assert report.cached == 11 and report.annotated == 12
+        lines = log_path.read_text().splitlines()
+        assert len(lines) == 13
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(lines[11])
+        assert all(len(json.loads(line)) == 2 for line in lines[:11] + lines[12:])
+        warm = MockChatClient()
+        _, report = run_pipeline(data, warm, tmp_path)
+        assert warm.calls == 0 and report.cached == 12
+
+    def test_short_write_is_torn_and_next_append_survives(self, tmp_path, monkeypatch):
+        log = JsonLog(tmp_path / "log.jsonl")
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:10]))
+        with pytest.raises(OSError):
+            log.put("a", {"x": 1})
+        monkeypatch.setattr(os, "write", write)
+        log.put("b", {"x": 2})
+        log.close()
+        assert log.entries == {"b": {"x": 2}}
+        reread = JsonLog(tmp_path / "log.jsonl")
+        reread.close()
+        assert reread.entries == {"b": {"x": 2}}
+
+    def test_two_runners_sharing_a_cache_lose_no_line(self, tmp_path):
+        data = distinct_students(num_students=8, steps=5)
+        halves = [Dataset(problems=data.problems, sequences=data.sequences[i::2])
+                  for i in range(2)]
+        threads = [threading.Thread(target=run_pipeline,
+                                    args=(half, CountingClient(), tmp_path),
+                                    kwargs={"concurrency": 4}) for half in halves]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        audit_lines = (tmp_path / "audit.jsonl").read_text().splitlines()
+        assert len(audit_lines) == 40
+        for name in ("audit.jsonl", "completions.jsonl"):
+            for line in (tmp_path / name).read_text().splitlines():
+                assert len(json.loads(line)) == 2
+        warm = MockChatClient()
+        _, report = run_pipeline(data, warm, tmp_path)
+        assert warm.calls == 0 and report.cached == 40
+
+
+class TestSingleFlight:
+    def test_concurrency_makes_one_call_per_unique_prompt(self, tmp_path):
+        # the first 8 jobs need 2 indicator prompts, 4 workers each
+        data = distinct_students(num_students=16, steps=2)
+        serial, pooled = CountingClient(delay=0.005), CountingClient(delay=0.005)
+        out1, _ = run_pipeline(data, serial, tmp_path / "serial", concurrency=1)
+        out8, _ = run_pipeline(data, pooled, tmp_path / "pool", concurrency=8)
+        assert len(pooled.prompts) == len(serial.prompts) == len(set(serial.prompts))
+        assert len(set(pooled.prompts)) == len(pooled.prompts)
+        for s1, s8 in zip(out1.sequences, out8.sequences):
+            for r1, r8 in zip(s1.steps, s8.steps):
+                assert r1.mp.to_json() == r8.mp.to_json()
+
+    def test_failed_call_is_not_shared(self, tmp_path):
+        # every interaction of problem p0 needs the same indicator prompt; its
+        # first call fails, so exactly one interaction fails and one more
+        # call for that prompt is made, at any concurrency
+        data = make_dataset(num_students=6, steps=5)
+        p0 = render_indicator_prompt(data.problems["p0"])
+        reports, clients = [], []
+        for concurrency in (1, 8):
+            client = CountingClient(fail_first=p0)
+            _, report = run_pipeline(data, client, tmp_path / str(concurrency),
+                                     concurrency=concurrency)
+            reports.append(report)
+            clients.append(client)
+        assert [r.failed for r in reports] == [1, 1]
+        assert [c.prompts.count(p0) for c in clients] == [2, 2]
+        assert len(clients[0].prompts) == len(clients[1].prompts)
+
+
+class TestCacheKeys:
+    def test_warm_rerun_with_same_setting_hits(self, tmp_path):
+        data = make_dataset()
+        run_pipeline(data, CountingClient(model="m1"), tmp_path)
+        warm = CountingClient(model="m1")
+        _, report = run_pipeline(data, warm, tmp_path)
+        assert warm.prompts == [] and report.cached == 12
+
+    @pytest.mark.parametrize("change", ["model", "temperature", "template"])
+    def test_changed_setting_misses(self, tmp_path, monkeypatch, change):
+        data = make_dataset()
+        run_pipeline(data, CountingClient(model="m1"), tmp_path)
+        model, params = "m1", ChatParams()
+        if change == "model":
+            model = "m2"
+        elif change == "temperature":
+            params = ChatParams(temperature=0.7)
+        else:
+            monkeypatch.setattr(prompts, "EVAL_TEMPLATE", prompts.EVAL_TEMPLATE + "\n")
+        client = CountingClient(model=model)
+        _, report = run_pipeline(data, client, tmp_path, params=params)
+        assert report.cached == 0 and report.annotated == 12
+        # a completion is reused only where its prompt, model and
+        # temperature are all unchanged: here the first two stages
+        assert len(client.prompts) == (4 if change == "template" else 12)
+
+    def test_changed_record_content_misses(self, tmp_path):
+        data = make_dataset()
+        run_pipeline(data, MockChatClient(), tmp_path)
+        data.sequences[0].steps[0].selected_answer = "3"
+        data.problems["p1"].text += " Explain."
+        _, report = run_pipeline(data, MockChatClient(), tmp_path)
+        changed = 1 + sum(rec.problem_id == "p1" for seq in data.sequences
+                          for rec in seq.steps)
+        assert report.cached == 12 - changed
 
 
 # -- HTTP client ----------------------------------------------------------
