@@ -43,9 +43,11 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
-# smallest accepted value of each numeric flag that sizes or bounds work
+# smallest accepted value of numeric flags, checked before any path is opened
 FLAG_MINIMUMS = {"batch_size": 1, "epochs": 1, "patience": 1, "concurrency": 1,
-                 "max_retries": 1, "max_len": 2}
+                 "max_retries": 1, "max_len": 2, "embed_dim": 1, "alpha": 0.0}
+# open interval that each of these float flags must lie in, checked likewise
+FLAG_INTERVALS = {"test_frac": (0.0, 1.0), "val_frac": (0.0, 1.0), "lr": (0.0, float("inf"))}
 
 
 class UsageError(Exception):
@@ -344,9 +346,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         for name, low in FLAG_MINIMUMS.items():
-            value = getattr(args, name, low)
-            if value < low:
+            value = getattr(args, name, None)
+            if value is not None and not value >= low:
                 raise ValidationError(f"--{name.replace('_', '-')} must be at least {low}, "
+                                      f"got {value}")
+        for name, (low, high) in FLAG_INTERVALS.items():
+            value = getattr(args, name, None)
+            if value is not None and not low < value < high:
+                raise ValidationError(f"--{name.replace('_', '-')} must be in ({low}, {high}), "
                                       f"got {value}")
         return args.func(args)
     except UsageError as exc:

@@ -11,10 +11,11 @@ import numpy as np
 
 from .. import nn
 from ..data.batches import Batch
-from .base import KTModel, Predictions, layer_norm
+from .base import KTModel, Predictions
 from .config import ModelConfig
 
 MASK_FILL = -1e9
+LAYER_NORM_EPS = 1e-5
 
 
 class AttentionKT(KTModel):
@@ -32,11 +33,6 @@ class AttentionKT(KTModel):
             self._add_ones(f"{name}.gain", (d,))
             self._add_zeros(f"{name}.bias", (d,))
 
-    def _split_heads(self, x: nn.Tensor, B: int, T: int) -> nn.Tensor:
-        cfg = self.config
-        return nn.transpose(nn.reshape(x, (B, T, cfg.attention_heads, cfg.head_dim)),
-                            (0, 2, 1, 3))
-
     def forward(self, batch: Batch, training: bool = False,
                 rng: np.random.Generator | None = None) -> Predictions:
         self._check_batch(batch)
@@ -46,31 +42,26 @@ class AttentionKT(KTModel):
         pos = nn.embedding_lookup(self.params["embed.position"],
                                   np.broadcast_to(np.arange(T), (B, T)))
         x = nn.add(self.interaction_embedding(batch), pos)
-        x = self._dropout(x, training, rng)
+        x = nn.dropout(x, self._dropout_mask(x.shape, training, rng))
         next_q = self.next_question_embedding(batch)
 
-        q = self._split_heads(nn.matmul(next_q, self.params["attn.wq"]), B, T)
-        k = self._split_heads(nn.matmul(x, self.params["attn.wk"]), B, T)
-        v = self._split_heads(nn.matmul(x, self.params["attn.wv"]), B, T)
-
-        scores = nn.mul(nn.matmul(q, nn.transpose(k, (0, 1, 3, 2))),
-                        1.0 / np.sqrt(cfg.head_dim))
+        q = nn.matmul(next_q, self.params["attn.wq"])
+        k = nn.matmul(x, self.params["attn.wk"])
+        v = nn.matmul(x, self.params["attn.wv"])
         causal = np.tril(np.ones((T, T), dtype=bool))
         key_valid = batch.valid_mask.astype(bool)[:, None, None, :]
-        allowed = causal[None, None, :, :] & key_valid
-        bias = np.where(allowed, 0.0, MASK_FILL)
-        weights = nn.softmax(nn.add(scores, bias))
-        weights = self._dropout(weights, training, rng)
-
-        ctx = nn.matmul(weights, v)  # (B, h, T, dh)
-        ctx = nn.reshape(nn.transpose(ctx, (0, 2, 1, 3)), (B, T, cfg.embed_dim))
+        bias = np.where(causal[None, None, :, :] & key_valid, 0.0, MASK_FILL)
+        weight_mask = self._dropout_mask((B, cfg.attention_heads, T, T), training, rng)
+        ctx = nn.attention(q, k, v, bias, cfg.attention_heads, weight_mask)  # (B, T, d)
         ctx = nn.matmul(ctx, self.params["attn.wo"])
 
-        h1 = layer_norm(nn.add(ctx, next_q), self.params["ln1.gain"], self.params["ln1.bias"])
+        h1 = nn.layer_norm(nn.add(ctx, next_q), self.params["ln1.gain"],
+                           self.params["ln1.bias"], LAYER_NORM_EPS)
         f = nn.add(nn.matmul(nn.relu(nn.add(nn.matmul(h1, self.params["ffn.w1"]),
                                             self.params["ffn.b1"])),
                              self.params["ffn.w2"]),
                    self.params["ffn.b2"])
-        f = self._dropout(f, training, rng)
-        state = layer_norm(nn.add(f, h1), self.params["ln2.gain"], self.params["ln2.bias"])
+        f = nn.dropout(f, self._dropout_mask(f.shape, training, rng))
+        state = nn.layer_norm(nn.add(f, h1), self.params["ln2.gain"],
+                              self.params["ln2.bias"], LAYER_NORM_EPS)
         return self.readout(state, next_q)

@@ -18,7 +18,6 @@ from ..data.schema import DIMENSIONS
 from .config import ModelConfig
 
 LOGIT_CLAMP = 15.0
-LAYER_NORM_EPS = 1e-5
 
 
 @dataclass
@@ -80,23 +79,26 @@ class KTModel:
             raise nn.ShapeError(
                 f"batch length {T} exceeds model max_len {self.config.max_len}")
 
-    def _dropout(self, x: nn.Tensor, training: bool,
-                 rng: np.random.Generator | None) -> nn.Tensor:
-        """Dropout whose mask is drawn as for a batch padded to ``max_len``.
+    def _dropout_mask(self, shape: tuple[int, ...], training: bool,
+                      rng: np.random.Generator | None) -> np.ndarray | None:
+        """Inverted-dropout multiplier for an activation of ``shape``; None when
+        nothing is dropped (eval mode or a zero rate).
 
         Time is axis 1 of a (B, T, d) activation and axes 2 and 3 of (B, h, T, T)
-        attention weights. Drawing at the padded shape and keeping the first T
-        positions makes ``rng`` advance, and the real positions' masks come out,
-        as on a batch padded to ``max_len``, so training does not depend on how
-        far ``make_batches`` trimmed a batch.
+        attention weights. Drawing at the shape padded to ``max_len`` and keeping
+        the leading corner makes ``rng`` advance, and the real positions' masks
+        come out, as on a batch padded to ``max_len``, so training does not
+        depend on how far ``make_batches`` trimmed a batch.
         """
+        rate = self.config.dropout
+        if not training or rate == 0.0:
+            return None
+        if rng is None:
+            raise ValueError("dropout in training mode needs an rng")
         L = self.config.max_len
-        if x.data.ndim == 3:
-            draw_shape = (x.shape[0], L, x.shape[2])
-        else:
-            draw_shape = (*x.shape[:2], L, L)
-        return nn.dropout(x, self.config.dropout, rng=rng, training=training,
-                          draw_shape=draw_shape)
+        draw_shape = (shape[0], L, shape[2]) if len(shape) == 3 else (*shape[:2], L, L)
+        corner = tuple(slice(n) for n in shape)
+        return (rng.random(draw_shape)[corner] >= rate).astype(np.float64) * (1.0 / (1.0 - rate))
 
     def interaction_embedding(self, batch: Batch) -> nn.Tensor:
         """e_t = question + concept + response embeddings (+ fused ratios)."""
@@ -133,10 +135,3 @@ class KTModel:
                 rng: np.random.Generator | None = None) -> Predictions:
         raise NotImplementedError
 
-
-def layer_norm(x: nn.Tensor, gain: nn.Tensor, bias: nn.Tensor) -> nn.Tensor:
-    mu = nn.mean(x, axis=-1, keepdims=True)
-    centered = nn.add(x, nn.mul(mu, -1.0))
-    var = nn.mean(nn.mul(centered, centered), axis=-1, keepdims=True)
-    inv = nn.power(nn.add(var, LAYER_NORM_EPS), -0.5)
-    return nn.add(nn.mul(nn.mul(centered, inv), gain), bias)

@@ -33,6 +33,8 @@ class ModelConfig:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.embed_dim is None:
             self.embed_dim = DEFAULT_EMBED_DIM[self.backbone]
+        if self.embed_dim < 1:
+            raise ConfigError(f"embed_dim must be at least 1, got {self.embed_dim}")
         if self.backbone == "attention" and self.embed_dim % self.attention_heads != 0:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by "

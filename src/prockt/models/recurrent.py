@@ -22,10 +22,10 @@ class RecurrentKT(KTModel):
                 rng: np.random.Generator | None = None) -> Predictions:
         self._check_batch(batch)
         x = self.interaction_embedding(batch)
-        x = self._dropout(x, training, rng)
+        x = nn.dropout(x, self._dropout_mask(x.shape, training, rng))
 
         wx, wh, b = self.params["rnn.wx"], self.params["rnn.wh"], self.params["rnn.b"]
         xw = nn.matmul(x, wx)  # (B, T, 4d): the input contribution for all steps at once
         state = nn.lstm(xw, wh, b)  # (B, T, d)
-        state = self._dropout(state, training, rng)
+        state = nn.dropout(state, self._dropout_mask(state.shape, training, rng))
         return self.readout(state, self.next_question_embedding(batch))

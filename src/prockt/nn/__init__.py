@@ -3,26 +3,20 @@ from .tensor import (
     Tensor,
     add,
     as_tensor,
+    attention,
     clamp,
     concat,
     dropout,
     embedding_lookup,
-    exp,
+    layer_norm,
     log,
     lstm,
     masked_mean,
     matmul,
-    mean,
     mul,
-    power,
     relu,
-    reshape,
     sigmoid,
     slice_,
-    softmax,
-    sum_,
-    tanh,
-    transpose,
 )
 from .losses import PROB_EPS, bce, masked_mse
 from .optim import Adam
@@ -34,9 +28,8 @@ from .heap import keep_heap
 keep_heap()
 
 __all__ = [
-    "Adam", "PROB_EPS", "ShapeError", "Tensor", "add", "as_tensor", "bce",
-    "check_gradients", "clamp", "concat", "dropout", "embedding_lookup", "exp",
-    "init", "load_checkpoint", "log", "lstm", "masked_mean", "masked_mse", "matmul",
-    "mean", "mul", "numeric_gradient", "power", "relu", "reshape", "save_checkpoint",
-    "sigmoid", "slice_", "softmax", "sum_", "tanh", "transpose",
+    "Adam", "PROB_EPS", "ShapeError", "Tensor", "add", "as_tensor", "attention", "bce",
+    "check_gradients", "clamp", "concat", "dropout", "embedding_lookup", "init",
+    "layer_norm", "load_checkpoint", "log", "lstm", "masked_mean", "masked_mse", "matmul",
+    "mul", "numeric_gradient", "relu", "save_checkpoint", "sigmoid", "slice_",
 ]

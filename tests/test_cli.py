@@ -107,7 +107,9 @@ class TestExitCodes:
         ("train", "--batch-size", "0"), ("train", "--epochs", "0"),
         ("train", "--patience", "0"), ("train", "--max-len", "1"),
         ("eval", "--batch-size", "0"), ("extract-mp", "--concurrency", "0"),
-        ("extract-mp", "--max-retries", "0")])
+        ("extract-mp", "--max-retries", "0"), ("train", "--test-frac", "1.5"),
+        ("train", "--val-frac", "0"), ("train", "--alpha", "-1"), ("train", "--lr", "-1"),
+        ("train", "--lr", "0"), ("train", "--embed-dim", "0")])
     def test_bad_numeric_flag_is_a_validation_error(self, command, flag, value,
                                                      tmp_path, capsys):
         # the flag is rejected before any of these paths is opened

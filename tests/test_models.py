@@ -1,14 +1,16 @@
+import inspect
 from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
 import pytest
 
+import reference as ref
 from prockt import nn
 from prockt.models import ConfigError, ModelConfig, build_model
 from prockt.training import TrainConfig, train
 from prockt.training.loss import composite_loss
-from prockt.verify import toy_batch
+from prockt.verify import op_cases, toy_batch
 
 BACKBONES = ("recurrent", "attention")
 
@@ -39,6 +41,10 @@ class TestConfig:
     def test_dropout_range(self):
         with pytest.raises(ConfigError):
             small_config("recurrent", dropout=1.0)
+
+    def test_embed_dim_must_be_positive(self):
+        with pytest.raises(ConfigError):
+            small_config("attention", embed_dim=0)
 
     def test_default_embed_dims(self):
         assert ModelConfig("recurrent", "original", 5, 5).embed_dim == 200
@@ -242,7 +248,7 @@ class TestFusedReadout:
         mp = np.concatenate([head(f"head.mp.{d}") for d in ("CU", "SC", "PF", "AR")], axis=-1)
         np.testing.assert_allclose(preds.mp_pred.data, mp, rtol=1e-12)
         # each head's parameters get the gradient of their own column only
-        nn.sum_(preds.mp_pred[..., 2]).backward()
+        ref.sum_(preds.mp_pred[..., 2]).backward()
         assert model.params["head.mp.PF.weight"].grad is not None
         for other in ("head.correct.weight", "head.mp.CU.bias"):
             grad = model.params[other].grad
@@ -317,7 +323,7 @@ def unrolled_recurrent_forward(model, batch, training=False, rng=None):
     cfg = model.config
     d = cfg.embed_dim
     B, T = batch.question_ids.shape
-    x = nn.dropout(model.interaction_embedding(batch), cfg.dropout, rng=rng, training=training)
+    x = ref.dropout(model.interaction_embedding(batch), cfg.dropout, rng=rng, training=training)
     wx, wh, b = model.params["rnn.wx"], model.params["rnn.wh"], model.params["rnn.b"]
     xw = nn.matmul(x, wx)
     h = nn.Tensor(np.zeros((B, d)))
@@ -327,54 +333,106 @@ def unrolled_recurrent_forward(model, batch, training=False, rng=None):
         gates = nn.add(nn.add(xw[:, t, :], nn.matmul(h, wh)), b)
         i = nn.sigmoid(gates[:, 0 * d:1 * d])
         f = nn.sigmoid(gates[:, 1 * d:2 * d])
-        g = nn.tanh(gates[:, 2 * d:3 * d])
+        g = ref.tanh(gates[:, 2 * d:3 * d])
         o = nn.sigmoid(gates[:, 3 * d:4 * d])
         c = nn.add(nn.mul(f, c), nn.mul(i, g))
-        h = nn.mul(o, nn.tanh(c))
-        hs.append(nn.reshape(h, (B, 1, d)))
-    state = nn.dropout(nn.concat(hs, axis=1), cfg.dropout, rng=rng, training=training)
+        h = nn.mul(o, ref.tanh(c))
+        hs.append(ref.reshape(h, (B, 1, d)))
+    state = ref.dropout(nn.concat(hs, axis=1), cfg.dropout, rng=rng, training=training)
     return model.readout(state, model.next_question_embedding(batch))
+
+
+def graph_ops(root):
+    """Op tags of the nodes reachable from ``root``; leaves are ''."""
+    ops, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops.append(node._op)
+            stack.extend(node._parents)
+    return ops
+
+
+def assert_matches_reference(model, forward, reference, batch, training):
+    """One step of ``forward`` against ``reference``, which does the same float
+    operations in the same order: predictions, loss and the rng state after
+    the dropout draws are identical; gradients, summed in another order,
+    agree within 1e-12 relative."""
+    results = []
+    for fn in (forward, reference):
+        rng = np.random.default_rng(11) if training else None
+        preds = fn(batch, training=training, rng=rng)
+        loss = loss_of(batch, preds)
+        for p in model.parameters().values():
+            p.grad = None
+        loss.backward()
+        grads = {n: p.grad.copy() for n, p in model.parameters().items()}
+        mp = None if preds.mp_pred is None else preds.mp_pred.data
+        state = rng.bit_generator.state if training else None
+        results.append((preds.r_pred.data, mp, loss.item(), grads, state))
+    (r, mp, loss, grads, state), (r_ref, mp_ref, loss_ref, g_ref, state_ref) = results
+    np.testing.assert_array_equal(r, r_ref)
+    np.testing.assert_array_equal(mp, mp_ref)
+    assert loss == loss_ref
+    assert state == state_ref
+    for name, ref_grad in g_ref.items():
+        err = np.abs(grads[name] - ref_grad).max() / np.abs(ref_grad).max()
+        assert err <= 1e-12, (name, err)
 
 
 class TestFusedLSTM:
     @pytest.mark.parametrize("training", (True, False))
     def test_matches_unrolled_graph(self, training):
-        # forward arithmetic is the same, in the same order, so outputs are
-        # bit-identical; rnn.wh and rnn.b sum their gradient in another order
         model = build_model(small_config("recurrent", dropout=0.2, seed=4))
-        batch = toy_batch(5)
-        results = []
-        for forward in (model.forward, partial(unrolled_recurrent_forward, model)):
-            rng = np.random.default_rng(11) if training else None
-            preds = forward(batch, training=training, rng=rng)
-            loss = composite_loss(batch.targets_correct, preds.r_pred,
-                                  batch.targets_mp, preds.mp_pred,
-                                  batch.target_mp_mask, batch.target_mask, alpha=0.5)
-            for p in model.parameters().values():
-                p.grad = None
-            loss.backward()
-            grads = {n: p.grad.copy() for n, p in model.parameters().items()}
-            results.append((preds.r_pred.data, preds.mp_pred.data, loss.item(), grads))
-        (r_fused, mp_fused, loss_fused, g_fused), (r_ref, mp_ref, loss_ref, g_ref) = results
-        np.testing.assert_array_equal(r_fused, r_ref)
-        np.testing.assert_array_equal(mp_fused, mp_ref)
-        assert loss_fused == loss_ref
-        for name, ref in g_ref.items():
-            err = np.abs(g_fused[name] - ref).max() / np.abs(ref).max()
-            assert err <= 1e-12, (name, err)
+        assert_matches_reference(model, model.forward,
+                                 partial(unrolled_recurrent_forward, model),
+                                 toy_batch(5), training)
 
     def test_graph_has_one_lstm_node(self):
         model = build_model(small_config("recurrent"))
-        preds = model.forward(toy_batch(0))
-        ops, stack, seen = [], [preds.r_pred], set()
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                ops.append(node._op)
-                stack.extend(node._parents)
+        ops = graph_ops(model.forward(toy_batch(0)).r_pred)
         assert ops.count("lstm") == 1
         assert ops.count("slice") == 1  # r_pred's [..., 0]
+
+
+class TestFusedAttention:
+    """Oracle: the attention block built node by node from the unfused ops, on
+    a batch with padded keys and dropout masks cut from the max_len draw."""
+
+    @pytest.mark.parametrize("variant", ("original", "statuskt"))
+    @pytest.mark.parametrize("training", (True, False))
+    def test_matches_unfused_graph(self, variant, training):
+        model = build_model(small_config("attention", variant, max_len=11, dropout=0.2, seed=4))
+        assert_matches_reference(model, model.forward,
+                                 partial(ref.unfused_attention_forward, model),
+                                 trimmed_batch(6, (6, 3)), training)
+
+    def test_graph_has_one_node_per_fused_op(self):
+        model = build_model(small_config("attention"))
+        ops = graph_ops(model.forward(toy_batch(0)).r_pred)
+        assert ops.count("attention") == 1
+        assert ops.count("layer_norm") == 2
+
+
+class TestOpSet:
+    def test_every_op_is_used_and_gradchecked(self):
+        # every op nn exports is called by a model or loss in training, and
+        # every op a model or loss calls has a finite-difference case
+        used = set()
+        for backbone in BACKBONES:
+            for variant in ("original", "statuskt"):
+                model = build_model(small_config(backbone, variant, dropout=0.2))
+                batch = toy_batch(0)
+                preds = model.forward(batch, training=True, rng=np.random.default_rng(0))
+                used.update(graph_ops(loss_of(batch, preds)))
+        used.discard("")
+        checked = {op for _, fn, _ in op_cases(0) for op in graph_ops(fn())}
+        exported = {name.rstrip("_") for name in nn.__all__
+                    if inspect.isfunction(getattr(nn, name))
+                    and getattr(nn, name).__module__ == nn.tensor.__name__} - {"as_tensor"}
+        assert exported - used == set()
+        assert used - checked == set()
 
 
 def trimmed_batch(seed, lengths):
