@@ -8,6 +8,7 @@ gradients into every ``requires_grad`` leaf. All math is numpy float64.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 
 class ShapeError(ValueError):
@@ -56,7 +57,9 @@ class Tensor:
     def backward(self) -> None:
         """Populate ``grad`` on every reachable ``requires_grad`` tensor.
 
-        Only defined for scalar outputs; repeated calls accumulate.
+        Only defined for scalar outputs. Each call adds one gradient into
+        the leaves: the output's own gradient is cleared like any other
+        intermediate's, so a second call starts again from 1.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar, got shape {self.shape}")
@@ -81,7 +84,7 @@ class Tensor:
                 node._backward_fn(node.grad)
         # intermediate grads are only needed during the sweep
         for node in topo:
-            if node is not self and not node.requires_grad and node._parents:
+            if not node.requires_grad and node._parents:
                 node.grad = None
 
     def __getitem__(self, key):
@@ -276,10 +279,12 @@ def embedding_lookup(table, indices) -> Tensor:
 
     def backward_fn(g):
         vocab, dim = table.shape
-        # one flat bin per table cell; bincount adds in input order, as np.add.at does
-        keys = idx.reshape(-1, 1) * dim + np.arange(dim)
-        full = np.bincount(keys.ravel(), weights=g.reshape(-1), minlength=vocab * dim)
-        table._accumulate(full.reshape(vocab, dim), fresh=True)
+        flat = idx.reshape(-1)
+        # a (vocab, N) 0/1 matrix: each table row sums its gradient rows in
+        # input order, as np.add.at does, so the sums have the same bits
+        scatter = scipy.sparse.csr_matrix((np.ones(flat.size), (flat, np.arange(flat.size))),
+                                          shape=(vocab, flat.size))
+        table._accumulate(scatter @ g.reshape(-1, dim), fresh=True)
 
     return _make(out_data, (table,), backward_fn, "embedding_lookup")
 
@@ -290,47 +295,64 @@ def lstm(xw, wh, b) -> Tensor:
     Gates are laid out [input, forget, cell, output] along the last axis and
     the state starts at zero. The forward does the float operations of the
     per-step ``add``/``matmul``/``sigmoid``/``tanh``/``mul`` graph in the same
-    order, so its output matches that graph bit for bit. Backward is
-    hand-written BPTT.
+    order, so its output matches that graph bit for bit. Every step writes
+    with ``out=`` into buffers made once per call: its gate activations fill
+    one contiguous (B, 4d) row of a time-major (T, B, 4d) array, where one
+    sigmoid covers the whole row and tanh then overwrites the cell-gate slot;
+    c, tanh(c) and h fill (B, T, d) arrays. Backward is hand-written BPTT
+    that writes each step's gate gradients into its slice of the (B, T, 4d)
+    gradient of ``xw``.
     """
     xw, wh, b = as_tensor(xw), as_tensor(wh), as_tensor(b)
     B, T, four_d = xw.shape
     d = four_d // 4
     if four_d != 4 * d or wh.shape != (d, four_d) or b.shape != (four_d,):
         raise ShapeError(f"lstm: incompatible shapes {xw.shape}, {wh.shape}, {b.shape}")
-    acts = np.empty((4, B, T, d))  # i, f, o after sigmoid, g after tanh
+    acts = np.empty((T, B, four_d))  # i, f, o after sigmoid, g after tanh
     cs = np.empty((B, T, d))
     tcs = np.empty((B, T, d))
     hs = np.empty((B, T, d))
-    h = np.zeros((B, d))
-    c = np.zeros((B, d))
+    zeros = np.zeros((B, d))
+    pre = np.empty((B, four_d))
+    ig = np.empty((B, d))
+    cell = slice(2 * d, 3 * d)
+
+    def gates(t):
+        a = acts[t]
+        return a[:, :d], a[:, d:2 * d], a[:, cell], a[:, 3 * d:]
+
     for t in range(T):
-        gates = (xw.data[:, t, :] + np.matmul(h, wh.data)) + b.data
-        i = 1.0 / (1.0 + np.exp(-gates[:, :d]))
-        f = 1.0 / (1.0 + np.exp(-gates[:, d:2 * d]))
-        g = np.tanh(gates[:, 2 * d:3 * d])
-        o = 1.0 / (1.0 + np.exp(-gates[:, 3 * d:]))
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        acts[:, :, t] = i, f, g, o
-        cs[:, t], tcs[:, t], hs[:, t] = c, tc, h
+        # (h @ wh + xw_t) + b has the bits of (xw_t + h @ wh) + b
+        np.matmul(hs[:, t - 1] if t else zeros, wh.data, out=pre)
+        pre += xw.data[:, t]
+        pre += b.data
+        a = acts[t]
+        np.negative(pre, out=a)
+        np.exp(a, out=a)
+        a += 1.0
+        np.divide(1.0, a, out=a)
+        np.tanh(pre[:, cell], out=a[:, cell])
+        i, f, g, o = gates(t)
+        c = cs[:, t]
+        np.multiply(f, cs[:, t - 1] if t else zeros, out=c)
+        c += np.multiply(i, g, out=ig)
+        np.tanh(c, out=tcs[:, t])
+        np.multiply(o, tcs[:, t], out=hs[:, t])
 
     def backward_fn(grad):
         dgates = np.empty_like(xw.data)
-        da = np.empty((B, four_d))
-        dh_next = np.zeros((B, d))
-        dc_next = np.zeros((B, d))
+        dh_next = dc_next = zeros
         for t in reversed(range(T)):
-            i, f, g, o = acts[:, :, t]
+            i, f, g, o = gates(t)
+            tc = tcs[:, t]
+            da = dgates[:, t]
             dh = grad[:, t] + dh_next
-            dc = dc_next + dh * o * (1.0 - tcs[:, t] * tcs[:, t])
-            c_prev = cs[:, t - 1] if t else np.zeros((B, d))
-            da[:, :d] = dc * g * i * (1.0 - i)
-            da[:, d:2 * d] = dc * c_prev * f * (1.0 - f)
-            da[:, 2 * d:3 * d] = dc * i * (1.0 - g * g)
-            da[:, 3 * d:] = dh * tcs[:, t] * o * (1.0 - o)
-            dgates[:, t] = da
+            dc = dc_next + dh * o * (1.0 - tc * tc)
+            c_prev = cs[:, t - 1] if t else zeros
+            np.multiply(dc * g * i, 1.0 - i, out=da[:, :d])
+            np.multiply(dc * c_prev * f, 1.0 - f, out=da[:, d:2 * d])
+            np.multiply(dc * i, 1.0 - g * g, out=da[:, cell])
+            np.multiply(dh * tc * o, 1.0 - o, out=da[:, 3 * d:])
             dc_next = dc * f
             if t:
                 dh_next = np.matmul(da, wh.data.T)

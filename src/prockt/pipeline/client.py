@@ -24,6 +24,7 @@ from ..data.schema import DIMENSIONS
 ENDPOINT_ENV = "PROCKT_CHAT_ENDPOINT"
 API_KEY_ENV = "PROCKT_CHAT_API_KEY"
 MODEL_ENV = "PROCKT_CHAT_MODEL"
+RETRYABLE_CLIENT_ERRORS = (408, 429)  # request timeout, too many requests
 
 
 class ChatClientError(RuntimeError):
@@ -46,8 +47,10 @@ class HttpChatClient:
     """Client for any chat-completions-compatible HTTP endpoint.
 
     Endpoint, model, and API key default to the PROCKT_CHAT_* environment
-    variables. Retries with exponential backoff on transport errors and
-    non-2xx responses.
+    variables. Retries with exponential backoff on transport errors,
+    malformed replies, 5xx responses and the 4xx statuses in
+    ``RETRYABLE_CLIENT_ERRORS``; any other 4xx is a request that a repeat
+    cannot fix (RFC 9110 §15.5), so it raises at once.
     """
 
     def __init__(self, endpoint: str | None = None, model: str | None = None,
@@ -77,6 +80,10 @@ class HttpChatClient:
             try:
                 resp = self.session.post(self.endpoint, json=payload, headers=headers,
                                          timeout=params.timeout)
+                status = resp.status_code
+                if 400 <= status < 500 and status not in RETRYABLE_CLIENT_ERRORS:
+                    raise ChatClientError(f"chat completion failed with HTTP {status}; "
+                                          f"a client error is not retried")
                 resp.raise_for_status()
                 doc = resp.json()
                 return doc["choices"][0]["message"]["content"]

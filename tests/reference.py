@@ -5,7 +5,10 @@ elementwise, reduction and reshaping ops, the stacked branch of ``matmul``,
 and ``dropout`` drawing its own mask. With them,
 ``layer_norm`` and ``unfused_attention_forward`` build the attention block
 node by node, as ``AttentionKT.forward`` did before ``nn.layer_norm`` and
-``nn.attention`` replaced it.
+``nn.attention`` replaced it, and ``unrolled_lstm`` and
+``unrolled_recurrent_forward`` build the LSTM step by step, as
+``RecurrentKT.forward`` did before ``nn.lstm``. Dropout masks are drawn at
+the shape padded to ``max_len`` with one plain draw each.
 """
 
 from __future__ import annotations
@@ -197,3 +200,32 @@ def unfused_attention_forward(model, batch, training=False, rng=None):
     f = model_dropout(model, f, training, rng)
     state = layer_norm(nn.add(f, h1), params["ln2.gain"], params["ln2.bias"])
     return model.readout(state, next_q)
+
+
+def unrolled_lstm(xw, wh, b) -> nn.Tensor:
+    """``nn.lstm`` as per-step ``add``/``matmul``/``sigmoid``/``tanh``/``mul`` nodes."""
+    B, T, four_d = xw.shape
+    d = four_d // 4
+    h = nn.Tensor(np.zeros((B, d)))
+    c = nn.Tensor(np.zeros((B, d)))
+    hs = []
+    for t in range(T):
+        gates = nn.add(nn.add(xw[:, t, :], nn.matmul(h, wh)), b)
+        i = nn.sigmoid(gates[:, 0 * d:1 * d])
+        f = nn.sigmoid(gates[:, 1 * d:2 * d])
+        g = tanh(gates[:, 2 * d:3 * d])
+        o = nn.sigmoid(gates[:, 3 * d:4 * d])
+        c = nn.add(nn.mul(f, c), nn.mul(i, g))
+        h = nn.mul(o, tanh(c))
+        hs.append(reshape(h, (B, 1, d)))
+    return nn.concat(hs, axis=1)
+
+
+def unrolled_recurrent_forward(model, batch, training=False, rng=None):
+    """``RecurrentKT.forward`` with the LSTM unrolled into per-step graph nodes."""
+    params = model.params
+    x = model_dropout(model, model.interaction_embedding(batch), training, rng)
+    xw = nn.matmul(x, params["rnn.wx"])
+    state = unrolled_lstm(xw, params["rnn.wh"], params["rnn.b"])
+    state = model_dropout(model, state, training, rng)
+    return model.readout(state, model.next_question_embedding(batch))

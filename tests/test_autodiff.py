@@ -70,12 +70,25 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.data, table[idx])
 
     def test_dropout_draw_shape_keeps_the_leading_corner(self):
-        model = build_model(ModelConfig("attention", "original", 5, 5, max_len=5,
-                                        embed_dim=4, attention_heads=2, dropout=0.5))
-        for small, large in (((2, 3, 4), (2, 5, 4)), ((2, 2, 3, 3), (2, 2, 5, 5))):
-            mask = model._dropout_mask(small, True, np.random.default_rng(3))
-            full = model._dropout_mask(large, True, np.random.default_rng(3))
-            np.testing.assert_array_equal(mask, full[tuple(slice(n) for n in small)])
+        # oracle: uniforms drawn at the max_len-padded shape, cut to the leading
+        # corner; the masks and the generator state after them must be identical.
+        # Two masks come from one generator, which holds 32 spare bits from a
+        # float32 draw, so the skip-ahead must also keep that buffer.
+        L = 5
+        model = build_model(ModelConfig("attention", "original", 5, 5, max_len=L,
+                                        embed_dim=6, attention_heads=3, dropout=0.5))
+        for T in (1, 3, L):
+            shapes = [(3, T, 4), (2, 3, T, T)]
+            padded = [(3, L, 4), (2, 3, L, L)]
+            rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+            for g in (rng, ref_rng):
+                g.random(dtype=np.float32)
+            for shape, draw_shape in zip(shapes, padded):
+                mask = model._dropout_mask(shape, True, rng)
+                corner = tuple(slice(n) for n in shape)
+                keep = ref_rng.random(draw_shape)[corner] >= 0.5
+                np.testing.assert_array_equal(mask, keep * 2.0)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, T
 
 
 class TestBackwardValues:
@@ -88,6 +101,13 @@ class TestBackwardValues:
         x = Tensor(0.0, requires_grad=True)
         nn.sigmoid(x).backward()
         assert x.grad == pytest.approx(0.25, abs=1e-12)
+
+    def test_repeated_backward_adds_one_gradient_per_call(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        loss = ref.sum_(nn.mul(x, x))
+        loss.backward()
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, [4.0, -8.0])
 
     def test_grad_accumulates_across_reuse(self):
         x = Tensor(2.0, requires_grad=True)

@@ -318,30 +318,6 @@ class TestGradientFlow:
             assert np.abs(p.grad).sum() > 0, name
 
 
-def unrolled_recurrent_forward(model, batch, training=False, rng=None):
-    """``RecurrentKT.forward`` with the LSTM unrolled into per-step graph nodes."""
-    cfg = model.config
-    d = cfg.embed_dim
-    B, T = batch.question_ids.shape
-    x = ref.dropout(model.interaction_embedding(batch), cfg.dropout, rng=rng, training=training)
-    wx, wh, b = model.params["rnn.wx"], model.params["rnn.wh"], model.params["rnn.b"]
-    xw = nn.matmul(x, wx)
-    h = nn.Tensor(np.zeros((B, d)))
-    c = nn.Tensor(np.zeros((B, d)))
-    hs = []
-    for t in range(T):
-        gates = nn.add(nn.add(xw[:, t, :], nn.matmul(h, wh)), b)
-        i = nn.sigmoid(gates[:, 0 * d:1 * d])
-        f = nn.sigmoid(gates[:, 1 * d:2 * d])
-        g = ref.tanh(gates[:, 2 * d:3 * d])
-        o = nn.sigmoid(gates[:, 3 * d:4 * d])
-        c = nn.add(nn.mul(f, c), nn.mul(i, g))
-        h = nn.mul(o, ref.tanh(c))
-        hs.append(ref.reshape(h, (B, 1, d)))
-    state = ref.dropout(nn.concat(hs, axis=1), cfg.dropout, rng=rng, training=training)
-    return model.readout(state, model.next_question_embedding(batch))
-
-
 def graph_ops(root):
     """Op tags of the nodes reachable from ``root``; leaves are ''."""
     ops, stack, seen = [], [root], set()
@@ -386,7 +362,7 @@ class TestFusedLSTM:
     def test_matches_unrolled_graph(self, training):
         model = build_model(small_config("recurrent", dropout=0.2, seed=4))
         assert_matches_reference(model, model.forward,
-                                 partial(unrolled_recurrent_forward, model),
+                                 partial(ref.unrolled_recurrent_forward, model),
                                  toy_batch(5), training)
 
     def test_graph_has_one_lstm_node(self):
@@ -394,6 +370,43 @@ class TestFusedLSTM:
         ops = graph_ops(model.forward(toy_batch(0)).r_pred)
         assert ops.count("lstm") == 1
         assert ops.count("slice") == 1  # r_pred's [..., 0]
+
+    @staticmethod
+    def lstm_inputs(rng, T, B=3, d=4):
+        return [nn.Tensor(rng.normal(size=shape), requires_grad=True)
+                for shape in ((B, T, 4 * d), (d, 4 * d), (4 * d,))], rng.normal(size=(B, T, d))
+
+    @pytest.mark.parametrize("T", (1, 5))
+    def test_op_matches_unrolled_graph(self, rng, T):
+        # oracle: tests/reference.py's step-by-step graph; output identical,
+        # gradients within 1e-12 relative. At T = 1 the only step sees h = 0,
+        # so wh's gradient is exactly zero.
+        inputs, w = self.lstm_inputs(rng, T)
+        results = []
+        for fn in (nn.lstm, ref.unrolled_lstm):
+            leaves = [nn.Tensor(t.data, requires_grad=True) for t in inputs]
+            out = fn(*leaves)
+            ref.sum_(nn.mul(out, w)).backward()
+            results.append((out.data, [t.grad for t in leaves]))
+        (out, grads), (out_ref, grads_ref) = results
+        np.testing.assert_array_equal(out, out_ref)
+        for g, g_ref in zip(grads, grads_ref):
+            assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+        if T == 1:
+            np.testing.assert_array_equal(grads[1], 0.0)
+
+    def test_backward_twice_doubles_gradients(self, rng):
+        # the buffers the forward fills are read, never overwritten, by backward
+        leaves, w = self.lstm_inputs(rng, 6)
+        out = nn.lstm(*leaves)
+        data = out.data.copy()
+        loss = ref.sum_(nn.mul(out, w))
+        loss.backward()
+        once = [t.grad.copy() for t in leaves]
+        loss.backward()
+        for t, g in zip(leaves, once):
+            np.testing.assert_array_equal(t.grad, 2 * g)
+        np.testing.assert_array_equal(out.data, data)
 
 
 class TestFusedAttention:

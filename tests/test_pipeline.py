@@ -34,6 +34,7 @@ from prockt.pipeline import (
     render_student_prompt,
     run_pipeline,
 )
+from prockt.pipeline import client as client_module
 from prockt.pipeline import prompts
 from prockt.pipeline.runner import JsonLog
 from prockt.pipeline.prompts import EVAL_TEMPLATE, INDICATOR_TEMPLATE, STUDENT_TEMPLATE
@@ -632,6 +633,28 @@ class TestHttpChatClient:
         with pytest.raises(ChatClientError):
             client.complete("", "user", ChatParams(max_retries=3))
         assert len(session.requests) == 3
+
+    @pytest.mark.parametrize("status", (400, 401, 403, 404))
+    def test_client_error_is_not_retried(self, monkeypatch, status):
+        sleeps = []
+        monkeypatch.setattr(client_module.time, "sleep", sleeps.append)
+        session = StubSession([StubResponse(status, {}), ok_response("unreachable")])
+        client = HttpChatClient(endpoint="http://unit.test/v1", session=session)
+        with pytest.raises(ChatClientError, match=str(status)):
+            client.complete("", "user", ChatParams(max_retries=3))
+        assert len(session.requests) == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("status", (500, 408, 429))
+    def test_retryable_status_backs_off(self, monkeypatch, status):
+        sleeps = []
+        monkeypatch.setattr(client_module.time, "sleep", sleeps.append)
+        session = StubSession([StubResponse(status, {})] * 3)
+        client = HttpChatClient(endpoint="http://unit.test/v1", session=session, backoff=0.5)
+        with pytest.raises(ChatClientError):
+            client.complete("", "user", ChatParams(max_retries=3))
+        assert len(session.requests) == 3
+        assert sleeps == [0.5, 1.0]
 
     def test_missing_endpoint_rejected(self, monkeypatch):
         monkeypatch.delenv("PROCKT_CHAT_ENDPOINT", raising=False)
