@@ -14,6 +14,8 @@ import re
 import threading
 import time
 from dataclasses import dataclass
+from datetime import datetime, timezone
+from email.utils import parsedate_to_datetime
 from typing import Protocol
 
 import numpy as np
@@ -25,6 +27,8 @@ ENDPOINT_ENV = "PROCKT_CHAT_ENDPOINT"
 API_KEY_ENV = "PROCKT_CHAT_API_KEY"
 MODEL_ENV = "PROCKT_CHAT_MODEL"
 RETRYABLE_CLIENT_ERRORS = (408, 429)  # request timeout, too many requests
+RETRY_AFTER_STATUSES = (429, 503)  # too many requests, service unavailable
+MAX_RETRY_AFTER_S = 60.0  # the longest Retry-After wait obeyed
 
 
 class ChatClientError(RuntimeError):
@@ -50,7 +54,9 @@ class HttpChatClient:
     variables. Retries with exponential backoff on transport errors,
     malformed replies, 5xx responses and the 4xx statuses in
     ``RETRYABLE_CLIENT_ERRORS``; any other 4xx is a request that a repeat
-    cannot fix (RFC 9110 §15.5), so it raises at once.
+    cannot fix (RFC 9110 §15.5), so it raises at once. A 429 or 503 with a
+    ``Retry-After`` header (RFC 9110 §10.2.3) waits that long instead, up
+    to ``MAX_RETRY_AFTER_S``.
     """
 
     def __init__(self, endpoint: str | None = None, model: str | None = None,
@@ -77,6 +83,7 @@ class HttpChatClient:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
         for attempt in range(params.max_retries):
+            wait = self.backoff * (2 ** attempt)
             try:
                 resp = self.session.post(self.endpoint, json=payload, headers=headers,
                                          timeout=params.timeout)
@@ -84,15 +91,39 @@ class HttpChatClient:
                 if 400 <= status < 500 and status not in RETRYABLE_CLIENT_ERRORS:
                     raise ChatClientError(f"chat completion failed with HTTP {status}; "
                                           f"a client error is not retried")
+                if status in RETRY_AFTER_STATUSES:
+                    wait = _retry_after(resp.headers.get("Retry-After"), wait)
                 resp.raise_for_status()
                 doc = resp.json()
                 return doc["choices"][0]["message"]["content"]
             except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
                 last_error = exc
                 if attempt + 1 < params.max_retries:
-                    time.sleep(self.backoff * (2 ** attempt))
+                    time.sleep(wait)
         raise ChatClientError(f"chat completion failed after {params.max_retries} "
                               f"attempts: {last_error}")
+
+
+def _retry_after(header: str | None, default: float) -> float:
+    """Seconds to wait for a ``Retry-After`` value, capped at ``MAX_RETRY_AFTER_S``.
+
+    The value is delta-seconds or an HTTP-date; a missing or garbled one
+    gives ``default``, and a date already past gives 0.
+    """
+    if header is None:
+        return default
+    header = header.strip()
+    if header.isascii() and header.isdigit():
+        seconds = float(header)
+    else:
+        try:
+            when = parsedate_to_datetime(header)
+        except (TypeError, ValueError):
+            return default
+        if when.tzinfo is None:  # "-0000": UTC, as every HTTP-date is
+            when = when.replace(tzinfo=timezone.utc)
+        seconds = (when - datetime.now(timezone.utc)).total_seconds()
+    return min(max(seconds, 0.0), MAX_RETRY_AFTER_S)
 
 
 # -- deterministic mock ---------------------------------------------------

@@ -4,17 +4,24 @@ Stage 1 (teacher): generate per-problem proficiency indicators.
 Stage 2 (student): answer each indicator from the written solving trace.
 Stage 3 (teacher): judge each answer 0/1 against its indicator.
 
-The template bodies are fixed text; rendering only substitutes the named
-``{placeholder}`` tokens in the input sections, so two renders of the
-same inputs are byte-identical. Golden-file tests pin each template.
+The template bodies are fixed text; rendering substitutes the named
+``{placeholder}`` tokens in one pass over the template text only, so a
+token inside an inserted value (a trace, an indicator, an answer) is kept
+verbatim, and two renders of the same inputs are byte-identical.
+Golden-file tests pin each template.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import re
 
 from ..data.schema import Problem
-from .types import Indicator, IndicatorSet
+from .types import IndicatorSet, json_listing
+
+# option texts come from the data file as any JSON value
+_encode_option = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 INDICATOR_TEMPLATE = """You are Teacher GPT.
 Your task is to analyze a given math Problem and its Unit name, and then generate a step-by-step
@@ -223,40 +230,39 @@ Answer Indicate: {answer_indicator_text}
 """
 
 
+@functools.lru_cache(maxsize=16)
+def _pieces(template: str, names: tuple[str, ...]) -> tuple[str, ...]:
+    """``template`` split at its ``{name}`` tokens: text, name, text, ..., text."""
+    tokens = "|".join(re.escape(name) for name in names)
+    return tuple(re.split(r"\{(" + tokens + r")\}", template))
+
+
+def _render(template: str, **values: str) -> str:
+    """``template`` with each named token replaced by its value, in one pass."""
+    return "".join([values[piece] if i % 2 else piece
+                    for i, piece in enumerate(_pieces(template, tuple(values)))])
+
+
 def _option_string(problem: Problem) -> str:
     if problem.question_type != "multiple_choice" or not problem.options:
         return ""
-    items = ", ".join(
-        json.dumps({"index": i + 1, "text": text}, ensure_ascii=False, separators=(",", ":"))
-        for i, text in enumerate(problem.options)
-    )
+    items = ", ".join('{"index":%d,"text":%s}' % (i + 1, _encode_option(text))
+                      for i, text in enumerate(problem.options))
     return f"Options: [{items}]"
 
 
-def _indicator_text(indicators: IndicatorSet) -> str:
-    lines = ",\n".join(
-        "    " + json.dumps({ind.code: ind.text}, ensure_ascii=False)
-        for ind in indicators.indicators
-    )
-    return "[\n" + lines + "\n]"
-
-
 def _response_text(indicators: IndicatorSet, responses: dict[str, str]) -> str:
-    lines = ",\n".join(
-        "    " + json.dumps({ind.code: responses.get(ind.code, "I don't know")}, ensure_ascii=False)
-        for ind in indicators.indicators
-    )
-    return "[\n" + lines + "\n]"
+    return json_listing((ind.code, responses.get(ind.code, "I don't know"))
+                        for ind in indicators.indicators)
 
 
 def render_indicator_prompt(problem: Problem) -> str:
     """Stage-1 prompt: problem text and unit name into the teacher template."""
     if not problem.text.strip():
         raise ValueError(f"problem {problem.problem_id} has empty text")
-    return (INDICATOR_TEMPLATE
-            .replace("{Problem_text}", problem.text)
-            .replace("{problem_option_string}", _option_string(problem))
-            .replace("{curriculum_theme_title}", ", ".join(problem.kc_ids)))
+    return _render(INDICATOR_TEMPLATE, Problem_text=problem.text,
+                   problem_option_string=_option_string(problem),
+                   curriculum_theme_title=", ".join(problem.kc_ids))
 
 
 def render_student_prompt(problem: Problem, indicators: IndicatorSet,
@@ -264,19 +270,15 @@ def render_student_prompt(problem: Problem, indicators: IndicatorSet,
     """Stage-2 prompt: indicators plus the student's written trace and answer."""
     if not indicators.indicators:
         raise ValueError("indicator set is empty")
-    return (STUDENT_TEMPLATE
-            .replace("{indicator_text}", _indicator_text(indicators))
-            .replace("{problem}", problem.text)
-            .replace("{problem_option_string}", _option_string(problem))
-            .replace("{student_solving_trace}", process_text)
-            .replace("{solution_answer_sets}", selected_answer))
+    return _render(STUDENT_TEMPLATE, indicator_text=indicators.prompt_text,
+                   problem=problem.text, problem_option_string=_option_string(problem),
+                   student_solving_trace=process_text,
+                   solution_answer_sets=selected_answer)
 
 
 def render_eval_prompt(problem: Problem, indicators: IndicatorSet,
                        responses: dict[str, str]) -> str:
     """Stage-3 prompt: indicators and the student answers to be judged."""
-    return (EVAL_TEMPLATE
-            .replace("{indicator_text}", _indicator_text(indicators))
-            .replace("{answer_indicator_text}", _response_text(indicators, responses))
-            .replace("{problem}", problem.text)
-            .replace("{problem_option_string}", _option_string(problem)))
+    return _render(EVAL_TEMPLATE, indicator_text=indicators.prompt_text,
+                   answer_indicator_text=_response_text(indicators, responses),
+                   problem=problem.text, problem_option_string=_option_string(problem))

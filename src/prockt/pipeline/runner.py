@@ -31,6 +31,7 @@ from . import prompts
 from .client import ChatClient, ChatParams
 from .parsing import parse_indicators, parse_responses, parse_verdicts
 from .ratios import compute_mp_ratios
+from .types import IndicatorSet
 
 log = logging.getLogger(__name__)
 
@@ -123,6 +124,8 @@ class PipelineRunner:
         self._templates = _digest(prompts.INDICATOR_TEMPLATE, prompts.STUDENT_TEMPLATE,
                                   prompts.EVAL_TEMPLATE)
         self._problem_keys: dict[str, str] = {}
+        self._rubrics: dict[str, IndicatorSet] = {}  # parsed once per problem
+        self._rubric_locks: dict[str, threading.Lock] = {}
         self._in_flight: dict[str, threading.Event] = {}
         self._flight_lock = threading.Lock()
 
@@ -160,10 +163,28 @@ class PipelineRunner:
                 del self._in_flight[key]
             flight.set()
 
+    def _rubric(self, problem: Problem) -> IndicatorSet:
+        """The problem's parsed indicators, made once per run.
+
+        Only a rubric that parses is kept: after a client failure or an
+        empty rubric, the next interaction of the problem tries again.
+        """
+        indicators = self._rubrics.get(problem.problem_id)
+        if indicators is not None:
+            return indicators
+        with self._flight_lock:
+            lock = self._rubric_locks.setdefault(problem.problem_id, threading.Lock())
+        with lock:
+            indicators = self._rubrics.get(problem.problem_id)
+            if indicators is None:
+                prompt = prompts.render_indicator_prompt(problem)
+                indicators = parse_indicators(self._complete("indicators", prompt),
+                                              problem.problem_id)
+                self._rubrics[problem.problem_id] = indicators
+            return indicators
+
     def _annotate_one(self, problem: Problem, record: InteractionRecord) -> dict:
-        prompt1 = prompts.render_indicator_prompt(problem)
-        indicators = parse_indicators(self._complete("indicators", prompt1),
-                                      problem.problem_id)
+        indicators = self._rubric(problem)
         prompt2 = prompts.render_student_prompt(problem, indicators,
                                                 record.process_text,
                                                 record.selected_answer)
@@ -191,10 +212,10 @@ class PipelineRunner:
                 *self._setting)
         return _digest(audit_key(record), problem_key)[:32]
 
-    def _process(self, problem: Problem, record: InteractionRecord) -> tuple[dict, bool]:
-        key = self._audit_log_key(problem, record)
+    def _process(self, key: str, problem: Problem,
+                 record: InteractionRecord) -> tuple[dict, bool]:
         audit = self.audits.get(key)
-        if audit is not None:
+        if audit is not None:  # a duplicate of a record annotated in this run
             return audit, True
         try:
             audit = self._annotate_one(problem, record)
@@ -225,8 +246,15 @@ def run_pipeline(dataset: Dataset, client: ChatClient, cache_dir,
     jobs = [(dataset.problems[rec.problem_id], rec)
             for seq in dataset.sequences for rec in seq.steps]
     try:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            outs = list(pool.map(lambda job: runner._process(*job), jobs))
+        # hits are read here; only the misses go to the pool
+        keys = [runner._audit_log_key(problem, rec) for problem, rec in jobs]
+        outs = [(runner.audits.get(key), True) for key in keys]
+        misses = [i for i, (audit, _) in enumerate(outs) if audit is None]
+        if misses:
+            with ThreadPoolExecutor(max_workers=concurrency) as pool:
+                for i, out in zip(misses, pool.map(
+                        lambda i: runner._process(keys[i], *jobs[i]), misses)):
+                    outs[i] = out
     finally:
         runner.close()
 

@@ -4,10 +4,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from json.encoder import encode_basestring
 
 from ..data.schema import DIMENSIONS
 
 CODE_PATTERN = re.compile(r"^(CU|SC|PF|AR)([0-9]+)$")
+
+
+def json_listing(pairs) -> str:
+    """String pairs as a JSON list of one-entry objects, one object a line."""
+    lines = ",\n".join("    {%s: %s}" % (encode_basestring(key), encode_basestring(value))
+                        for key, value in pairs)
+    return "[\n" + lines + "\n]"
 
 
 class ParseError(ValueError):
@@ -45,6 +54,14 @@ class Indicator:
 class IndicatorSet:
     problem_id: str
     indicators: list[Indicator] = field(default_factory=list)
+
+    @cached_property
+    def prompt_text(self) -> str:
+        """The indicators as the JSON list the student and eval prompts show.
+
+        Rendered at first use and kept, so the list is not to change after.
+        """
+        return json_listing((ind.code, ind.text) for ind in self.indicators)
 
     def codes(self) -> list[str]:
         return [ind.code for ind in self.indicators]

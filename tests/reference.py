@@ -9,14 +9,22 @@ node by node, as ``AttentionKT.forward`` did before ``nn.layer_norm`` and
 ``unrolled_recurrent_forward`` build the LSTM step by step, as
 ``RecurrentKT.forward`` did before ``nn.lstm``. Dropout masks are drawn at
 the shape padded to ``max_len`` with one plain draw each.
+
+The ``render_*`` functions are the pipeline's prompt renderers as a chain
+of ``str.replace`` calls with one ``json.dumps`` per JSON piece, the way
+they were before the one-pass renderers. On inputs that hold no literal
+``{placeholder}`` token, both give the same bytes.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
 from prockt import nn
 from prockt.nn.tensor import ShapeError, _make, _unbroadcast, as_tensor
+from prockt.pipeline import prompts
 
 LAYER_NORM_EPS = 1e-5
 MASK_FILL = -1e9
@@ -229,3 +237,54 @@ def unrolled_recurrent_forward(model, batch, training=False, rng=None):
     state = unrolled_lstm(xw, params["rnn.wh"], params["rnn.b"])
     state = model_dropout(model, state, training, rng)
     return model.readout(state, model.next_question_embedding(batch))
+
+
+def _option_string(problem) -> str:
+    if problem.question_type != "multiple_choice" or not problem.options:
+        return ""
+    items = ", ".join(
+        json.dumps({"index": i + 1, "text": text}, ensure_ascii=False, separators=(",", ":"))
+        for i, text in enumerate(problem.options)
+    )
+    return f"Options: [{items}]"
+
+
+def _indicator_text(indicators) -> str:
+    lines = ",\n".join(
+        "    " + json.dumps({ind.code: ind.text}, ensure_ascii=False)
+        for ind in indicators.indicators
+    )
+    return "[\n" + lines + "\n]"
+
+
+def _response_text(indicators, responses) -> str:
+    lines = ",\n".join(
+        "    " + json.dumps({ind.code: responses.get(ind.code, "I don't know")},
+                          ensure_ascii=False)
+        for ind in indicators.indicators
+    )
+    return "[\n" + lines + "\n]"
+
+
+def render_indicator_prompt(problem) -> str:
+    return (prompts.INDICATOR_TEMPLATE
+            .replace("{Problem_text}", problem.text)
+            .replace("{problem_option_string}", _option_string(problem))
+            .replace("{curriculum_theme_title}", ", ".join(problem.kc_ids)))
+
+
+def render_student_prompt(problem, indicators, process_text, selected_answer) -> str:
+    return (prompts.STUDENT_TEMPLATE
+            .replace("{indicator_text}", _indicator_text(indicators))
+            .replace("{problem}", problem.text)
+            .replace("{problem_option_string}", _option_string(problem))
+            .replace("{student_solving_trace}", process_text)
+            .replace("{solution_answer_sets}", selected_answer))
+
+
+def render_eval_prompt(problem, indicators, responses) -> str:
+    return (prompts.EVAL_TEMPLATE
+            .replace("{indicator_text}", _indicator_text(indicators))
+            .replace("{answer_indicator_text}", _response_text(indicators, responses))
+            .replace("{problem}", problem.text)
+            .replace("{problem_option_string}", _option_string(problem)))

@@ -1,9 +1,11 @@
+import email.utils
 import json
 import os
 import re
 import sys
 import threading
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from conftest import make_dataset, make_problem
+from prockt import synth
 from prockt.data import Dataset
 from prockt.pipeline import (
     ChatClientError,
@@ -36,6 +40,7 @@ from prockt.pipeline import (
 )
 from prockt.pipeline import client as client_module
 from prockt.pipeline import prompts
+from prockt.pipeline import runner as runner_module
 from prockt.pipeline.runner import JsonLog
 from prockt.pipeline.prompts import EVAL_TEMPLATE, INDICATOR_TEMPLATE, STUDENT_TEMPLATE
 
@@ -118,6 +123,42 @@ class TestPrompts:
         a = render_eval_prompt(problem, fixed_indicators(), FIXED_RESPONSES)
         b = render_eval_prompt(problem, fixed_indicators(), FIXED_RESPONSES)
         assert a == b
+
+    def test_inserted_text_is_kept_verbatim(self, problem):
+        # a placeholder token inside a value is text, not a placeholder
+        indicators = IndicatorSet(problem_id="prob-1", indicators=[
+            Indicator.from_code("CU1", "Restate {problem} in your own words")])
+        responses = {"CU1": "I copied {problem} and {indicator_text}"}
+        student = render_student_prompt(problem, indicators,
+                                        "line1 {solution_answer_sets}", "42")
+        assert "My solving process (OCR):line1 {solution_answer_sets}\n" in student
+        assert '{"CU1": "Restate {problem} in your own words"}' in student
+        evaluation = render_eval_prompt(problem, indicators, responses)
+        assert '{"CU1": "Restate {problem} in your own words"}' in evaluation
+        assert '{"CU1": "I copied {problem} and {indicator_text}"}' in evaluation
+        assert evaluation.count(problem.text) == student.count(problem.text) == 1
+
+    def test_cold_pass_prompts_match_sequential_replace(self, tmp_path, monkeypatch):
+        # oracle: every prompt of a mock cold pass over synthetic data equals
+        # the str.replace chain's rendering of the same inputs, byte for byte
+        data = synth.generate(synth.SimConfig(num_students=8, num_problems=12,
+                                              steps_per_student=6, seed=3))
+        checked = {}
+        for name in ("render_indicator_prompt", "render_student_prompt",
+                     "render_eval_prompt"):
+            def spy(*args, _fast=getattr(prompts, name), _slow=getattr(ref, name),
+                    _name=name):
+                rendered = _fast(*args)
+                assert rendered == _slow(*args)
+                checked[_name] = checked.get(_name, 0) + 1
+                return rendered
+            monkeypatch.setattr(prompts, name, spy)
+        client = CountingClient(delay=0)
+        _, report = run_pipeline(data, client, tmp_path, concurrency=2)
+        assert report.annotated == 48 and report.failed == 0
+        assert checked == {"render_indicator_prompt": len({r.problem_id for s in data.sequences
+                                                           for r in s.steps}),
+                           "render_student_prompt": 48, "render_eval_prompt": 48}
 
 
 # -- completion parsing ---------------------------------------------------
@@ -574,12 +615,124 @@ class TestCacheKeys:
         assert report.cached == 12 - changed
 
 
+class GarbledRubricClient:
+    """Wraps the mock and answers the indicator prompt of ``problem`` with ``text``."""
+
+    def __init__(self, problem, text):
+        self.inner = CountingClient(delay=0)
+        self.prompt = render_indicator_prompt(problem)
+        self.text = text
+
+    def complete(self, system_message, user_message, params):
+        if user_message == self.prompt:
+            self.inner.prompts.append(user_message)
+            return self.text
+        return self.inner.complete(system_message, user_message, params)
+
+
+class UnknownCodeClient:
+    """Wraps the mock and adds an indicator with an unknown code to each rubric."""
+
+    def __init__(self):
+        self.inner = MockChatClient()
+
+    def complete(self, system_message, user_message, params):
+        text = self.inner.complete(system_message, user_message, params)
+        if user_message.startswith("You are Teacher GPT.\nYour task is to analyze"):
+            doc = extract_json_object(text)
+            doc["mathematical_proficiency_indicators"].append({"XX1": "not a category"})
+            text = json.dumps(doc)
+        return text
+
+
+class TestHitsAndRubrics:
+    def test_partial_audit_log_matches_cold_run(self, tmp_path):
+        data = distinct_students(num_students=6, steps=5)
+        cold_out, cold_report = run_pipeline(data, CountingClient(delay=0), tmp_path / "cold")
+        lines = (tmp_path / "cold" / "audit.jsonl").read_text().splitlines(keepends=True)
+        kept, dropped = lines[::2], lines[1::2]
+        (tmp_path / "cold" / "audit.jsonl").write_text("".join(kept))
+        (tmp_path / "cold" / "completions.jsonl").unlink()
+        client = CountingClient(delay=0)
+        out, report = run_pipeline(data, client, tmp_path / "cold", concurrency=4)
+        assert [r.to_json() for s in out.sequences for r in s.steps] == \
+            [r.to_json() for s in cold_out.sequences for r in s.steps]
+        assert (report.annotated, report.failed, report.failures, report.cached) == \
+            (cold_report.annotated, cold_report.failed, cold_report.failures, len(kept))
+        # the client sees exactly the prompts of a cold run over the dropped records
+        missing = {(d["student_id"], d["problem_id"], d["timestamp"])
+                   for _, d in map(json.loads, dropped)}
+        sequences = [replace(seq, steps=[r for r in seq.steps
+                                         if (r.student_id, r.problem_id, r.timestamp) in missing])
+                     for seq in data.sequences]
+        rest = Dataset(problems=data.problems, sequences=[seq for seq in sequences if seq.steps])
+        expected = CountingClient(delay=0)
+        run_pipeline(rest, expected, tmp_path / "rest")
+        assert sorted(client.prompts) == sorted(expected.prompts)
+
+    def test_duplicate_record_is_annotated_once(self, tmp_path):
+        data = make_dataset(num_students=2, steps=3)
+        data.sequences[1].steps.append(replace(data.sequences[1].steps[-1]))
+        client = CountingClient(delay=0)
+        _, report = run_pipeline(data, client, tmp_path)
+        assert report.annotated == 7 and report.cached == 1
+        assert len((tmp_path / "audit.jsonl").read_text().splitlines()) == 6
+        assert len(client.prompts) == len(set(client.prompts))
+
+    def test_warm_run_submits_nothing_to_a_pool(self, tmp_path, monkeypatch):
+        data = make_dataset()
+        run_pipeline(data, MockChatClient(), tmp_path, concurrency=4)
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a warm run made a thread pool")
+
+        monkeypatch.setattr(runner_module, "ThreadPoolExecutor", NoPool)
+        client = MockChatClient()
+        out, report = run_pipeline(data, client, tmp_path, concurrency=4)
+        assert client.calls == 0 and report.cached == report.annotated == 12
+        assert all(rec.mp is not None for seq in out.sequences for rec in seq.steps)
+
+    @pytest.mark.parametrize("text, error", [
+        ("no rubric here", "ParseError"),
+        ('{"mathematical_proficiency_indicators": [{"XX1": "bad"}]}', "EmptyRubricError"),
+    ])
+    @pytest.mark.parametrize("concurrency", (1, 4))
+    def test_unparseable_rubric_fails_each_interaction(self, tmp_path, text, error,
+                                                       concurrency):
+        data = make_dataset(num_students=3, steps=4)
+        client = GarbledRubricClient(data.problems["p0"], text)
+        out, report = run_pipeline(data, client, tmp_path, concurrency=concurrency)
+        bad = [rec for seq in data.sequences for rec in seq.steps if rec.problem_id == "p0"]
+        assert report.failed == len(bad) == 3 and report.annotated == 9
+        assert sorted(report.failures) == sorted(audit_key(rec) for rec in bad)
+        audits = [d for _, d in map(json.loads,
+                                    (tmp_path / "audit.jsonl").read_text().splitlines())]
+        assert [d["error"].split(":")[0] for d in audits if d["status"] == "failed"] == \
+            [error] * 3
+        # the garbled completion is cached, so the prompt is sent once
+        assert client.inner.prompts.count(client.prompt) == 1
+
+    @pytest.mark.parametrize("concurrency", (1, 4))
+    def test_rubric_warnings_come_once_per_problem(self, tmp_path, caplog, concurrency):
+        data = make_dataset(num_students=3, steps=4)
+        with caplog.at_level("WARNING", logger="prockt.pipeline.parsing"):
+            _, report = run_pipeline(data, UnknownCodeClient(), tmp_path,
+                                     concurrency=concurrency)
+        assert report.annotated == 12
+        dropped = [r.getMessage() for r in caplog.records
+                   if "unknown code 'XX1'" in r.getMessage()]
+        assert sorted(dropped) == [f"problem p{i}: dropping indicator with unknown code 'XX1'"
+                                   for i in range(4)]
+
+
 # -- HTTP client ----------------------------------------------------------
 
 class StubResponse:
-    def __init__(self, status, doc):
+    def __init__(self, status, doc, headers=None):
         self.status_code = status
         self._doc = doc
+        self.headers = headers or {}
 
     def raise_for_status(self):
         import requests
@@ -654,6 +807,52 @@ class TestHttpChatClient:
         with pytest.raises(ChatClientError):
             client.complete("", "user", ChatParams(max_retries=3))
         assert len(session.requests) == 3
+        assert sleeps == [0.5, 1.0]
+
+    @pytest.mark.parametrize("status", (429, 503))
+    def test_retry_after_seconds_replace_the_backoff(self, monkeypatch, status):
+        sleeps = []
+        monkeypatch.setattr(client_module.time, "sleep", sleeps.append)
+        session = StubSession([StubResponse(status, {}, {"Retry-After": "2"}),
+                               ok_response("after the wait")])
+        client = HttpChatClient(endpoint="http://unit.test/v1", session=session, backoff=0.5)
+        assert client.complete("", "user", ChatParams(max_retries=3)) == "after the wait"
+        assert sleeps == [2.0]
+
+    def test_retry_after_date_waits_until_then(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(client_module.time, "sleep", sleeps.append)
+        then = email.utils.formatdate(time.time() + 30, usegmt=True)
+        session = StubSession([StubResponse(503, {}, {"Retry-After": then}),
+                               ok_response("after the wait")])
+        client = HttpChatClient(endpoint="http://unit.test/v1", session=session, backoff=0.5)
+        assert client.complete("", "user", ChatParams(max_retries=3)) == "after the wait"
+        assert len(sleeps) == 1 and 28.0 < sleeps[0] <= 30.0
+
+    @pytest.mark.parametrize("header, wait", [
+        ("3600", client_module.MAX_RETRY_AFTER_S),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0),  # already past
+    ])
+    def test_retry_after_is_capped_and_never_negative(self, monkeypatch, header, wait):
+        sleeps = []
+        monkeypatch.setattr(client_module.time, "sleep", sleeps.append)
+        session = StubSession([StubResponse(429, {}, {"Retry-After": header}),
+                               ok_response("ok")])
+        client = HttpChatClient(endpoint="http://unit.test/v1", session=session, backoff=0.5)
+        assert client.complete("", "user", ChatParams(max_retries=3)) == "ok"
+        assert sleeps == [wait]
+
+    @pytest.mark.parametrize("status, header", [
+        (429, "soon"), (429, ""), (429, "-5"), (429, "1.5"), (503, "Someday, 99 Foo"),
+        (500, "2"),  # Retry-After is read on 429 and 503 only
+    ])
+    def test_unusable_retry_after_falls_back_to_backoff(self, monkeypatch, status, header):
+        sleeps = []
+        monkeypatch.setattr(client_module.time, "sleep", sleeps.append)
+        session = StubSession([StubResponse(status, {}, {"Retry-After": header})] * 3)
+        client = HttpChatClient(endpoint="http://unit.test/v1", session=session, backoff=0.5)
+        with pytest.raises(ChatClientError):
+            client.complete("", "user", ChatParams(max_retries=3))
         assert sleeps == [0.5, 1.0]
 
     def test_missing_endpoint_rejected(self, monkeypatch):
