@@ -160,7 +160,7 @@ def cmd_extract_mp(args) -> int:
     with open(Path(args.out) / "pipeline_report.json", "w") as fh:
         json.dump(report.to_json(), fh, indent=1)
     write_manifest(args.out, "extract-mp",
-                   {"client": args.client, "concurrency": args.concurrency}, 0,
+                   {**vars(args), "func": None, "model": getattr(client, "model", None)}, 0,
                    [args.data], [Path(args.out) / "interactions.jsonl"], started)
     print(f"annotated {report.annotated}, failed {report.failed} "
           f"({100 * report.failure_rate:.1f}%), cached {report.cached}")
@@ -230,16 +230,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params, meta = load_checkpoint(args.checkpoint)
-    mc = ModelConfig.from_json(meta["model_config"])
-    model = build_model(mc)
-    model.load_params(params)
-    vocab = Vocab(question_index=meta["vocab"]["question_index"],
-                  concept_index=meta["vocab"]["concept_index"])
+    try:
+        params, meta = load_checkpoint(args.checkpoint)
+        model = build_model(ModelConfig.from_json(meta["model_config"]))
+        model.load_params(params)
+        vocab = Vocab(**meta["vocab"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{args.checkpoint}: not a usable checkpoint: "
+                              f"{type(exc).__name__}: {exc}") from None
     dataset = load_dataset(args.data)
     dataset, _ = preprocess(dataset)
     batches = make_batches(dataset.sequences, dataset.problems, vocab,
-                           mc.max_len, args.batch_size)
+                           model.config.max_len, args.batch_size)
     metrics = evaluate(model, batches)
     doc = metrics.to_json()
     if args.out:

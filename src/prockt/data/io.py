@@ -32,22 +32,27 @@ class Dataset:
 
 
 def load_problems(path) -> dict[str, Problem]:
-    with open(path) as fh:
-        docs = json.load(fh)
     problems: dict[str, Problem] = {}
-    for doc in docs:
-        p = Problem.from_json(doc)
-        if p.problem_id in problems:
-            raise DatasetFormatError(f"duplicate problem_id {p.problem_id!r}")
-        problems[p.problem_id] = p
+    try:
+        with open(path) as fh:
+            docs = json.load(fh)
+        for doc in docs:
+            p = Problem.from_json(doc)
+            if p.problem_id in problems:
+                raise DatasetFormatError(f"duplicate problem_id {p.problem_id!r}")
+            problems[p.problem_id] = p
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DatasetFormatError(f"{path}: malformed problems: {type(exc).__name__}: {exc}"
+                                 ) from None
     return problems
 
 
 def load_dataset(path) -> Dataset:
     """Load a dataset directory into time-sorted per-student sequences.
 
-    Raises DatasetFormatError with the offending line number for malformed
-    JSONL lines, and ValidationError listing dangling problem ids.
+    Raises DatasetFormatError naming the file (and, for interactions, the
+    line) of a malformed or invalid entry, and ValidationError listing
+    dangling problem ids.
     """
     root = Path(path)
     problems = load_problems(root / PROBLEMS_FILE)
@@ -61,11 +66,9 @@ def load_dataset(path) -> Dataset:
             try:
                 doc = json.loads(line)
                 rec = InteractionRecord.from_json(doc)
-            except ValidationError:
-                raise
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DatasetFormatError(
-                    f"{root / INTERACTIONS_FILE}: malformed record at line {lineno}: {exc}")
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DatasetFormatError(f"{root / INTERACTIONS_FILE}: malformed record at "
+                                         f"line {lineno}: {type(exc).__name__}: {exc}") from None
             if rec.student_id not in by_student:
                 by_student[rec.student_id] = []
                 order.append(rec.student_id)

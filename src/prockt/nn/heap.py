@@ -1,7 +1,7 @@
 """Keep the C heap from shrinking between training steps.
 
 A training step allocates and frees tens of megabytes of activations and
-gradients. By default glibc serves the largest of them with fresh
+gradients. By default glibc serves the largest of them with new
 ``mmap`` mappings and hands the top of the heap back to the OS whenever
 more than a threshold is free, so the next step faults every page of its
 arrays in again. Raising both thresholds keeps those pages mapped. The

@@ -40,26 +40,23 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
 
-    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
-        """Add ``grad`` into ``self.grad``.
+    def _accumulate(self, grad: np.ndarray) -> None:
+        """Store ``grad`` as ``self.grad``, or add it to the one already stored.
 
-        ``fresh`` says the caller has just allocated ``grad`` and hands it
-        over: no other node holds it, so a first gradient keeps it without
-        a copy. A ``grad`` that may be shared or be a view is copied, because
-        ``slice_`` backward later adds into ``self.grad`` in place.
+        The one rule of gradient ownership: no backward writes into an array
+        once it has been handed to ``_accumulate``. So a gradient is stored as
+        it comes, though another node may hold it too or it may be a view,
+        and a sum is always a new array.
         """
-        if self.grad is None:
-            self.grad = (np.asarray(grad, dtype=self.data.dtype) if fresh
-                         else np.array(grad, dtype=self.data.dtype, copy=True))
-        else:
-            self.grad = self.grad + grad
+        self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self) -> None:
         """Populate ``grad`` on every reachable ``requires_grad`` tensor.
 
-        Only defined for scalar outputs. Each call adds one gradient into
-        the leaves: the output's own gradient is cleared like any other
-        intermediate's, so a second call starts again from 1.
+        Only defined for scalar outputs. One sweep over the sorted graph runs
+        each node's backward on the gradient it has gathered, and drops that
+        gradient unless the node ``requires_grad``: each call adds one
+        gradient into the parameters, and a second call starts again from 1.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar, got shape {self.shape}")
@@ -78,14 +75,13 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.data), fresh=True)
+        self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
-        # intermediate grads are only needed during the sweep
-        for node in topo:
-            if not node.requires_grad and node._parents:
+            grad = node.grad
+            if not node.requires_grad:  # only parameters keep a gradient
                 node.grad = None
+            if node._backward_fn is not None and grad is not None:
+                node._backward_fn(grad)
 
     def __getitem__(self, key):
         return slice_(self, key)
@@ -136,8 +132,8 @@ def mul(a, b) -> Tensor:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
 
     def backward_fn(g):
-        a._accumulate(_unbroadcast(g * b.data, a.shape), fresh=True)
-        b._accumulate(_unbroadcast(g * a.data, b.shape), fresh=True)
+        a._accumulate(_unbroadcast(g * b.data, a.shape))
+        b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return _make(out_data, (a, b), backward_fn, "mul")
 
@@ -157,8 +153,8 @@ def matmul(a, b) -> Tensor:
 
     def backward_fn(g):
         g2 = g.reshape(-1, n)
-        a._accumulate((g2 @ b.data.T).reshape(a.shape), fresh=True)
-        b._accumulate(a2.T @ g2, fresh=True)
+        a._accumulate((g2 @ b.data.T).reshape(a.shape))
+        b._accumulate(a2.T @ g2)
 
     return _make((a2 @ b.data).reshape(*a.shape[:-1], n), (a, b), backward_fn, "matmul")
 
@@ -168,7 +164,7 @@ def log(a) -> Tensor:
     out_data = np.log(a.data)
 
     def backward_fn(g):
-        a._accumulate(g / a.data, fresh=True)
+        a._accumulate(g / a.data)
 
     return _make(out_data, (a,), backward_fn, "log")
 
@@ -178,7 +174,7 @@ def sigmoid(a) -> Tensor:
     out_data = 1.0 / (1.0 + np.exp(-a.data))
 
     def backward_fn(g):
-        a._accumulate(g * out_data * (1.0 - out_data), fresh=True)
+        a._accumulate(g * out_data * (1.0 - out_data))
 
     return _make(out_data, (a,), backward_fn, "sigmoid")
 
@@ -188,7 +184,7 @@ def relu(a) -> Tensor:
     out_data = np.maximum(a.data, 0.0)
 
     def backward_fn(g):
-        a._accumulate(g * (a.data > 0.0), fresh=True)
+        a._accumulate(g * (a.data > 0.0))
 
     return _make(out_data, (a,), backward_fn, "relu")
 
@@ -200,7 +196,7 @@ def clamp(a, lo: float, hi: float) -> Tensor:
     inside = (a.data >= lo) & (a.data <= hi)
 
     def backward_fn(g):
-        a._accumulate(g * inside, fresh=True)
+        a._accumulate(g * inside)
 
     return _make(out_data, (a,), backward_fn, "clamp")
 
@@ -218,7 +214,7 @@ def dropout(a, mask: np.ndarray | None) -> Tensor:
     out_data = a.data * mask
 
     def backward_fn(g):
-        a._accumulate(g * mask, fresh=True)
+        a._accumulate(g * mask)
 
     return _make(out_data, (a,), backward_fn, "dropout")
 
@@ -236,7 +232,7 @@ def masked_mean(a, mask) -> Tensor:
     out_data = np.array((a.data * m).sum() / denom)
 
     def backward_fn(g):
-        a._accumulate(g * m / denom, fresh=True)
+        a._accumulate(g * m / denom)
 
     return _make(out_data, (a,), backward_fn, "masked_mean")
 
@@ -247,10 +243,9 @@ def slice_(a, key) -> Tensor:
     out_data = a.data[key]
 
     def backward_fn(g):
-        # a.grad is always an array owned by a, so adding in place is safe
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[key] += g
+        scattered = np.zeros_like(a.data)
+        scattered[key] += g
+        a._accumulate(scattered)
 
     return _make(out_data, (a,), backward_fn, "slice")
 
@@ -262,9 +257,8 @@ def concat(tensors, axis: int = -1) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
 
     def backward_fn(g):
-        # the pieces are disjoint views of g, which this node never reads again
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            t._accumulate(piece, fresh=True)
+            t._accumulate(piece)
 
     return _make(out_data, tuple(tensors), backward_fn, "concat")
 
@@ -284,7 +278,7 @@ def embedding_lookup(table, indices) -> Tensor:
         # input order, as np.add.at does, so the sums have the same bits
         scatter = scipy.sparse.csr_matrix((np.ones(flat.size), (flat, np.arange(flat.size))),
                                           shape=(vocab, flat.size))
-        table._accumulate(scatter @ g.reshape(-1, dim), fresh=True)
+        table._accumulate(scatter @ g.reshape(-1, dim))
 
     return _make(out_data, (table,), backward_fn, "embedding_lookup")
 
@@ -356,11 +350,10 @@ def lstm(xw, wh, b) -> Tensor:
             dc_next = dc * f
             if t:
                 dh_next = np.matmul(da, wh.data.T)
-        xw._accumulate(dgates, fresh=True)
+        xw._accumulate(dgates)
         # step 0 saw h = 0, so it adds nothing to dwh
-        wh._accumulate(hs[:, :-1].reshape(-1, d).T @ dgates[:, 1:].reshape(-1, four_d),
-                       fresh=True)
-        b._accumulate(dgates.sum(axis=(0, 1)), fresh=True)
+        wh._accumulate(hs[:, :-1].reshape(-1, d).T @ dgates[:, 1:].reshape(-1, four_d))
+        b._accumulate(dgates.sum(axis=(0, 1)))
 
     return _make(hs, (xw, wh, b), backward_fn, "lstm")
 
@@ -383,9 +376,9 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
     def backward_fn(g):
         dxhat = g * gain.data
         x._accumulate(inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)), fresh=True)
-        gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0), fresh=True)
-        bias._accumulate(g.reshape(-1, d).sum(axis=0), fresh=True)
+                             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)))
+        gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+        bias._accumulate(g.reshape(-1, d).sum(axis=0))
 
     return _make(xhat * gain.data + bias.data, (x, gain, bias), backward_fn, "layer_norm")
 
@@ -428,8 +421,8 @@ def attention(q, k, v, bias: np.ndarray, heads: int, mask: np.ndarray | None) ->
         if mask is not None:
             dprobs = dprobs * mask
         dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) * scale
-        q._accumulate(merge(np.matmul(dscores, kh)), fresh=True)
-        k._accumulate(merge(np.matmul(dscores.transpose(0, 1, 3, 2), qh)), fresh=True)
-        v._accumulate(merge(np.matmul(weights.transpose(0, 1, 3, 2), gh)), fresh=True)
+        q._accumulate(merge(np.matmul(dscores, kh)))
+        k._accumulate(merge(np.matmul(dscores.transpose(0, 1, 3, 2), qh)))
+        v._accumulate(merge(np.matmul(weights.transpose(0, 1, 3, 2), gh)))
 
     return _make(merge(np.matmul(weights, vh)), (q, k, v), backward_fn, "attention")

@@ -52,11 +52,11 @@ class HttpChatClient:
 
     Endpoint, model, and API key default to the PROCKT_CHAT_* environment
     variables. Retries with exponential backoff on transport errors,
-    malformed replies, 5xx responses and the 4xx statuses in
-    ``RETRYABLE_CLIENT_ERRORS``; any other 4xx is a request that a repeat
-    cannot fix (RFC 9110 §15.5), so it raises at once. A 429 or 503 with a
-    ``Retry-After`` header (RFC 9110 §10.2.3) waits that long instead, up
-    to ``MAX_RETRY_AFTER_S``.
+    malformed replies (a content that is missing or not a string), 5xx
+    responses and the 4xx statuses in ``RETRYABLE_CLIENT_ERRORS``; any other
+    4xx is a request that a repeat cannot fix (RFC 9110 §15.5), so it raises
+    at once. A 429 or 503 with a ``Retry-After`` header (RFC 9110 §10.2.3)
+    waits that long instead, up to ``MAX_RETRY_AFTER_S``.
     """
 
     def __init__(self, endpoint: str | None = None, model: str | None = None,
@@ -94,9 +94,11 @@ class HttpChatClient:
                 if status in RETRY_AFTER_STATUSES:
                     wait = _retry_after(resp.headers.get("Retry-After"), wait)
                 resp.raise_for_status()
-                doc = resp.json()
-                return doc["choices"][0]["message"]["content"]
-            except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+                content = resp.json()["choices"][0]["message"]["content"]
+                if not isinstance(content, str):
+                    raise ValueError(f"reply content is {type(content).__name__}, not a string")
+                return content
+            except (requests.RequestException, LookupError, TypeError, ValueError) as exc:
                 last_error = exc
                 if attempt + 1 < params.max_retries:
                     time.sleep(wait)

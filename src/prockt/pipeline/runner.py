@@ -109,8 +109,9 @@ def audit_key(record: InteractionRecord) -> str:
 class PipelineRunner:
     """Annotates interactions through ``client``, caching in ``cache_dir``.
 
-    Reads the audit log at once and the completion log at the first audit
-    miss, so a warm run never reads completions; ``close`` closes both.
+    Reads the audit log at once. ``run_pipeline`` opens the completion log
+    only when an audit misses, so a warm run never reads completions;
+    ``close`` closes both.
     """
 
     def __init__(self, client: ChatClient, cache_dir, params: ChatParams | None = None):
@@ -119,14 +120,13 @@ class PipelineRunner:
         self.cache_dir = Path(cache_dir)
         os.makedirs(self.cache_dir, exist_ok=True)
         self.audits = JsonLog(self.cache_dir / "audit.jsonl")
-        self.completions: JsonLog | None = None  # opened at the first audit miss
+        self.completions: JsonLog | None = None
         self._setting = (str(getattr(client, "model", "")), repr(self.params.temperature))
         self._templates = _digest(prompts.INDICATOR_TEMPLATE, prompts.STUDENT_TEMPLATE,
                                   prompts.EVAL_TEMPLATE)
         self._problem_keys: dict[str, str] = {}
         self._rubrics: dict[str, IndicatorSet] = {}  # parsed once per problem
-        self._rubric_locks: dict[str, threading.Lock] = {}
-        self._in_flight: dict[str, threading.Event] = {}
+        self._in_flight: dict[tuple, threading.Event] = {}
         self._flight_lock = threading.Lock()
 
     def close(self) -> None:
@@ -134,34 +134,41 @@ class PipelineRunner:
         if self.completions is not None:
             self.completions.close()
 
-    def _complete(self, stage: str, prompt: str) -> str:
-        """The cached completion of ``prompt``, else one client call for it.
+    def _once(self, key: tuple, find, make):
+        """``find()``'s value, else ``make()``'s, made by one thread at a time per ``key``.
 
-        Single flight: a thread that finds the key in flight waits for that
-        call. If the call fails, nothing is shared and the waiters go round
-        again, so one of them makes its own call.
+        Single flight: ``make`` stores its value where ``find`` sees it, and a
+        thread that finds ``key`` in flight waits for it. If ``make`` fails,
+        nothing is shared and the waiters go round again, so one of them
+        makes its own try.
         """
-        key = _digest(stage, *self._setting, prompt)
         while True:
             with self._flight_lock:
-                if self.completions is None:
-                    self.completions = JsonLog(self.cache_dir / "completions.jsonl")
-                completion = self.completions.get(key)
-                if completion is not None:
-                    return completion
+                value = find()
+                if value is not None:
+                    return value
                 flight = self._in_flight.get(key)
                 if flight is None:
                     flight = self._in_flight[key] = threading.Event()
                     break
             flight.wait()
         try:
-            completion = self.client.complete("", prompt, self.params)
-            self.completions.put(key, completion)
-            return completion
+            return make()
         finally:
             with self._flight_lock:
                 del self._in_flight[key]
             flight.set()
+
+    def _complete(self, stage: str, prompt: str) -> str:
+        """The cached completion of ``prompt``, else one client call for it."""
+        key = _digest(stage, *self._setting, prompt)
+
+        def call():
+            completion = self.client.complete("", prompt, self.params)
+            self.completions.put(key, completion)
+            return completion
+
+        return self._once(("completion", key), lambda: self.completions.get(key), call)
 
     def _rubric(self, problem: Problem) -> IndicatorSet:
         """The problem's parsed indicators, made once per run.
@@ -169,19 +176,14 @@ class PipelineRunner:
         Only a rubric that parses is kept: after a client failure or an
         empty rubric, the next interaction of the problem tries again.
         """
-        indicators = self._rubrics.get(problem.problem_id)
-        if indicators is not None:
+        pid = problem.problem_id
+
+        def parse():
+            completion = self._complete("indicators", prompts.render_indicator_prompt(problem))
+            indicators = self._rubrics[pid] = parse_indicators(completion, pid)
             return indicators
-        with self._flight_lock:
-            lock = self._rubric_locks.setdefault(problem.problem_id, threading.Lock())
-        with lock:
-            indicators = self._rubrics.get(problem.problem_id)
-            if indicators is None:
-                prompt = prompts.render_indicator_prompt(problem)
-                indicators = parse_indicators(self._complete("indicators", prompt),
-                                              problem.problem_id)
-                self._rubrics[problem.problem_id] = indicators
-            return indicators
+
+        return self._once(("rubric", pid), lambda: self._rubrics.get(pid), parse)
 
     def _annotate_one(self, problem: Problem, record: InteractionRecord) -> dict:
         indicators = self._rubric(problem)
@@ -212,11 +214,7 @@ class PipelineRunner:
                 *self._setting)
         return _digest(audit_key(record), problem_key)[:32]
 
-    def _process(self, key: str, problem: Problem,
-                 record: InteractionRecord) -> tuple[dict, bool]:
-        audit = self.audits.get(key)
-        if audit is not None:  # a duplicate of a record annotated in this run
-            return audit, True
+    def _process(self, key: str, problem: Problem, record: InteractionRecord) -> None:
         try:
             audit = self._annotate_one(problem, record)
         except Exception as exc:
@@ -231,7 +229,6 @@ class PipelineRunner:
                 "annotated_at": time.time(),
             }
         self.audits.put(key, audit)
-        return audit, False
 
 
 def run_pipeline(dataset: Dataset, client: ChatClient, cache_dir,
@@ -246,22 +243,23 @@ def run_pipeline(dataset: Dataset, client: ChatClient, cache_dir,
     jobs = [(dataset.problems[rec.problem_id], rec)
             for seq in dataset.sequences for rec in seq.steps]
     try:
-        # hits are read here; only the misses go to the pool
+        # hits are read here; only the first job of each missed key goes to
+        # the pool, and a later copy of its record counts as cached
         keys = [runner._audit_log_key(problem, rec) for problem, rec in jobs]
-        outs = [(runner.audits.get(key), True) for key in keys]
-        misses = [i for i, (audit, _) in enumerate(outs) if audit is None]
+        misses: dict[str, int] = {}
+        for i, key in enumerate(keys):
+            if runner.audits.get(key) is None:
+                misses.setdefault(key, i)
         if misses:
+            runner.completions = JsonLog(runner.cache_dir / "completions.jsonl")
             with ThreadPoolExecutor(max_workers=concurrency) as pool:
-                for i, out in zip(misses, pool.map(
-                        lambda i: runner._process(keys[i], *jobs[i]), misses)):
-                    outs[i] = out
+                list(pool.map(lambda i: runner._process(keys[i], *jobs[i]), misses.values()))
     finally:
         runner.close()
 
-    report = PipelineReport()
-    for (_, rec), (audit, was_cached) in zip(jobs, outs):
-        if was_cached:
-            report.cached += 1
+    outs = [runner.audits.get(key) for key in keys]
+    report = PipelineReport(cached=len(jobs) - len(misses))
+    for (_, rec), audit in zip(jobs, outs):
         if audit["status"] == "ok":
             report.annotated += 1
         else:
@@ -269,7 +267,7 @@ def run_pipeline(dataset: Dataset, client: ChatClient, cache_dir,
             report.failures.append(audit_key(rec))
 
     mps = iter(MPRatios.from_json(audit["ratios"]) if audit["status"] == "ok"
-               else MPRatios.absent() for audit, _ in outs)
+               else MPRatios.absent() for audit in outs)
     annotated_sequences = [
         StudentSequence(student_id=seq.student_id,
                         steps=[replace(rec, mp=next(mps)) for rec in seq.steps])

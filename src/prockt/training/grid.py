@@ -36,7 +36,7 @@ def grid_search(model_factory: Callable[[float], KTModel],
                 config: TrainConfig) -> GridResult:
     """Train one model per grid cell and select by validation AUC.
 
-    ``model_factory(dropout)`` must return a freshly initialized model.
+    ``model_factory(dropout)`` must return a newly initialized model.
     Test data is deliberately not an argument: the caller evaluates the
     selected model exactly once, after selection.
     """

@@ -41,8 +41,8 @@ def stacked_matmul(a, b) -> nn.Tensor:
     def backward_fn(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        a._accumulate(_unbroadcast(ga, a.shape), fresh=True)
-        b._accumulate(_unbroadcast(gb, b.shape), fresh=True)
+        a._accumulate(_unbroadcast(ga, a.shape))
+        b._accumulate(_unbroadcast(gb, b.shape))
 
     return _make(out_data, (a, b), backward_fn, "matmul")
 
@@ -52,7 +52,7 @@ def power(a, p: float) -> nn.Tensor:
     out_data = a.data ** p
 
     def backward_fn(g):
-        a._accumulate(g * p * a.data ** (p - 1), fresh=True)
+        a._accumulate(g * p * a.data ** (p - 1))
 
     return _make(out_data, (a,), backward_fn, "power")
 
@@ -62,7 +62,7 @@ def tanh(a) -> nn.Tensor:
     out_data = np.tanh(a.data)
 
     def backward_fn(g):
-        a._accumulate(g * (1.0 - out_data * out_data), fresh=True)
+        a._accumulate(g * (1.0 - out_data * out_data))
 
     return _make(out_data, (a,), backward_fn, "tanh")
 
@@ -76,7 +76,7 @@ def softmax(a) -> nn.Tensor:
 
     def backward_fn(g):
         dot = (g * out_data).sum(axis=-1, keepdims=True)
-        a._accumulate(out_data * (g - dot), fresh=True)
+        a._accumulate(out_data * (g - dot))
 
     return _make(out_data, (a,), backward_fn, "softmax")
 
@@ -99,7 +99,7 @@ def dropout(a, rate: float, rng: np.random.Generator | None = None, training: bo
     out_data = a.data * mask
 
     def backward_fn(g):
-        a._accumulate(g * mask, fresh=True)
+        a._accumulate(g * mask)
 
     return _make(out_data, (a,), backward_fn, "dropout")
 
@@ -126,7 +126,7 @@ def mean(a, axis=None, keepdims=False) -> nn.Tensor:
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.shape) / denom, fresh=True)
+        a._accumulate(np.broadcast_to(g, a.shape) / denom)
 
     return _make(out_data, (a,), backward_fn, "mean")
 

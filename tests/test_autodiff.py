@@ -9,7 +9,8 @@ from prockt import nn
 from prockt.nn import heap
 from prockt.models import ModelConfig, build_model
 from prockt.nn import Adam, ShapeError, Tensor, bce, check_gradients, masked_mse
-from prockt.verify import check_ops
+from prockt.training.loss import composite_loss
+from prockt.verify import check_ops, toy_batch
 
 
 class TestForwardValues:
@@ -190,6 +191,59 @@ class TestBackwardValues:
         y = Tensor(1.0, requires_grad=True)
         nn.mul(x, 2.0).backward()
         assert y.grad is None
+
+
+@pytest.fixture
+def read_only_grads(monkeypatch):
+    """Makes each stored or summed gradient read-only, so a backward that
+    writes into an array it has handed to ``_accumulate`` raises."""
+    accumulate = Tensor._accumulate
+
+    def frozen(self, grad):
+        accumulate(self, grad)
+        if isinstance(self.grad, np.ndarray):
+            self.grad.setflags(write=False)
+
+    monkeypatch.setattr(Tensor, "_accumulate", frozen)
+
+
+class TestGradientOwnership:
+    """No backward writes into an array once it has been handed to ``_accumulate``."""
+
+    @pytest.mark.parametrize("slices_first", (True, False))
+    def test_two_slices_and_a_mul_of_one_tensor(self, read_only_grads, slices_first):
+        # the operand order of the joining add moves which backward reaches x first
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        w = np.array([[1.0, -2.0, 3.0], [4.0, 5.0, -6.0]])
+        terms = [nn.add(x[0], x[1]), nn.mul(x, w)]
+        if not slices_first:
+            terms.reverse()
+        ref.sum_(nn.add(*terms)).backward()
+        np.testing.assert_array_equal(x.grad, 2.0 + w)
+
+    @pytest.mark.parametrize("backbone", ("recurrent", "attention"))
+    @pytest.mark.parametrize("max_len", (8, 10))  # T = 8: full and trimmed windows
+    def test_training_step_with_dropout(self, read_only_grads, backbone, max_len):
+        model = build_model(ModelConfig(backbone=backbone, variant="statuskt",
+                                        num_questions=6, num_concepts=4, max_len=max_len,
+                                        embed_dim=8, dropout=0.3, attention_heads=2, seed=0))
+        batch = toy_batch(0)
+        opt = Adam(model.parameters())
+        preds = model.forward(batch, training=True, rng=np.random.default_rng(0))
+        composite_loss(batch.targets_correct, preds.r_pred, batch.targets_mp, preds.mp_pred,
+                       batch.target_mp_mask, batch.target_mask, alpha=0.5).backward()
+        opt.step()
+        for name, p in model.parameters().items():
+            assert p.grad is not None and np.isfinite(p.grad).all(), name
+
+    def test_only_parameters_keep_a_gradient(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        label = Tensor(np.full(3, 2.0))
+        h = nn.mul(x, label)
+        loss = ref.sum_(h)
+        loss.backward()
+        assert label.grad is None and h.grad is None and loss.grad is None
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
 
 class TestShapeErrors:

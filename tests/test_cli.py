@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from prockt import cli
 from prockt.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -12,6 +13,7 @@ from prockt.cli import (
     read_config_file,
     subseed,
 )
+from prockt.pipeline import MockChatClient
 
 SIM = """
 num_students = 12
@@ -103,6 +105,33 @@ class TestExitCodes:
         assert main(["train", "--data", str(data),
                      "--out", str(tmp_path / "run")] + TRAIN_FLAGS) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("file, edit", [
+        ("problems.json", lambda text: "not json"),
+        ("problems.json", lambda text: json.dumps(
+            [{k: v for k, v in doc.items() if k != "kc_ids"} for doc in json.loads(text)])),
+        ("interactions.jsonl", lambda text: "".join(
+            json.dumps({**json.loads(line), "timestamp": "abc"}) + "\n"
+            for line in text.splitlines())),
+    ], ids=["problems-not-json", "problem-without-kc-ids", "non-integer-timestamp"])
+    def test_malformed_dataset_names_the_file(self, workspace, tmp_path, capsys, file, edit):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("problems.json", "interactions.jsonl"):
+            text = (workspace / "data" / name).read_text()
+            (data / name).write_text(edit(text) if name == file else text)
+        assert main(["train", "--data", str(data),
+                     "--out", str(tmp_path / "run")] + TRAIN_FLAGS) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(data / file) in err and "Traceback" not in err
+
+    def test_malformed_checkpoint_names_the_file(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps({"foo": 1}))
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--data", str(workspace / "annotated")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command, flag, value", [
         ("train", "--batch-size", "0"), ("train", "--epochs", "0"),
         ("train", "--patience", "0"), ("train", "--max-len", "1"),
@@ -151,6 +180,21 @@ class TestExtractMP:
                      "--cache", str(workspace / "cache"), "--client", "mock"]) == EXIT_OK
         report = json.loads((tmp_path / "annotated2" / "pipeline_report.json").read_text())
         assert report["cached"] == 96
+
+    def test_manifest_records_every_flag_and_the_model(self, workspace, tmp_path,
+                                                        monkeypatch, capsys):
+        class NamedClient(MockChatClient):
+            model = "teacher-1"
+
+        monkeypatch.setattr(cli, "HttpChatClient", NamedClient)
+        data, out, cache = (str(workspace / "data"), str(tmp_path / "out"),
+                            str(tmp_path / "cache"))
+        assert main(["extract-mp", "--data", data, "--out", out, "--cache", cache,
+                     "--client", "http", "--concurrency", "2", "--max-retries", "5"]) == EXIT_OK
+        config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+        assert config == {"command": "extract-mp", "data": data, "out": out, "cache": cache,
+                          "client": "http", "concurrency": 2, "max_retries": 5,
+                          "func": None, "model": "teacher-1"}
 
 
 class TestTrainEvalReport:

@@ -448,15 +448,17 @@ class CountingClient:
     """Wraps the mock: sleeps ``delay`` seconds per call and counts prompts.
 
     ``fail_first`` names a prompt whose first call fails after 50 ms, long
-    enough for other workers to be waiting for it.
+    enough for other workers to be waiting for it; ``stall_first`` names one
+    whose first call succeeds after 50 ms.
     """
 
-    def __init__(self, delay=0.001, model="", fail_first=None):
+    def __init__(self, delay=0.001, model="", fail_first=None, stall_first=None):
         self.inner = MockChatClient()
         self.delay = delay
         if model:
             self.model = model
         self.fail_first = fail_first
+        self.stall_first = stall_first
         self.prompts = []
         self._lock = threading.Lock()
 
@@ -466,7 +468,10 @@ class CountingClient:
             fail = user_message == self.fail_first
             if fail:
                 self.fail_first = None
-        time.sleep(0.05 if fail else self.delay)
+            stall = user_message == self.stall_first
+            if stall:
+                self.stall_first = None
+        time.sleep(0.05 if fail or stall else self.delay)
         if fail:
             raise ChatClientError("injected failure of the first call")
         return self.inner.complete(system_message, user_message, params)
@@ -670,11 +675,21 @@ class TestHitsAndRubrics:
         run_pipeline(rest, expected, tmp_path / "rest")
         assert sorted(client.prompts) == sorted(expected.prompts)
 
-    def test_duplicate_record_is_annotated_once(self, tmp_path):
-        data = make_dataset(num_students=2, steps=3)
-        data.sequences[1].steps.append(replace(data.sequences[1].steps[-1]))
-        client = CountingClient(delay=0)
-        _, report = run_pipeline(data, client, tmp_path)
+    @pytest.mark.parametrize("concurrency", (1, 4))
+    def test_duplicate_record_is_annotated_once(self, tmp_path, concurrency):
+        data = distinct_students(num_students=2, steps=3)
+        record = data.sequences[1].steps[-1]
+        data.sequences[1].steps.append(replace(record))
+        # the first copy's stage-2 call stalls, so at concurrency 4 another
+        # worker reaches the copy while the first is still being annotated
+        problem = data.problems[record.problem_id]
+        rubric = parse_indicators(MockChatClient().complete(
+            "", render_indicator_prompt(problem), ChatParams()), problem.problem_id)
+        stage2 = render_student_prompt(problem, rubric, record.process_text,
+                                       record.selected_answer)
+        client = CountingClient(delay=0, stall_first=stage2)
+        _, report = run_pipeline(data, client, tmp_path, concurrency=concurrency)
+        assert stage2 in client.prompts
         assert report.annotated == 7 and report.cached == 1
         assert len((tmp_path / "audit.jsonl").read_text().splitlines()) == 6
         assert len(client.prompts) == len(set(client.prompts))
@@ -853,6 +868,18 @@ class TestHttpChatClient:
         client = HttpChatClient(endpoint="http://unit.test/v1", session=session, backoff=0.5)
         with pytest.raises(ChatClientError):
             client.complete("", "user", ChatParams(max_retries=3))
+        assert sleeps == [0.5, 1.0]
+
+    @pytest.mark.parametrize("content", (None, 42, ["text"]))
+    def test_non_string_content_is_retried_then_raises(self, monkeypatch, content):
+        sleeps = []
+        monkeypatch.setattr(client_module.time, "sleep", sleeps.append)
+        reply = StubResponse(200, {"choices": [{"message": {"content": content}}]})
+        session = StubSession([reply] * 3)
+        client = HttpChatClient(endpoint="http://unit.test/v1", session=session, backoff=0.5)
+        with pytest.raises(ChatClientError, match="not a string"):
+            client.complete("", "user", ChatParams(max_retries=3))
+        assert len(session.requests) == 3
         assert sleeps == [0.5, 1.0]
 
     def test_missing_endpoint_rejected(self, monkeypatch):
