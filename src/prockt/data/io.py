@@ -58,13 +58,13 @@ def load_dataset(path) -> Dataset:
     problems = load_problems(root / PROBLEMS_FILE)
     by_student: dict[str, list[InteractionRecord]] = {}
     order: list[str] = []
-    with open(root / INTERACTIONS_FILE) as fh:
+    with open(root / INTERACTIONS_FILE, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                doc = json.loads(line)
+                doc = json.loads(line.decode())
                 rec = InteractionRecord.from_json(doc)
             except (ValueError, KeyError, TypeError) as exc:
                 raise DatasetFormatError(f"{root / INTERACTIONS_FILE}: malformed record at "

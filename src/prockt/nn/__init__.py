@@ -14,6 +14,7 @@ from .tensor import (
     masked_mean,
     matmul,
     mul,
+    no_grad,
     relu,
     sigmoid,
     slice_,
@@ -31,5 +32,5 @@ __all__ = [
     "Adam", "PROB_EPS", "ShapeError", "Tensor", "add", "as_tensor", "attention", "bce",
     "check_gradients", "clamp", "concat", "dropout", "embedding_lookup", "init",
     "layer_norm", "load_checkpoint", "log", "lstm", "masked_mean", "masked_mse", "matmul",
-    "mul", "numeric_gradient", "relu", "save_checkpoint", "sigmoid", "slice_",
+    "mul", "no_grad", "numeric_gradient", "relu", "save_checkpoint", "sigmoid", "slice_",
 ]

@@ -2,7 +2,8 @@
 
 Every differentiable op builds a node in an implicit computation graph;
 ``Tensor.backward()`` topologically sorts the graph and accumulates
-gradients into every ``requires_grad`` leaf. All math is numpy float64.
+gradients into every ``requires_grad`` leaf. Inside ``no_grad()`` no op
+builds a node. All math is numpy float64.
 """
 
 from __future__ import annotations
@@ -101,8 +102,25 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+_grad_enabled = True
+
+
+class no_grad:
+    """A context within which every op's output is a constant: no parents,
+    no backward. The switch is process-wide, so no other thread may build a
+    graph meanwhile."""
+
+    def __enter__(self):
+        global _grad_enabled
+        self._enabled, _grad_enabled = _grad_enabled, False
+
+    def __exit__(self, *exc):
+        global _grad_enabled
+        _grad_enabled = self._enabled
+
+
 def _make(data, parents, backward_fn, op):
-    req = any(p.requires_grad or p._parents for p in parents)
+    req = _grad_enabled and any(p.requires_grad or p._parents for p in parents)
     return Tensor(data, parents=parents if req else (),
                   backward_fn=backward_fn if req else None, op=op)
 

@@ -1,16 +1,29 @@
 """Orchestration of the three-stage pipeline over a dataset.
 
 Per interaction: render stage prompt -> completion (cached) -> parse ->
-next stage -> ratios. Every interaction gets an audit record in the
-cache; a rerun over the same data reuses audits and issues no client
-calls. A stage that keeps failing flags the interaction with all-absent
-ratios and the run continues.
+next stage -> ratios. Every interaction gets a result and an audit record
+in the cache; a rerun over the same data reuses results and issues no
+client calls. A stage that keeps failing flags the interaction with
+all-absent ratios and the run continues.
 
-A cache directory holds two append-only logs of ``[key, value]`` JSON
-lines: ``completions.jsonl`` and ``audit.jsonl``. Completions are keyed
-on (stage, model, temperature, prompt); audits on the record's ids,
-timestamp, trace and answer, the problem, the three prompt templates,
-the model and the temperature, so a change to any of them is a miss.
+A cache directory holds three append-only logs of ``[key, value]`` JSON
+lines:
+
+- ``ratios.jsonl``: each interaction's result, ``{"status": "ok",
+  "counts": {dimension: [satisfied, total]}}`` or ``{"status": "failed"}``.
+  Every run reads it; it decides hits.
+- ``audit.jsonl``: each interaction's full record (indicators, responses,
+  verdicts, ratios, or the error). It is appended just before the result
+  and never read.
+- ``completions.jsonl``: client completions, read only by a run that misses.
+
+Completions are keyed on (stage, model, temperature, prompt); results and
+audits on the record's ids, timestamp, trace and answer, the problem, the
+three prompt templates, the model and the temperature, so a change to any
+of them is a miss. Deleting ``ratios.jsonl`` re-annotates every interaction
+from the cached completions: it retries the failed ones, and it is how a
+cache written before the result log existed is read (once, with no client
+calls for what was annotated before).
 """
 
 from __future__ import annotations
@@ -26,7 +39,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..data.io import Dataset
-from ..data.schema import InteractionRecord, MPRatios, Problem, StudentSequence
+from ..data.schema import (DIMENSIONS, InteractionRecord, MPRatios, Problem, StudentSequence,
+                           ValidationError)
 from . import prompts
 from .client import ChatClient, ChatParams
 from .parsing import parse_indicators, parse_responses, parse_verdicts
@@ -59,27 +73,37 @@ def _digest(*parts: str) -> str:
 
 
 class JsonLog:
-    """An append-only file of ``[key, value]`` JSON lines, read once into a dict.
+    """An append-only file of ``[key, value]`` JSON lines.
+
+    With ``read``, the file is parsed once into ``entries``, which appends
+    keep up to date; a line that is not ``[str, value]`` (torn by a crash,
+    empty or garbled) is skipped. Without it the file is only appended to:
+    its last byte is all that is read, and ``entries`` is None.
 
     A record is appended as one ``os.write`` on an ``O_APPEND`` descriptor,
-    so processes sharing the file never interleave lines. A torn last line
-    (a crash mid-write) is skipped on load, and the first append then starts
-    a new line so that the torn one cannot swallow it.
+    so processes sharing the file never interleave lines. If the file ends
+    in a torn line, the first append starts a new line so that the torn one
+    cannot swallow it.
     """
 
-    def __init__(self, path: Path):
+    def __init__(self, path: Path, read: bool = True):
         self._fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+        self._lock = threading.Lock()
+        end = os.fstat(self._fd).st_size
+        self._torn = end > 0 and os.pread(self._fd, 1, end - 1) != b"\n"
+        self.entries: dict | None = None
+        if not read:
+            return
         with open(self._fd, "rb", closefd=False) as fh:
             data = fh.read()
-        self._torn = not data.endswith(b"\n") and bool(data)
-        self._lock = threading.Lock()
-        self.entries: dict = {}
+        self.entries = {}
         for line in data.splitlines():
             try:
-                key, value = json.loads(line)
-            except (ValueError, TypeError):
-                continue  # torn by a crash mid-write, or empty
-            self.entries[key] = value
+                entry = json.loads(line)
+            except ValueError:
+                continue
+            if type(entry) is list and len(entry) == 2 and type(entry[0]) is str:
+                self.entries[entry[0]] = entry[1]
 
     def get(self, key: str):
         return self.entries.get(key)
@@ -94,10 +118,31 @@ class JsonLog:
             if written != len(line):  # e.g. a full disk: the line is torn
                 self._torn = True
                 raise OSError(f"short write to a cache log: {written} of {len(line)} bytes")
-            self.entries[key] = value
+            if self.entries is not None:
+                self.entries[key] = value
 
     def close(self) -> None:
         os.close(self._fd)
+
+
+def _result(value) -> tuple[bool, MPRatios] | None:
+    """Whether a ``ratios.jsonl`` value records a success, and its ratios
+    (all absent for a failure); None if it is not a well-formed result."""
+    if value == {"status": "failed"}:
+        return False, MPRatios.absent()
+    if type(value) is not dict or value.keys() != {"status", "counts"} or value["status"] != "ok":
+        return None
+    counts = value["counts"]
+    if type(counts) is not dict or counts.keys() != set(DIMENSIONS):
+        return None
+    for pair in counts.values():
+        if type(pair) is not list or len(pair) != 2 or type(pair[0]) is not int \
+                or type(pair[1]) is not int:
+            return None
+    try:
+        return True, MPRatios.from_counts(counts)
+    except ValidationError:
+        return None
 
 
 def audit_key(record: InteractionRecord) -> str:
@@ -109,9 +154,10 @@ def audit_key(record: InteractionRecord) -> str:
 class PipelineRunner:
     """Annotates interactions through ``client``, caching in ``cache_dir``.
 
-    Reads the audit log at once. ``run_pipeline`` opens the completion log
-    only when an audit misses, so a warm run never reads completions;
-    ``close`` closes both.
+    Reads the result log at once and opens the audit log for appending
+    only. ``run_pipeline`` opens the completion log only when a result
+    misses, so a warm run never reads completions; ``close`` closes all
+    three.
     """
 
     def __init__(self, client: ChatClient, cache_dir, params: ChatParams | None = None):
@@ -119,7 +165,8 @@ class PipelineRunner:
         self.params = params or ChatParams()
         self.cache_dir = Path(cache_dir)
         os.makedirs(self.cache_dir, exist_ok=True)
-        self.audits = JsonLog(self.cache_dir / "audit.jsonl")
+        self.results = JsonLog(self.cache_dir / "ratios.jsonl")
+        self.audits = JsonLog(self.cache_dir / "audit.jsonl", read=False)
         self.completions: JsonLog | None = None
         self._setting = (str(getattr(client, "model", "")), repr(self.params.temperature))
         self._templates = _digest(prompts.INDICATOR_TEMPLATE, prompts.STUDENT_TEMPLATE,
@@ -130,6 +177,7 @@ class PipelineRunner:
         self._flight_lock = threading.Lock()
 
     def close(self) -> None:
+        self.results.close()
         self.audits.close()
         if self.completions is not None:
             self.completions.close()
@@ -185,7 +233,8 @@ class PipelineRunner:
 
         return self._once(("rubric", pid), lambda: self._rubrics.get(pid), parse)
 
-    def _annotate_one(self, problem: Problem, record: InteractionRecord) -> dict:
+    def _annotate_one(self, problem: Problem, record: InteractionRecord
+                      ) -> tuple[MPRatios, dict]:
         indicators = self._rubric(problem)
         prompt2 = prompts.render_student_prompt(problem, indicators,
                                                 record.process_text,
@@ -194,7 +243,7 @@ class PipelineRunner:
         prompt3 = prompts.render_eval_prompt(problem, indicators, responses)
         verdicts = parse_verdicts(self._complete("verdicts", prompt3), indicators)
         ratios = compute_mp_ratios(indicators, verdicts)
-        return {
+        return ratios, {
             "status": "ok",
             "student_id": record.student_id,
             "problem_id": record.problem_id,
@@ -214,13 +263,18 @@ class PipelineRunner:
                 *self._setting)
         return _digest(audit_key(record), problem_key)[:32]
 
-    def _process(self, key: str, problem: Problem, record: InteractionRecord) -> None:
+    def _process(self, key: str, problem: Problem, record: InteractionRecord
+                 ) -> tuple[bool, MPRatios]:
+        """Annotates one interaction and appends its audit, then its result.
+
+        Returns the result as ``_result`` reads it back.
+        """
         try:
-            audit = self._annotate_one(problem, record)
+            ratios, audit = self._annotate_one(problem, record)
         except Exception as exc:
             log.warning("pipeline failed for student %s problem %s: %s",
                         record.student_id, record.problem_id, exc)
-            audit = {
+            ratios, audit = None, {
                 "status": "failed",
                 "student_id": record.student_id,
                 "problem_id": record.problem_id,
@@ -229,6 +283,12 @@ class PipelineRunner:
                 "annotated_at": time.time(),
             }
         self.audits.put(key, audit)
+        if ratios is None:
+            self.results.put(key, {"status": "failed"})
+            return False, MPRatios.absent()
+        self.results.put(key, {"status": "ok",
+                               "counts": {d: list(ratios.counts[d]) for d in DIMENSIONS}})
+        return True, ratios
 
 
 def run_pipeline(dataset: Dataset, client: ChatClient, cache_dir,
@@ -246,28 +306,31 @@ def run_pipeline(dataset: Dataset, client: ChatClient, cache_dir,
         # hits are read here; only the first job of each missed key goes to
         # the pool, and a later copy of its record counts as cached
         keys = [runner._audit_log_key(problem, rec) for problem, rec in jobs]
+        results: dict[str, tuple[bool, MPRatios] | None] = {}
         misses: dict[str, int] = {}
         for i, key in enumerate(keys):
-            if runner.audits.get(key) is None:
-                misses.setdefault(key, i)
+            if key not in results:
+                results[key] = _result(runner.results.get(key))
+                if results[key] is None:
+                    misses[key] = i
         if misses:
             runner.completions = JsonLog(runner.cache_dir / "completions.jsonl")
             with ThreadPoolExecutor(max_workers=concurrency) as pool:
-                list(pool.map(lambda i: runner._process(keys[i], *jobs[i]), misses.values()))
+                results.update(zip(misses, pool.map(
+                    lambda i: runner._process(keys[i], *jobs[i]), misses.values())))
     finally:
         runner.close()
 
-    outs = [runner.audits.get(key) for key in keys]
+    outs = [results[key] for key in keys]
     report = PipelineReport(cached=len(jobs) - len(misses))
-    for (_, rec), audit in zip(jobs, outs):
-        if audit["status"] == "ok":
+    for (_, rec), (ok, _) in zip(jobs, outs):
+        if ok:
             report.annotated += 1
         else:
             report.failed += 1
             report.failures.append(audit_key(rec))
 
-    mps = iter(MPRatios.from_json(audit["ratios"]) if audit["status"] == "ok"
-               else MPRatios.absent() for audit in outs)
+    mps = (mp for _, mp in outs)
     annotated_sequences = [
         StudentSequence(student_id=seq.student_id,
                         steps=[replace(rec, mp=next(mps)) for rec in seq.steps])

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
+from .. import nn
 from ..data.batches import Batch
 from ..data.schema import DIMENSIONS
 from ..models.base import KTModel
@@ -57,12 +58,13 @@ def gather_predictions(model: KTModel, batches: list[Batch]
     """Flatten supervised positions across batches.
 
     Returns (labels, scores, mp_targets, mp_preds, mp_masks); the MP
-    arrays are empty for original-variant models.
+    arrays are empty for original-variant models. Builds no graph.
     """
     labels, scores = [], []
     mp_t, mp_p, mp_m = [], [], []
     for batch in batches:
-        preds = model.forward(batch, training=False)
+        with nn.no_grad():
+            preds = model.forward(batch, training=False)
         mask = batch.target_mask.astype(bool)
         labels.append(batch.targets_correct[mask])
         scores.append(preds.r_pred.data[mask])

@@ -124,6 +124,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(data / file) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["train", "extract-mp"])
+    def test_non_utf8_interactions_name_the_file_and_line(self, workspace, tmp_path, capsys,
+                                                          command):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "problems.json").write_text((workspace / "data" / "problems.json").read_text())
+        lines = (workspace / "data" / "interactions.jsonl").read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"student_id"', b'"student_id\xff"', 1)
+        (data / "interactions.jsonl").write_bytes(b"".join(lines))
+        out = str(tmp_path / "out")
+        args = {"train": ["--out", out] + TRAIN_FLAGS,
+                "extract-mp": ["--out", out, "--cache", str(tmp_path / "cache"),
+                               "--client", "mock"]}
+        assert main([command, "--data", str(data)] + args[command]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{data / 'interactions.jsonl'}: malformed record at line 2" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_bytes(b"num_students = 12\n# caf\xe9\n")
+        assert main(["synth", "--config", str(cfg),
+                     "--out", str(tmp_path / "d")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{cfg}: not UTF-8 text" in err and "Traceback" not in err
+
     def test_malformed_checkpoint_names_the_file(self, workspace, tmp_path, capsys):
         ckpt = tmp_path / "checkpoint.json"
         ckpt.write_text(json.dumps({"foo": 1}))

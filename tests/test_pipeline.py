@@ -417,10 +417,26 @@ class TestRunPipeline:
         marker = "XFAULTX"
         data.sequences[0].steps[0].process_text += f"\n{marker}"
         run_pipeline(data, FaultyClient(MockChatClient(), marker), tmp_path)
+        results = [v for _, v in map(json.loads,
+                                     (tmp_path / "ratios.jsonl").read_text().splitlines())]
+        assert results.count({"status": "failed"}) == 1
         client = MockChatClient()
         _, report = run_pipeline(data, client, tmp_path)
         assert client.calls == 0
         assert report.failed == 1 and report.cached == 12
+
+    def test_deleting_the_result_log_retries_failures(self, tmp_path):
+        data = make_dataset(num_students=3, steps=4)
+        marker = "XFAULTX"
+        data.sequences[0].steps[0].process_text += f"\n{marker}"
+        run_pipeline(data, FaultyClient(MockChatClient(), marker), tmp_path)
+        (tmp_path / "ratios.jsonl").unlink()
+        client = CountingClient(delay=0)
+        _, report = run_pipeline(data, client, tmp_path)
+        # only the failed interaction's stage-2 and stage-3 calls were never cached
+        assert report.failed == 0 and report.annotated == 12 and report.cached == 0
+        assert len(client.prompts) == 2 and marker in client.prompts[0]
+        assert client.prompts[0].startswith("You are Student GPT")
 
     def test_audit_records_reconstruct_ratios(self, tmp_path):
         data = make_dataset(num_students=1, steps=2)
@@ -487,21 +503,30 @@ def distinct_students(num_students, steps):
 
 
 class TestCacheLog:
-    def test_cache_is_two_logs(self, tmp_path):
+    def test_cache_is_three_logs(self, tmp_path):
         run_pipeline(make_dataset(), MockChatClient(), tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["audit.jsonl",
-                                                              "completions.jsonl"]
-        assert len((tmp_path / "audit.jsonl").read_text().splitlines()) == 12
+                                                              "completions.jsonl",
+                                                              "ratios.jsonl"]
+        audits = [json.loads(line) for line in
+                  (tmp_path / "audit.jsonl").read_text().splitlines()]
+        results = [json.loads(line) for line in
+                   (tmp_path / "ratios.jsonl").read_text().splitlines()]
+        assert len(audits) == len(results) == 12
+        # each result line holds its audit's key, status and counts, in the same order
+        assert results == [[key, {"status": "ok", "counts": audit["ratios"]["counts"]}]
+                           for key, audit in audits]
 
     def test_torn_last_line_is_skipped_and_next_append_survives(self, tmp_path):
         data = make_dataset(num_students=3, steps=4)
         run_pipeline(data, MockChatClient(), tmp_path)
-        log_path = tmp_path / "audit.jsonl"
+        log_path = tmp_path / "ratios.jsonl"
         text = log_path.read_text()
         log_path.write_text(text[:-40])  # a crash in the middle of the last record
         client = MockChatClient()
         _, report = run_pipeline(data, client, tmp_path)
         assert report.cached == 11 and report.annotated == 12
+        assert client.calls == 0  # re-annotated from cached completions
         lines = log_path.read_text().splitlines()
         assert len(lines) == 13
         with pytest.raises(json.JSONDecodeError):
@@ -510,6 +535,99 @@ class TestCacheLog:
         warm = MockChatClient()
         _, report = run_pipeline(data, warm, tmp_path)
         assert warm.calls == 0 and report.cached == 12
+
+    def test_torn_audit_line_is_no_miss_and_next_append_survives(self, tmp_path):
+        data = make_dataset(num_students=3, steps=4)
+        run_pipeline(data, MockChatClient(), tmp_path)
+        log_path = tmp_path / "audit.jsonl"
+        log_path.write_text(log_path.read_text()[:-40])
+        torn = log_path.read_bytes()
+        warm = MockChatClient()
+        _, report = run_pipeline(data, warm, tmp_path)
+        assert warm.calls == 0 and report.cached == 12
+        assert log_path.read_bytes() == torn
+        data.sequences[0].steps[0].selected_answer = "3"  # one miss appends one audit
+        _, report = run_pipeline(data, MockChatClient(), tmp_path)
+        assert report.cached == 11 and report.annotated == 12
+        lines = log_path.read_text().splitlines()
+        assert len(lines) == 13
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(lines[11])
+        assert all(len(json.loads(line)) == 2 for line in lines[:11] + lines[12:])
+
+    def test_warm_run_never_reads_the_audit_log(self, tmp_path):
+        data = make_dataset()
+        cold, _ = run_pipeline(data, MockChatClient(), tmp_path)
+        garbage = b'not json\n[["a"], 1]\n\xff\xfe\n{"a": 1, "b": 2}\n' * 12
+        (tmp_path / "audit.jsonl").write_bytes(garbage)
+        client = MockChatClient()
+        warm, report = run_pipeline(data, client, tmp_path)
+        assert client.calls == 0 and report.cached == report.annotated == 12
+        assert (tmp_path / "audit.jsonl").read_bytes() == garbage
+        assert [r.to_json() for s in warm.sequences for r in s.steps] == \
+            [r.to_json() for s in cold.sequences for r in s.steps]
+
+    def test_cache_without_a_result_log_is_reannotated_without_calls(self, tmp_path):
+        # a cache written before the result log: only audits and completions
+        data = distinct_students(num_students=4, steps=3)
+        cold, cold_report = run_pipeline(data, MockChatClient(), tmp_path)
+        (tmp_path / "ratios.jsonl").unlink()
+        client = MockChatClient()
+        out, report = run_pipeline(data, client, tmp_path, concurrency=4)
+        assert client.calls == 0
+        assert (report.annotated, report.failed, report.cached) == (12, 0, 0)
+        assert [r.to_json() for s in out.sequences for r in s.steps] == \
+            [r.to_json() for s in cold.sequences for r in s.steps]
+        warm = MockChatClient()
+        _, report = run_pipeline(data, warm, tmp_path)
+        assert warm.calls == 0 and report.cached == 12
+
+    @pytest.mark.parametrize("value", [
+        5, "ok", [1, 2], {"status": "ok"},
+        {"status": "maybe", "counts": {"CU": [1, 2], "SC": [0, 0], "PF": [0, 0], "AR": [0, 0]}},
+        {"status": "ok", "counts": {"CU": [3, 2], "SC": [0, 0], "PF": [0, 0], "AR": [0, 0]}},
+        {"status": "ok", "counts": {"CU": [1, 2], "SC": [0, 0], "PF": [0, 0]}},
+        {"status": "ok", "counts": {"CU": [1.0, 2], "SC": [0, 0], "PF": [0, 0], "AR": [0, 0]}},
+        {"status": "ok", "counts": {"CU": [True, 2], "SC": [0, 0], "PF": [0, 0], "AR": [0, 0]}},
+        {"status": "ok", "counts": {"CU": "12", "SC": [0, 0], "PF": [0, 0], "AR": [0, 0]}},
+        {"status": "failed", "error": "x"},
+    ])
+    def test_malformed_result_is_a_miss(self, tmp_path, value):
+        data = make_dataset()
+        cold, _ = run_pipeline(data, MockChatClient(), tmp_path)
+        log_path = tmp_path / "ratios.jsonl"
+        lines = log_path.read_text().splitlines()
+        key = json.loads(lines[0])[0]
+        log_path.write_text("\n".join([json.dumps([key, value])] + lines[1:]) + "\n")
+        client = MockChatClient()
+        out, report = run_pipeline(data, client, tmp_path)
+        assert client.calls == 0  # re-annotated from cached completions
+        assert report.cached == 11 and report.annotated == 12
+        assert [r.to_json() for s in out.sequences for r in s.steps] == \
+            [r.to_json() for s in cold.sequences for r in s.steps]
+        assert len(log_path.read_text().splitlines()) == 13
+
+    def test_lines_that_are_not_key_value_pairs_are_skipped(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        bad = [b'[["a"], 1]', b"[1, 2]", b'["a", 1, 2]', b'["a"]', b'{"a": 1, "b": 2}',
+               b'"ab"', b"null", b"", b'["\xff", 1]', b"[1,"]
+        path.write_bytes(b"\n".join(bad + [b'["k", {"x": 1}]']) + b"\n")
+        log = JsonLog(path)
+        log.close()
+        assert log.entries == {"k": {"x": 1}}
+
+    def test_bad_lines_do_not_stop_later_runs(self, tmp_path):
+        data = make_dataset()
+        run_pipeline(data, MockChatClient(), tmp_path)
+        for path in tmp_path.iterdir():
+            with open(path, "a") as fh:
+                fh.write('[["a"], 1]\n[1, 2]\n{"a": 1, "b": 2}\n')
+        client = MockChatClient()
+        _, report = run_pipeline(data, client, tmp_path)
+        assert client.calls == 0 and report.cached == 12
+        data.sequences[0].steps[0].selected_answer = "3"  # a miss reads the completions
+        _, report = run_pipeline(data, client, tmp_path)
+        assert report.cached == 11 and report.annotated == 12
 
     def test_short_write_is_torn_and_next_append_survives(self, tmp_path, monkeypatch):
         log = JsonLog(tmp_path / "log.jsonl")
@@ -542,9 +660,9 @@ class TestCacheLog:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        audit_lines = (tmp_path / "audit.jsonl").read_text().splitlines()
-        assert len(audit_lines) == 40
-        for name in ("audit.jsonl", "completions.jsonl"):
+        for name in ("audit.jsonl", "ratios.jsonl"):
+            assert len((tmp_path / name).read_text().splitlines()) == 40
+        for name in ("audit.jsonl", "completions.jsonl", "ratios.jsonl"):
             for line in (tmp_path / name).read_text().splitlines():
                 assert len(json.loads(line)) == 2
         warm = MockChatClient()
@@ -651,13 +769,15 @@ class UnknownCodeClient:
 
 
 class TestHitsAndRubrics:
-    def test_partial_audit_log_matches_cold_run(self, tmp_path):
+    def test_partial_result_log_matches_cold_run(self, tmp_path):
         data = distinct_students(num_students=6, steps=5)
         cold_out, cold_report = run_pipeline(data, CountingClient(delay=0), tmp_path / "cold")
-        lines = (tmp_path / "cold" / "audit.jsonl").read_text().splitlines(keepends=True)
+        log_path = tmp_path / "cold" / "ratios.jsonl"
+        lines = log_path.read_text().splitlines(keepends=True)
         kept, dropped = lines[::2], lines[1::2]
-        (tmp_path / "cold" / "audit.jsonl").write_text("".join(kept))
+        log_path.write_text("".join(kept))
         (tmp_path / "cold" / "completions.jsonl").unlink()
+        audits = dict(map(json.loads, (tmp_path / "cold" / "audit.jsonl").read_text().splitlines()))
         client = CountingClient(delay=0)
         out, report = run_pipeline(data, client, tmp_path / "cold", concurrency=4)
         assert [r.to_json() for s in out.sequences for r in s.steps] == \
@@ -666,7 +786,8 @@ class TestHitsAndRubrics:
             (cold_report.annotated, cold_report.failed, cold_report.failures, len(kept))
         # the client sees exactly the prompts of a cold run over the dropped records
         missing = {(d["student_id"], d["problem_id"], d["timestamp"])
-                   for _, d in map(json.loads, dropped)}
+                   for d in (audits[json.loads(line)[0]] for line in dropped)}
+        assert len(missing) == len(dropped)
         sequences = [replace(seq, steps=[r for r in seq.steps
                                          if (r.student_id, r.problem_id, r.timestamp) in missing])
                      for seq in data.sequences]
@@ -691,7 +812,8 @@ class TestHitsAndRubrics:
         _, report = run_pipeline(data, client, tmp_path, concurrency=concurrency)
         assert stage2 in client.prompts
         assert report.annotated == 7 and report.cached == 1
-        assert len((tmp_path / "audit.jsonl").read_text().splitlines()) == 6
+        for name in ("audit.jsonl", "ratios.jsonl"):
+            assert len((tmp_path / name).read_text().splitlines()) == 6
         assert len(client.prompts) == len(set(client.prompts))
 
     def test_warm_run_submits_nothing_to_a_pool(self, tmp_path, monkeypatch):

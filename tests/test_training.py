@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from prockt.training import (
     auc,
     composite_loss,
     evaluate,
+    gather_predictions,
     grid_search,
     train,
 )
@@ -170,6 +172,55 @@ class TestEvaluate:
     def test_original_variant_has_no_mp_mse(self):
         metrics = evaluate(small_model(variant="original"), [toy_batch(0)])
         assert metrics.mp_mse is None
+
+
+def backbone_model(backbone, dropout=0.0, seed=0):
+    cfg = ModelConfig(backbone=backbone, variant="statuskt", num_questions=6,
+                      num_concepts=4, max_len=8, embed_dim=8, dropout=dropout,
+                      attention_heads=2, seed=seed)
+    return build_model(cfg)
+
+
+@pytest.mark.parametrize("backbone", ["recurrent", "attention"])
+class TestGraphFreeEvaluation:
+    """Oracle: evaluation with ``nn.no_grad`` made a no-op, which builds the graph."""
+
+    def test_predictions_and_metrics_match_the_graph_path(self, backbone, monkeypatch):
+        batches = [toy_batch(i) for i in range(3)]
+        model = backbone_model(backbone, seed=2)
+        free, free_metrics = gather_predictions(model, batches), evaluate(model, batches)
+        with monkeypatch.context() as m:
+            m.setattr(nn, "no_grad", contextlib.nullcontext)
+            built, built_metrics = gather_predictions(model, batches), evaluate(model, batches)
+        assert [a.shape for a in free] == [b.shape for b in built]
+        for a, b in zip(free, built):
+            np.testing.assert_array_equal(a, b)
+        assert free_metrics == built_metrics
+
+    def test_output_has_no_parents(self, backbone):
+        model, batch = backbone_model(backbone), toy_batch(0)
+        with nn.no_grad():
+            preds = model.forward(batch, training=False)
+        for out in (preds.r_pred, preds.mp_pred):
+            assert out._parents == () and out._backward_fn is None
+        # outside the context the graph is built again
+        assert model.forward(batch, training=False).r_pred._parents
+
+    def test_training_after_evaluation_is_unchanged(self, backbone, monkeypatch):
+        # every epoch validates, so each later epoch trains after an evaluation
+        tb, vb = [toy_batch(i) for i in range(3)], [toy_batch(10), toy_batch(11)]
+        results = []
+        for building in (False, True):
+            with monkeypatch.context() as m:
+                if building:
+                    m.setattr(nn, "no_grad", contextlib.nullcontext)
+                model = backbone_model(backbone, dropout=0.2, seed=1)
+                results.append(train(model, tb, vb, tiny_config(max_epochs=3, patience=3)))
+        a, b = results
+        assert len(a.history) == 3
+        assert [s.__dict__ for s in a.history] == [s.__dict__ for s in b.history]
+        for name in a.best_params:
+            np.testing.assert_array_equal(a.best_params[name], b.best_params[name])
 
 
 def tiny_config(**kw):
