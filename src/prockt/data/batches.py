@@ -78,8 +78,9 @@ def _mp_features(rec) -> tuple[np.ndarray, np.ndarray]:
     mask = np.zeros(4)
     if rec.mp is not None:
         for i, d in enumerate(DIMENSIONS):
-            if rec.mp.present[d]:
-                values[i] = rec.mp.values[d]
+            satisfied, total = rec.mp.counts[d]
+            if total:
+                values[i] = satisfied / total
                 mask[i] = 1.0
     return values, mask
 

@@ -41,7 +41,7 @@ def load_problems(path) -> dict[str, Problem]:
             if p.problem_id in problems:
                 raise DatasetFormatError(f"duplicate problem_id {p.problem_id!r}")
             problems[p.problem_id] = p
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise DatasetFormatError(f"{path}: malformed problems: {type(exc).__name__}: {exc}"
                                  ) from None
     return problems
@@ -66,7 +66,7 @@ def load_dataset(path) -> Dataset:
             try:
                 doc = json.loads(line.decode())
                 rec = InteractionRecord.from_json(doc)
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise DatasetFormatError(f"{root / INTERACTIONS_FILE}: malformed record at "
                                          f"line {lineno}: {type(exc).__name__}: {exc}") from None
             if rec.student_id not in by_student:

@@ -73,54 +73,57 @@ class Problem:
 
 @dataclass
 class MPRatios:
-    """Per-dimension satisfied/total indicator ratios with presence masks."""
+    """Per-dimension (satisfied, total) indicator counts. A dimension with
+    total 0 is absent; the ratio values and presence bits derive from the
+    counts."""
 
-    values: dict[str, float]
-    present: dict[str, bool]
     counts: dict[str, tuple[int, int]]
 
     @classmethod
-    def from_counts(cls, counts: dict[str, tuple[int, int]]) -> "MPRatios":
-        values, present, full = {}, {}, {}
+    def from_counts(cls, counts: dict) -> "MPRatios":
+        """Checks ``counts``: each pair is two ints with 0 <= satisfied <= total.
+        A dimension missing from ``counts`` is absent, (0, 0)."""
+        full = {}
         for d in DIMENSIONS:
-            satisfied, total = counts.get(d, (0, 0))
-            if total < 0 or satisfied < 0 or satisfied > total:
+            pair = counts.get(d, (0, 0))
+            if type(pair) not in (list, tuple) or len(pair) != 2 \
+                    or type(pair[0]) is not int or type(pair[1]) is not int:
+                raise ValidationError(f"dimension {d}: counts {pair!r} are not two ints")
+            satisfied, total = pair
+            if not 0 <= satisfied <= total:
                 raise ValidationError(f"dimension {d}: bad counts ({satisfied}, {total})")
             full[d] = (satisfied, total)
-            present[d] = total > 0
-            values[d] = satisfied / total if total > 0 else 0.0
-        return cls(values=values, present=present, counts=full)
+        return cls(counts=full)
 
     @classmethod
     def absent(cls) -> "MPRatios":
         return cls.from_counts({})
 
-    def validate(self) -> None:
-        for d in DIMENSIONS:
-            satisfied, total = self.counts[d]
-            if self.present[d]:
-                if total < 1 or not 0 <= satisfied <= total:
-                    raise ValidationError(f"dimension {d}: bad counts ({satisfied}, {total})")
-                if self.values[d] != satisfied / total:
-                    raise ValidationError(f"dimension {d}: value != satisfied/total")
-            elif total != 0:
-                raise ValidationError(f"dimension {d}: absent but total = {total}")
+    @property
+    def values(self) -> dict[str, float]:
+        return {d: satisfied / total if total else 0.0
+                for d, (satisfied, total) in self.counts.items()}
+
+    @property
+    def present(self) -> dict[str, bool]:
+        return {d: total > 0 for d, (_, total) in self.counts.items()}
 
     def to_json(self) -> dict:
         return {
-            "values": {d: self.values[d] for d in DIMENSIONS},
-            "present": {d: self.present[d] for d in DIMENSIONS},
-            "counts": {d: list(self.counts[d]) for d in DIMENSIONS},
+            "values": self.values,
+            "present": self.present,
+            "counts": {d: list(pair) for d, pair in self.counts.items()},
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "MPRatios":
-        mp = cls(
-            values={d: float(doc["values"][d]) for d in DIMENSIONS},
-            present={d: bool(doc["present"][d]) for d in DIMENSIONS},
-            counts={d: (int(doc["counts"][d][0]), int(doc["counts"][d][1])) for d in DIMENSIONS},
-        )
-        mp.validate()
+        """Rebuilds from ``counts``; ``values`` and ``present`` must agree with them."""
+        mp = cls.from_counts({d: doc["counts"][d] for d in DIMENSIONS})
+        values, present = mp.values, mp.present
+        for d in DIMENSIONS:
+            if bool(doc["present"][d]) != present[d] or float(doc["values"][d]) != values[d]:
+                raise ValidationError(f"dimension {d}: value or presence disagrees with "
+                                      f"counts {list(mp.counts[d])}")
         return mp
 
 
@@ -146,8 +149,6 @@ class InteractionRecord:
             raise ValidationError(
                 f"student {self.student_id}, problem {self.problem_id}: "
                 f"duration must be >= 0, got {self.duration}")
-        if self.mp is not None:
-            self.mp.validate()
 
     def to_json(self) -> dict:
         doc = {

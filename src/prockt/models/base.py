@@ -68,9 +68,6 @@ class KTModel:
                     f"!= model shape {self.params[name].shape}")
             self.params[name].data = params[name].data.copy()
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     # -- shared forward pieces -------------------------------------------
 
     def _check_batch(self, batch: Batch) -> None:

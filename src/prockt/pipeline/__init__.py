@@ -15,13 +15,13 @@ from .client import (
     HttpChatClient,
     MockChatClient,
 )
-from .runner import PipelineReport, PipelineRunner, audit_key, run_pipeline
+from .runner import PipelineReport, PipelineRunner, run_pipeline
 
 __all__ = [
     "ChatClient", "ChatClientError", "ChatParams", "EmptyRubricError",
     "HttpChatClient", "IncompleteVerdictError", "Indicator", "IndicatorSet",
     "MockChatClient", "ParseError", "PipelineReport", "PipelineRunner",
-    "audit_key", "compute_mp_ratios", "extract_json_object",
+    "compute_mp_ratios", "extract_json_object",
     "parse_indicators", "parse_responses", "parse_verdicts",
     "render_eval_prompt", "render_indicator_prompt", "render_student_prompt",
     "run_pipeline",

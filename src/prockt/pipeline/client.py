@@ -181,12 +181,12 @@ class MockChatClient:
         # every dimension gets at least one indicator; the rest are random
         cats = list(DIMENSIONS) + [DIMENSIONS[int(rng.integers(0, 4))] for _ in range(n - 4)]
         rng.shuffle(cats)
-        ordinals = {d: 0 for d in DIMENSIONS}
+        numbered = {d: 0 for d in DIMENSIONS}
         entries = []
         for cat in cats:
-            ordinals[cat] += 1
+            numbered[cat] += 1
             phrase = _INDICATOR_PHRASES[int(rng.integers(0, len(_INDICATOR_PHRASES)))]
-            entries.append({f"{cat}{ordinals[cat]}": phrase})
+            entries.append({f"{cat}{numbered[cat]}": phrase})
         body = json.dumps({"mathematical_proficiency_indicators": entries}, indent=2)
         if rng.random() < 0.5:
             return f"Here is the rubric.\n```json\n{body}\n```"

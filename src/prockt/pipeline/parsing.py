@@ -11,7 +11,6 @@ import logging
 import re
 
 from .types import (
-    CODE_PATTERN,
     EmptyRubricError,
     IncompleteVerdictError,
     Indicator,
@@ -68,14 +67,16 @@ def parse_indicators(raw: str, problem_id: str) -> IndicatorSet:
     indicators: list[Indicator] = []
     seen: set[str] = set()
     for code, text in _entries(listing):
-        if not CODE_PATTERN.match(code):
+        try:
+            indicator = Indicator.from_code(code, str(text))
+        except ValueError:
             log.warning("problem %s: dropping indicator with unknown code %r", problem_id, code)
             continue
         if code in seen:
             log.warning("problem %s: dropping duplicate indicator %r", problem_id, code)
             continue
         seen.add(code)
-        indicators.append(Indicator.from_code(code, str(text)))
+        indicators.append(indicator)
     if not indicators:
         raise EmptyRubricError(f"problem {problem_id}: no valid indicators in completion")
     return IndicatorSet(problem_id=problem_id, indicators=indicators)

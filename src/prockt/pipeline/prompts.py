@@ -18,6 +18,7 @@ import json
 import re
 
 from ..data.schema import Problem
+from .parsing import UNANSWERED
 from .types import IndicatorSet, json_listing
 
 # option texts come from the data file as any JSON value
@@ -252,7 +253,7 @@ def _option_string(problem: Problem) -> str:
 
 
 def _response_text(indicators: IndicatorSet, responses: dict[str, str]) -> str:
-    return json_listing((ind.code, responses.get(ind.code, "I don't know"))
+    return json_listing((ind.code, responses.get(ind.code, UNANSWERED))
                         for ind in indicators.indicators)
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..data.schema import DIMENSIONS, MPRatios
+from ..data.schema import MPRatios
 from .types import IncompleteVerdictError, IndicatorSet
 
 
@@ -15,12 +15,5 @@ def compute_mp_ratios(indicators: IndicatorSet, verdicts: dict[str, int]) -> MPR
     missing = [c for c in indicators.codes() if c not in verdicts]
     if missing:
         raise IncompleteVerdictError(missing)
-    by_cat = indicators.by_category()
-    counts = {}
-    for d in DIMENSIONS:
-        total = len(by_cat[d])
-        if total == 0:
-            continue
-        satisfied = sum(verdicts[ind.code] for ind in by_cat[d])
-        counts[d] = (satisfied, total)
-    return MPRatios.from_counts(counts)
+    return MPRatios.from_counts({d: (sum(verdicts[ind.code] for ind in inds), len(inds))
+                                 for d, inds in indicators.by_category().items()})

@@ -17,13 +17,15 @@ lines:
   and never read.
 - ``completions.jsonl``: client completions, read only by a run that misses.
 
-Completions are keyed on (stage, model, temperature, prompt); results and
-audits on the record's ids, timestamp, trace and answer, the problem, the
-three prompt templates, the model and the temperature, so a change to any
-of them is a miss. Deleting ``ratios.jsonl`` re-annotates every interaction
-from the cached completions: it retries the failed ones, and it is how a
-cache written before the result log existed is read (once, with no client
-calls for what was annotated before).
+Completions are keyed on (stage, model, temperature, prompt). An
+interaction has one key, used by its result, its audit and the report's
+failure list: a digest of the record's ids, timestamp, trace and answer,
+the problem, the three prompt templates, the model and the temperature,
+so a change to any of them is a miss. Deleting ``ratios.jsonl``
+re-annotates every interaction from the cached completions: it retries
+the failed ones, and it is how a cache written before the result log
+existed is read (once, with no client calls for what was annotated
+before).
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class PipelineReport:
     annotated: int = 0
     failed: int = 0
     cached: int = 0
-    failures: list[str] = field(default_factory=list)  # audit_key of each failed interaction
+    failures: list[str] = field(default_factory=list)  # cache key of each failed interaction
 
     @property
     def failure_rate(self) -> float:
@@ -135,20 +137,10 @@ def _result(value) -> tuple[bool, MPRatios] | None:
     counts = value["counts"]
     if type(counts) is not dict or counts.keys() != set(DIMENSIONS):
         return None
-    for pair in counts.values():
-        if type(pair) is not list or len(pair) != 2 or type(pair[0]) is not int \
-                or type(pair[1]) is not int:
-            return None
     try:
         return True, MPRatios.from_counts(counts)
     except ValidationError:
         return None
-
-
-def audit_key(record: InteractionRecord) -> str:
-    """Names an interaction by every field of the record that its audit depends on."""
-    return _digest(record.student_id, record.problem_id, str(record.timestamp),
-                   record.process_text, record.selected_answer)[:24]
 
 
 class PipelineRunner:
@@ -255,13 +247,17 @@ class PipelineRunner:
             "annotated_at": time.time(),
         }
 
-    def _audit_log_key(self, problem: Problem, record: InteractionRecord) -> str:
+    def _key(self, problem: Problem, record: InteractionRecord) -> str:
+        """The interaction's key in the report and in the result and audit logs:
+        a digest of everything its annotation depends on."""
         problem_key = self._problem_keys.get(problem.problem_id)
         if problem_key is None:
             problem_key = self._problem_keys[problem.problem_id] = _digest(
                 json.dumps(problem.to_json(), sort_keys=True), self._templates,
                 *self._setting)
-        return _digest(audit_key(record), problem_key)[:32]
+        record_key = _digest(record.student_id, record.problem_id, str(record.timestamp),
+                             record.process_text, record.selected_answer)[:24]
+        return _digest(record_key, problem_key)[:32]
 
     def _process(self, key: str, problem: Problem, record: InteractionRecord
                  ) -> tuple[bool, MPRatios]:
@@ -286,8 +282,7 @@ class PipelineRunner:
         if ratios is None:
             self.results.put(key, {"status": "failed"})
             return False, MPRatios.absent()
-        self.results.put(key, {"status": "ok",
-                               "counts": {d: list(ratios.counts[d]) for d in DIMENSIONS}})
+        self.results.put(key, {"status": "ok", "counts": audit["ratios"]["counts"]})
         return True, ratios
 
 
@@ -305,7 +300,7 @@ def run_pipeline(dataset: Dataset, client: ChatClient, cache_dir,
     try:
         # hits are read here; only the first job of each missed key goes to
         # the pool, and a later copy of its record counts as cached
-        keys = [runner._audit_log_key(problem, rec) for problem, rec in jobs]
+        keys = [runner._key(problem, rec) for problem, rec in jobs]
         results: dict[str, tuple[bool, MPRatios] | None] = {}
         misses: dict[str, int] = {}
         for i, key in enumerate(keys):
@@ -323,12 +318,12 @@ def run_pipeline(dataset: Dataset, client: ChatClient, cache_dir,
 
     outs = [results[key] for key in keys]
     report = PipelineReport(cached=len(jobs) - len(misses))
-    for (_, rec), (ok, _) in zip(jobs, outs):
+    for key, (ok, _) in zip(keys, outs):
         if ok:
             report.annotated += 1
         else:
             report.failed += 1
-            report.failures.append(audit_key(rec))
+            report.failures.append(key)
 
     mps = (mp for _, mp in outs)
     annotated_sequences = [

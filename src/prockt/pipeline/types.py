@@ -38,16 +38,17 @@ class IncompleteVerdictError(ValueError):
 @dataclass(frozen=True)
 class Indicator:
     code: str
-    category: str
-    ordinal: int
     text: str
 
     @classmethod
     def from_code(cls, code: str, text: str) -> "Indicator":
-        m = CODE_PATTERN.match(code)
-        if m is None:
+        if CODE_PATTERN.match(code) is None:
             raise ValueError(f"invalid indicator code {code!r}")
-        return cls(code=code, category=m.group(1), ordinal=int(m.group(2)), text=text)
+        return cls(code=code, text=text)
+
+    @property
+    def category(self) -> str:
+        return self.code[:2]
 
 
 @dataclass

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,20 @@ def make_dataset(num_students=3, steps=4):
                       for t in range(steps)]
         sequences.append(StudentSequence(student_id=sid, steps=steps_list))
     return Dataset(problems=problems, sequences=sequences)
+
+
+def logged_failures(cache_dir, failures):
+    """For each failure id of a pipeline report: its ``ratios.jsonl`` value,
+    and the (student, problem, timestamp) of its ``audit.jsonl`` record.
+    Either is None where its log has no such key."""
+    def entries(name):
+        return dict(map(json.loads, (Path(cache_dir) / name).read_text().splitlines()))
+
+    results, audits = entries("ratios.jsonl"), entries("audit.jsonl")
+    return [(results.get(key),
+             (audits[key]["student_id"], audits[key]["problem_id"], audits[key]["timestamp"])
+             if key in audits else None)
+            for key in failures]
 
 
 @pytest.fixture

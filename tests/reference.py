@@ -14,15 +14,21 @@ The ``render_*`` functions are the pipeline's prompt renderers as a chain
 of ``str.replace`` calls with one ``json.dumps`` per JSON piece, the way
 they were before the one-pass renderers. On inputs that hold no literal
 ``{placeholder}`` token, both give the same bytes.
+
+``MPRatios`` is the proficiency-ratio record as it was when it stored the
+ratio values and presence bits beside the counts, with ``validate``
+checking that the three agree.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
 from prockt import nn
+from prockt.data.schema import DIMENSIONS, ValidationError
 from prockt.nn.tensor import ShapeError, _make, _unbroadcast, as_tensor
 from prockt.pipeline import prompts
 
@@ -288,3 +294,50 @@ def render_eval_prompt(problem, indicators, responses) -> str:
             .replace("{answer_indicator_text}", _response_text(indicators, responses))
             .replace("{problem}", problem.text)
             .replace("{problem_option_string}", _option_string(problem)))
+
+
+@dataclass
+class MPRatios:
+    values: dict[str, float]
+    present: dict[str, bool]
+    counts: dict[str, tuple[int, int]]
+
+    @classmethod
+    def from_counts(cls, counts: dict[str, tuple[int, int]]) -> "MPRatios":
+        values, present, full = {}, {}, {}
+        for d in DIMENSIONS:
+            satisfied, total = counts.get(d, (0, 0))
+            if total < 0 or satisfied < 0 or satisfied > total:
+                raise ValidationError(f"dimension {d}: bad counts ({satisfied}, {total})")
+            full[d] = (satisfied, total)
+            present[d] = total > 0
+            values[d] = satisfied / total if total > 0 else 0.0
+        return cls(values=values, present=present, counts=full)
+
+    def validate(self) -> None:
+        for d in DIMENSIONS:
+            satisfied, total = self.counts[d]
+            if self.present[d]:
+                if total < 1 or not 0 <= satisfied <= total:
+                    raise ValidationError(f"dimension {d}: bad counts ({satisfied}, {total})")
+                if self.values[d] != satisfied / total:
+                    raise ValidationError(f"dimension {d}: value != satisfied/total")
+            elif total != 0:
+                raise ValidationError(f"dimension {d}: absent but total = {total}")
+
+    def to_json(self) -> dict:
+        return {
+            "values": {d: self.values[d] for d in DIMENSIONS},
+            "present": {d: self.present[d] for d in DIMENSIONS},
+            "counts": {d: list(self.counts[d]) for d in DIMENSIONS},
+        }
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "MPRatios":
+        mp = cls(
+            values={d: float(doc["values"][d]) for d in DIMENSIONS},
+            present={d: bool(doc["present"][d]) for d in DIMENSIONS},
+            counts={d: (int(doc["counts"][d][0]), int(doc["counts"][d][1])) for d in DIMENSIONS},
+        )
+        mp.validate()
+        return mp

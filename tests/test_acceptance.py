@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_record
+from conftest import logged_failures, make_record
 from prockt import nn
 from prockt.data import (
     StudentSequence,
@@ -29,7 +29,6 @@ from prockt.pipeline import (
     Indicator,
     IndicatorSet,
     MockChatClient,
-    audit_key,
     compute_mp_ratios,
     render_eval_prompt,
     render_indicator_prompt,
@@ -269,13 +268,18 @@ def test_criterion_8_pipeline_survives_injected_failures(tmp_path):
     injected = [records[i] for i in rng.choice(200, size=10, replace=False)]
     for rec in injected:
         rec.process_text += f"\n{marker}"
-    expected = {audit_key(rec) for rec in injected}
+    expected = {(rec.student_id, rec.problem_id, rec.timestamp) for rec in injected}
 
     client = _FaultyClient(MockChatClient(), marker)
     annotated, first = run_pipeline(data, client, tmp_path, concurrency=4)
-    flagged_ok = set(first.failures) == expected and first.annotated == 190
+    # each failure id names a failed result and the audit of an injected record
+    logged = logged_failures(tmp_path, first.failures)
+    flagged_ok = (len(logged) == 10 and {ids for _, ids in logged} == expected
+                  and all(result == {"status": "failed"} for result, _ in logged)
+                  and first.annotated == 190)
     absent_ok = all(
-        any(rec.mp.present.values()) != (audit_key(rec) in expected)
+        any(rec.mp.present.values())
+        != ((rec.student_id, rec.problem_id, rec.timestamp) in expected)
         for seq in annotated.sequences for rec in seq.steps)
 
     warm = MockChatClient()

@@ -41,6 +41,14 @@ def workspace(tmp_path_factory):
     return root
 
 
+def _float_counts(text: str) -> str:
+    """Every record's CU counts as floats, such as [2.0, 3.0]."""
+    docs = [json.loads(line) for line in text.splitlines()]
+    for doc in docs:
+        doc["mp"]["counts"]["CU"] = [float(n) for n in doc["mp"]["counts"]["CU"]]
+    return "".join(json.dumps(doc) + "\n" for doc in docs)
+
+
 class TestHelpers:
     def test_read_config_file(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -112,7 +120,9 @@ class TestExitCodes:
         ("interactions.jsonl", lambda text: "".join(
             json.dumps({**json.loads(line), "timestamp": "abc"}) + "\n"
             for line in text.splitlines())),
-    ], ids=["problems-not-json", "problem-without-kc-ids", "non-integer-timestamp"])
+        ("interactions.jsonl", _float_counts),
+    ], ids=["problems-not-json", "problem-without-kc-ids", "non-integer-timestamp",
+            "float-counts"])
     def test_malformed_dataset_names_the_file(self, workspace, tmp_path, capsys, file, edit):
         data = tmp_path / "data"
         data.mkdir()

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from conftest import make_dataset, make_problem, make_record
+from prockt import synth
 from prockt.data import (
     DIMENSIONS,
     MP_IMPUTE,
@@ -26,6 +28,7 @@ from prockt.data import (
     split,
 )
 from prockt.data.batches import shift_left
+from prockt.pipeline import MockChatClient, run_pipeline
 
 
 class TestSchema:
@@ -111,6 +114,33 @@ class TestLoadSave:
         with pytest.raises(DatasetFormatError, match="line 13"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("edit, error", [
+        ({"counts": {"CU": [1.9, 2]}}, "ValidationError"),
+        ({"counts": {"CU": ["1", 2]}}, "ValidationError"),
+        ({"counts": {"CU": [True, 2]}}, "ValidationError"),
+        ({"counts": {"AR": [0, 0]}, "present": {"AR": False}, "values": {"AR": 0.7}},
+         "ValidationError"),
+        ({"counts": {"AR": [2, 0]}, "present": {"AR": False}, "values": {"AR": 0.0}},
+         "ValidationError"),
+        ({"values": {"CU": 10 ** 400}}, "OverflowError"),
+    ], ids=["float-count", "string-count", "bool-count", "value-on-absent-dimension",
+            "count-on-absent-dimension", "value-beyond-float"])
+    def test_mp_that_is_not_its_counts_names_the_file_and_line(self, tmp_path, dataset,
+                                                                edit, error):
+        # the three-field record loaded the first five: it truncated counts with int()
+        # and read no value or satisfied count of an absent dimension
+        save_dataset(tmp_path, dataset)
+        path = tmp_path / "interactions.jsonl"
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[4])
+        for field, dims in edit.items():
+            doc["mp"][field].update(dims)
+        lines[4] = json.dumps(doc)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError,
+                           match=f"{path}: malformed record at line 5: {error}"):
+            load_dataset(tmp_path)
+
     def test_dangling_problem_id(self, tmp_path, dataset):
         save_dataset(tmp_path, dataset)
         with open(tmp_path / "interactions.jsonl", "a") as fh:
@@ -125,6 +155,93 @@ class TestLoadSave:
         (tmp_path / "problems.json").write_text(json.dumps(docs))
         with pytest.raises(DatasetFormatError, match="duplicate"):
             load_dataset(tmp_path)
+
+
+def _two_ints(pair) -> bool:
+    return type(pair) is list and len(pair) == 2 and all(type(x) is int for x in pair)
+
+
+def _newly_rejected(doc) -> bool:
+    """Whether a document the three-field oracle accepts is one the counts-only
+    record rejects: a count that is not an int, or an absent dimension with a
+    value other than 0.0 or a satisfied count other than 0."""
+    return any(not _two_ints(doc["counts"][d])
+               or not doc["present"][d] and (float(doc["values"][d]) != 0.0
+                                             or doc["counts"][d][0] != 0)
+               for d in DIMENSIONS)
+
+
+def _loads(from_json, doc):
+    try:
+        return from_json(doc)
+    except (ValueError, LookupError, TypeError):  # the oracle raised IndexError on [1]
+        return None
+
+
+def _check_against_oracle(doc):
+    old, new = _loads(ref.MPRatios.from_json, doc), _loads(MPRatios.from_json, doc)
+    if new is not None:
+        # counts byte for byte; values numerically, as a -0.0 value is written back as 0.0
+        assert old is not None and repr(new.counts) == repr(old.counts)
+        assert new.to_json() == old.to_json()
+    elif old is not None:
+        assert _newly_rejected(doc)
+
+
+def _base_doc():
+    return MPRatios.from_counts({"CU": (1, 2), "PF": (3, 3), "AR": (0, 4)}).to_json()
+
+
+ODD_PAIRS = [[1.0, 2], [1.9, 2], ["1", 2], [True, 2], [1, 2, 3], [1], "12", None, [-1, 2],
+             [3, 2], [0, -1], [2, 0], [-1, 0], [0, 0], [1, 1]]
+ODD_VALUES = [0.0, -0.0, 0.5, 0.7, 1, True, "0.5", "x", None, float("nan")]
+ODD_BITS = [True, False, 1, 0, "yes", "", None]
+
+
+class TestMPRatiosOracle:
+    """The counts-only record against the three-field one it replaced."""
+
+    def test_mock_annotated_records_match_the_oracle(self, tmp_path):
+        data = synth.generate(synth.SimConfig(num_students=6, num_problems=8, num_concepts=3,
+                                              steps_per_student=8, seed=5))
+        annotated, report = run_pipeline(data, MockChatClient(), tmp_path)
+        assert report.annotated == 48
+        for seq in annotated.sequences:
+            for rec in seq.steps:
+                doc = json.loads(json.dumps(rec.mp.to_json()))
+                oracle = ref.MPRatios.from_counts(rec.mp.counts)
+                assert json.dumps(doc) == json.dumps(oracle.to_json())
+                assert json.dumps(MPRatios.from_json(doc).to_json()) == \
+                    json.dumps(ref.MPRatios.from_json(doc).to_json())
+
+    @pytest.mark.parametrize("field, values", [
+        ("counts", ODD_PAIRS), ("values", ODD_VALUES), ("present", ODD_BITS)])
+    @pytest.mark.parametrize("dim", ["CU", "SC"])  # one present, one absent
+    def test_one_field_edits_load_as_the_oracle_loads(self, field, values, dim):
+        for value in values:
+            doc = _base_doc()
+            doc[field][dim] = value
+            _check_against_oracle(doc)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["counts"].pop("PF"), lambda doc: doc["values"].pop("AR"),
+        lambda doc: doc["present"].pop("CU"), lambda doc: doc.pop("counts"),
+        lambda doc: doc["counts"].update(XX=[1, 2]), lambda doc: doc.update(counts=[]),
+    ])
+    def test_malformed_docs_load_as_the_oracle_loads(self, edit):
+        doc = _base_doc()
+        edit(doc)
+        _check_against_oracle(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mixed_edits_load_as_the_oracle_loads(self, data):
+        doc = _base_doc()
+        for field, odd in (("counts", ODD_PAIRS), ("values", ODD_VALUES),
+                           ("present", ODD_BITS)):
+            doc[field].update(data.draw(st.dictionaries(st.sampled_from(DIMENSIONS),
+                                                        st.sampled_from(odd), max_size=3)))
+        _check_against_oracle(doc)
 
 
 class TestPreprocess:

@@ -94,7 +94,8 @@ class TestParameters:
         model = build_model(cfg)
         shapes = expected_shapes(cfg)
         assert {n: p.shape for n, p in model.parameters().items()} == shapes
-        assert model.num_parameters() == sum(int(np.prod(s)) for s in shapes.values())
+        assert sum(p.size for p in model.parameters().values()) == \
+            sum(int(np.prod(s)) for s in shapes.values())
 
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_same_seed_same_init(self, backbone):

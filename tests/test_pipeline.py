@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from conftest import make_dataset, make_problem
+from conftest import logged_failures, make_dataset, make_problem
 from prockt import synth
-from prockt.data import Dataset
+from prockt.data import Dataset, MPRatios
 from prockt.pipeline import (
     ChatClientError,
     ChatParams,
@@ -27,7 +27,6 @@ from prockt.pipeline import (
     IndicatorSet,
     MockChatClient,
     ParseError,
-    audit_key,
     compute_mp_ratios,
     extract_json_object,
     parse_indicators,
@@ -363,7 +362,7 @@ class TestRunPipeline:
         for seq in out.sequences:
             for rec in seq.steps:
                 assert rec.mp is not None
-                rec.mp.validate()
+                assert MPRatios.from_json(rec.mp.to_json()) == rec.mp
                 assert any(rec.mp.present.values())
 
     def test_stage_one_shared_per_problem(self, tmp_path):
@@ -408,7 +407,8 @@ class TestRunPipeline:
         client = FaultyClient(MockChatClient(), marker)
         out, report = run_pipeline(data, client, tmp_path)
         assert report.failed == 1 and report.annotated == 11
-        assert report.failures == [audit_key(bad)]
+        assert logged_failures(tmp_path, report.failures) == [
+            ({"status": "failed"}, (bad.student_id, bad.problem_id, bad.timestamp))]
         failed_mp = out.sequences[1].steps[2].mp
         assert not any(failed_mp.present.values())
 
@@ -842,7 +842,10 @@ class TestHitsAndRubrics:
         out, report = run_pipeline(data, client, tmp_path, concurrency=concurrency)
         bad = [rec for seq in data.sequences for rec in seq.steps if rec.problem_id == "p0"]
         assert report.failed == len(bad) == 3 and report.annotated == 9
-        assert sorted(report.failures) == sorted(audit_key(rec) for rec in bad)
+        logged = logged_failures(tmp_path, report.failures)
+        assert len(logged) == 3 and all(result == {"status": "failed"} for result, _ in logged)
+        assert {ids for _, ids in logged} == {(rec.student_id, rec.problem_id, rec.timestamp)
+                                              for rec in bad}
         audits = [d for _, d in map(json.loads,
                                     (tmp_path / "audit.jsonl").read_text().splitlines())]
         assert [d["error"].split(":")[0] for d in audits if d["status"] == "failed"] == \
@@ -1058,7 +1061,7 @@ class TestMockChatClient:
         p3 = render_eval_prompt(problem, rubric, responses)
         verdicts = parse_verdicts(client.complete("", p3, ChatParams()), rubric)
         mp = compute_mp_ratios(rubric, verdicts)
-        mp.validate()
+        assert MPRatios.from_json(mp.to_json()) == mp
         for code, text in responses.items():
             if text == "I don't know":
                 assert verdicts[code] == 0
