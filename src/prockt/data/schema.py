@@ -37,9 +37,10 @@ class Problem:
             raise ValidationError(
                 f"problem {self.problem_id}: question_type {self.question_type!r} "
                 f"not in {QUESTION_TYPES}")
-        if not 1 <= int(self.difficulty) <= 5:
+        if type(self.difficulty) is not int or not 1 <= self.difficulty <= 5:
             raise ValidationError(
-                f"problem {self.problem_id}: difficulty {self.difficulty} outside 1..5")
+                f"problem {self.problem_id}: difficulty must be an integer in 1..5, "
+                f"got {self.difficulty!r}")
 
     def to_json(self) -> dict:
         doc = {
@@ -64,7 +65,7 @@ class Problem:
             solution_text=doc.get("solution_text"),
             answer=doc["answer"],
             question_type=doc["question_type"],
-            difficulty=int(doc["difficulty"]),
+            difficulty=doc["difficulty"],
             options=list(doc.get("options", [])),
         )
         p.validate()
@@ -141,7 +142,7 @@ class InteractionRecord:
     def validate(self) -> None:
         if not self.student_id:
             raise ValidationError("student_id must be non-empty")
-        if self.correct not in (0, 1):
+        if type(self.correct) is not int or self.correct not in (0, 1):
             raise ValidationError(
                 f"student {self.student_id}, problem {self.problem_id}: "
                 f"correct must be 0 or 1, got {self.correct!r}")
@@ -149,6 +150,10 @@ class InteractionRecord:
             raise ValidationError(
                 f"student {self.student_id}, problem {self.problem_id}: "
                 f"duration must be >= 0, got {self.duration}")
+        if type(self.timestamp) is not int:
+            raise ValidationError(
+                f"student {self.student_id}, problem {self.problem_id}: "
+                f"timestamp must be an integer, got {self.timestamp!r}")
 
     def to_json(self) -> dict:
         doc = {
@@ -173,7 +178,7 @@ class InteractionRecord:
             correct=doc["correct"],
             duration=doc["duration"],
             process_text=doc["process_text"],
-            timestamp=int(doc["timestamp"]),
+            timestamp=doc["timestamp"],
             mp=MPRatios.from_json(doc["mp"]) if doc.get("mp") is not None else None,
         )
         rec.validate()

@@ -42,10 +42,6 @@ class ModelConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
-    @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.attention_heads
-
     def to_json(self) -> dict:
         return dict(self.__dict__)
 

@@ -15,12 +15,12 @@ from .client import (
     HttpChatClient,
     MockChatClient,
 )
-from .runner import PipelineReport, PipelineRunner, run_pipeline
+from .runner import PipelineReport, run_pipeline
 
 __all__ = [
     "ChatClient", "ChatClientError", "ChatParams", "EmptyRubricError",
     "HttpChatClient", "IncompleteVerdictError", "Indicator", "IndicatorSet",
-    "MockChatClient", "ParseError", "PipelineReport", "PipelineRunner",
+    "MockChatClient", "ParseError", "PipelineReport",
     "compute_mp_ratios", "extract_json_object",
     "parse_indicators", "parse_responses", "parse_verdicts",
     "render_eval_prompt", "render_indicator_prompt", "render_student_prompt",

@@ -1,10 +1,20 @@
 """Orchestration of the three-stage pipeline over a dataset.
 
-Per interaction: render stage prompt -> completion (cached) -> parse ->
-next stage -> ratios. Every interaction gets a result and an audit record
-in the cache; a rerun over the same data reuses results and issues no
-client calls. A stage that keeps failing flags the interaction with
-all-absent ratios and the run continues.
+The interactions that miss in the result log go through the paper's three
+stages: a teacher writes each problem's rubric, the student answers it, and
+a teacher judges the answers. The calling thread renders every prompt (a
+rubric prompt once per problem) and parses every reply (a rubric that
+parses, once per problem); a pool of ``concurrency`` threads sends each
+distinct uncached prompt to the client once. An interaction goes on to its
+next stage as soon as its reply is in, so a slow call holds up only the
+interactions that need it.
+
+A failed client call fails the interaction that asked for it first, and is
+sent again for the rest. An interaction that fails at any step (rendering,
+call or parse) gets all-absent ratios, and the run continues. Once every
+interaction is done, each one's audit and then its result are appended in
+data order. A rerun over the same data reuses results and issues no client
+calls.
 
 A cache directory holds three append-only logs of ``[key, value]`` JSON
 lines:
@@ -30,13 +40,16 @@ before).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
 import os
+import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -143,147 +156,106 @@ def _result(value) -> tuple[bool, MPRatios] | None:
         return None
 
 
-class PipelineRunner:
-    """Annotates interactions through ``client``, caching in ``cache_dir``.
+@dataclass
+class _Job:
+    """One interaction that missed in the result log, on its way through the stages."""
+    key: str
+    problem: Problem
+    record: InteractionRecord
+    indicators: IndicatorSet | None = None
+    responses: dict[str, str] | None = None
+    verdicts: dict[str, int] | None = None
+    error: Exception | None = None
 
-    Reads the result log at once and opens the audit log for appending
-    only. ``run_pipeline`` opens the completion log only when a result
-    misses, so a warm run never reads completions; ``close`` closes all
-    three.
+    def audit(self) -> dict:
+        rec = self.record
+        doc = {"status": "ok" if self.error is None else "failed",
+               "student_id": rec.student_id, "problem_id": rec.problem_id,
+               "timestamp": rec.timestamp}
+        if self.error is None:
+            doc.update(indicators=[{i.code: i.text} for i in self.indicators.indicators],
+                       responses=self.responses, verdicts=self.verdicts,
+                       ratios=compute_mp_ratios(self.indicators, self.verdicts).to_json())
+        else:
+            doc["error"] = f"{type(self.error).__name__}: {self.error}"
+        doc["annotated_at"] = time.time()
+        return doc
+
+
+def _annotate(jobs: list[_Job], client: ChatClient, params: ChatParams, setting: tuple,
+              completions: JsonLog, concurrency: int) -> None:
+    """Takes ``jobs`` through the three stages; each ends with ``verdicts`` or ``error`` set.
+
+    Only the calling thread renders, parses and touches ``waiting``; the pool
+    threads make the client calls and append the completions.
     """
-
-    def __init__(self, client: ChatClient, cache_dir, params: ChatParams | None = None):
-        self.client = client
-        self.params = params or ChatParams()
-        self.cache_dir = Path(cache_dir)
-        os.makedirs(self.cache_dir, exist_ok=True)
-        self.results = JsonLog(self.cache_dir / "ratios.jsonl")
-        self.audits = JsonLog(self.cache_dir / "audit.jsonl", read=False)
-        self.completions: JsonLog | None = None
-        self._setting = (str(getattr(client, "model", "")), repr(self.params.temperature))
-        self._templates = _digest(prompts.INDICATOR_TEMPLATE, prompts.STUDENT_TEMPLATE,
-                                  prompts.EVAL_TEMPLATE)
-        self._problem_keys: dict[str, str] = {}
-        self._rubrics: dict[str, IndicatorSet] = {}  # parsed once per problem
-        self._in_flight: dict[tuple, threading.Event] = {}
-        self._flight_lock = threading.Lock()
-
-    def close(self) -> None:
-        self.results.close()
-        self.audits.close()
-        if self.completions is not None:
-            self.completions.close()
-
-    def _once(self, key: tuple, find, make):
-        """``find()``'s value, else ``make()``'s, made by one thread at a time per ``key``.
-
-        Single flight: ``make`` stores its value where ``find`` sees it, and a
-        thread that finds ``key`` in flight waits for it. If ``make`` fails,
-        nothing is shared and the waiters go round again, so one of them
-        makes its own try.
-        """
-        while True:
-            with self._flight_lock:
-                value = find()
-                if value is not None:
-                    return value
-                flight = self._in_flight.get(key)
-                if flight is None:
-                    flight = self._in_flight[key] = threading.Event()
-                    break
-            flight.wait()
+    def call(key: str, prompt: str) -> Exception | None:
         try:
-            return make()
-        finally:
-            with self._flight_lock:
-                del self._in_flight[key]
-            flight.set()
-
-    def _complete(self, stage: str, prompt: str) -> str:
-        """The cached completion of ``prompt``, else one client call for it."""
-        key = _digest(stage, *self._setting, prompt)
-
-        def call():
-            completion = self.client.complete("", prompt, self.params)
-            self.completions.put(key, completion)
-            return completion
-
-        return self._once(("completion", key), lambda: self.completions.get(key), call)
-
-    def _rubric(self, problem: Problem) -> IndicatorSet:
-        """The problem's parsed indicators, made once per run.
-
-        Only a rubric that parses is kept: after a client failure or an
-        empty rubric, the next interaction of the problem tries again.
-        """
-        pid = problem.problem_id
-
-        def parse():
-            completion = self._complete("indicators", prompts.render_indicator_prompt(problem))
-            indicators = self._rubrics[pid] = parse_indicators(completion, pid)
-            return indicators
-
-        return self._once(("rubric", pid), lambda: self._rubrics.get(pid), parse)
-
-    def _annotate_one(self, problem: Problem, record: InteractionRecord
-                      ) -> tuple[MPRatios, dict]:
-        indicators = self._rubric(problem)
-        prompt2 = prompts.render_student_prompt(problem, indicators,
-                                                record.process_text,
-                                                record.selected_answer)
-        responses = parse_responses(self._complete("responses", prompt2), indicators)
-        prompt3 = prompts.render_eval_prompt(problem, indicators, responses)
-        verdicts = parse_verdicts(self._complete("verdicts", prompt3), indicators)
-        ratios = compute_mp_ratios(indicators, verdicts)
-        return ratios, {
-            "status": "ok",
-            "student_id": record.student_id,
-            "problem_id": record.problem_id,
-            "timestamp": record.timestamp,
-            "indicators": [{i.code: i.text} for i in indicators.indicators],
-            "responses": responses,
-            "verdicts": verdicts,
-            "ratios": ratios.to_json(),
-            "annotated_at": time.time(),
-        }
-
-    def _key(self, problem: Problem, record: InteractionRecord) -> str:
-        """The interaction's key in the report and in the result and audit logs:
-        a digest of everything its annotation depends on."""
-        problem_key = self._problem_keys.get(problem.problem_id)
-        if problem_key is None:
-            problem_key = self._problem_keys[problem.problem_id] = _digest(
-                json.dumps(problem.to_json(), sort_keys=True), self._templates,
-                *self._setting)
-        record_key = _digest(record.student_id, record.problem_id, str(record.timestamp),
-                             record.process_text, record.selected_answer)[:24]
-        return _digest(record_key, problem_key)[:32]
-
-    def _process(self, key: str, problem: Problem, record: InteractionRecord
-                 ) -> tuple[bool, MPRatios]:
-        """Annotates one interaction and appends its audit, then its result.
-
-        Returns the result as ``_result`` reads it back.
-        """
-        try:
-            ratios, audit = self._annotate_one(problem, record)
+            completions.put(key, client.complete("", prompt, params))
         except Exception as exc:
-            log.warning("pipeline failed for student %s problem %s: %s",
-                        record.student_id, record.problem_id, exc)
-            ratios, audit = None, {
-                "status": "failed",
-                "student_id": record.student_id,
-                "problem_id": record.problem_id,
-                "timestamp": record.timestamp,
-                "error": f"{type(exc).__name__}: {exc}",
-                "annotated_at": time.time(),
-            }
-        self.audits.put(key, audit)
-        if ratios is None:
-            self.results.put(key, {"status": "failed"})
-            return False, MPRatios.absent()
-        self.results.put(key, {"status": "ok", "counts": audit["ratios"]["counts"]})
-        return True, ratios
+            return exc
+
+    rubric_prompts: dict[str, str] = {}  # rendered once per problem
+    rubric = functools.cache(parse_indicators)  # a rubric that parses is parsed once
+
+    def stages(job: _Job):
+        """The job's three stages: yields each (stage, prompt) and is sent its completion."""
+        problem, rec = job.problem, job.record
+        if problem.problem_id not in rubric_prompts:
+            rubric_prompts[problem.problem_id] = prompts.render_indicator_prompt(problem)
+        completion = yield "indicators", rubric_prompts[problem.problem_id]
+        job.indicators = rubric(completion, problem.problem_id)
+        completion = yield "responses", prompts.render_student_prompt(
+            problem, job.indicators, rec.process_text, rec.selected_answer)
+        job.responses = parse_responses(completion, job.indicators)
+        completion = yield "verdicts", prompts.render_eval_prompt(
+            problem, job.indicators, job.responses)
+        job.verdicts = parse_verdicts(completion, job.indicators)
+
+    chains = {job.key: stages(job) for job in jobs}
+    waiting: dict[str, list[_Job]] = {}  # the jobs that need each prompt sent, by its key
+    done: queue.SimpleQueue = queue.SimpleQueue()  # (key, prompt, future) of each ended call
+
+    def send(key: str, prompt: str, needs: list[_Job]) -> None:
+        waiting[key] = needs
+        pool.submit(call, key, prompt).add_done_callback(
+            lambda ended: done.put((key, prompt, ended)))
+
+    def advance(job: _Job, completion: str | None = None) -> None:
+        """Sends ``completion`` into the job's stages, then the cached ones that
+        follow, until the job needs a completion not cached yet, fails or ends."""
+        try:
+            while True:
+                name, prompt = chains[job.key].send(completion)
+                key = _digest(name, *setting, prompt)
+                completion = completions.get(key)
+                if completion is None:
+                    if key not in waiting:
+                        send(key, prompt, [])
+                    waiting[key].append(job)
+                    return
+        except StopIteration:
+            pass
+        except Exception as exc:
+            job.error = exc
+
+    pool = ThreadPoolExecutor(max_workers=concurrency)
+    try:
+        for job in jobs:
+            advance(job)
+        while waiting:
+            key, prompt, ended = done.get()
+            error = ended.result()  # raises what the client raised that is no Exception
+            needs = waiting.pop(key)
+            if error is None:
+                for job in needs:
+                    advance(job, completions.get(key))
+            else:  # it fails the job that asked for it first; the rest send it again
+                needs.pop(0).error = error
+                if needs:
+                    send(key, prompt, needs)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_pipeline(dataset: Dataset, client: ChatClient, cache_dir,
@@ -294,38 +266,60 @@ def run_pipeline(dataset: Dataset, client: ChatClient, cache_dir,
     Returns a new dataset (records carry ``mp``) plus a report. Failed
     interactions get all-absent ratios and are listed in the report.
     """
-    runner = PipelineRunner(client, cache_dir, params)
-    jobs = [(dataset.problems[rec.problem_id], rec)
-            for seq in dataset.sequences for rec in seq.steps]
-    try:
-        # hits are read here; only the first job of each missed key goes to
-        # the pool, and a later copy of its record counts as cached
-        keys = [runner._key(problem, rec) for problem, rec in jobs]
-        results: dict[str, tuple[bool, MPRatios] | None] = {}
-        misses: dict[str, int] = {}
-        for i, key in enumerate(keys):
-            if key not in results:
-                results[key] = _result(runner.results.get(key))
-                if results[key] is None:
-                    misses[key] = i
-        if misses:
-            runner.completions = JsonLog(runner.cache_dir / "completions.jsonl")
-            with ThreadPoolExecutor(max_workers=concurrency) as pool:
-                results.update(zip(misses, pool.map(
-                    lambda i: runner._process(keys[i], *jobs[i]), misses.values())))
-    finally:
-        runner.close()
+    params = params or ChatParams()
+    cache_dir = Path(cache_dir)
+    os.makedirs(cache_dir, exist_ok=True)
+    setting = (str(getattr(client, "model", "")), repr(params.temperature))
+    templates = _digest(prompts.INDICATOR_TEMPLATE, prompts.STUDENT_TEMPLATE,
+                        prompts.EVAL_TEMPLATE)
+    problem_keys: dict[str, str] = {}
 
-    outs = [results[key] for key in keys]
-    report = PipelineReport(cached=len(jobs) - len(misses))
-    for key, (ok, _) in zip(keys, outs):
-        if ok:
+    def key(problem: Problem, record: InteractionRecord) -> str:
+        problem_key = problem_keys.get(problem.problem_id)
+        if problem_key is None:
+            problem_key = problem_keys[problem.problem_id] = _digest(
+                json.dumps(problem.to_json(), sort_keys=True), templates, *setting)
+        record_key = _digest(record.student_id, record.problem_id, str(record.timestamp),
+                             record.process_text, record.selected_answer)[:24]
+        return _digest(record_key, problem_key)[:32]
+
+    records = [rec for seq in dataset.sequences for rec in seq.steps]
+    keys = [key(dataset.problems[rec.problem_id], rec) for rec in records]
+    with closing(JsonLog(cache_dir / "ratios.jsonl")) as results:
+        # hits are read here; only the first record of each missed key is
+        # annotated, and a later copy of it counts as cached
+        outs: dict[str, tuple[bool, MPRatios] | None] = {}
+        misses: list[_Job] = []
+        for k, rec in zip(keys, records):
+            if k not in outs:
+                outs[k] = _result(results.get(k))
+                if outs[k] is None:
+                    misses.append(_Job(k, dataset.problems[rec.problem_id], rec))
+        if misses:
+            with closing(JsonLog(cache_dir / "completions.jsonl")) as completions, \
+                    closing(JsonLog(cache_dir / "audit.jsonl", read=False)) as audits:
+                _annotate(misses, client, params, setting, completions, concurrency)
+                for job in misses:
+                    audit = job.audit()
+                    audits.put(job.key, audit)
+                    if job.error is None:
+                        value = {"status": "ok", "counts": audit["ratios"]["counts"]}
+                    else:
+                        log.warning("pipeline failed for student %s problem %s: %s",
+                                    job.record.student_id, job.record.problem_id, job.error)
+                        value = {"status": "failed"}
+                    results.put(job.key, value)
+                    outs[job.key] = _result(value)
+
+    report = PipelineReport(cached=len(records) - len(misses))
+    for k in keys:
+        if outs[k][0]:
             report.annotated += 1
         else:
             report.failed += 1
-            report.failures.append(key)
+            report.failures.append(k)
 
-    mps = (mp for _, mp in outs)
+    mps = (outs[k][1] for k in keys)
     annotated_sequences = [
         StudentSequence(student_id=seq.student_id,
                         steps=[replace(rec, mp=next(mps)) for rec in seq.steps])

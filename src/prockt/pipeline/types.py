@@ -9,7 +9,7 @@ from json.encoder import encode_basestring
 
 from ..data.schema import DIMENSIONS
 
-CODE_PATTERN = re.compile(r"^(CU|SC|PF|AR)([0-9]+)$")
+CODE_PATTERN = re.compile(r"(CU|SC|PF|AR)([0-9]+)")
 
 
 def json_listing(pairs) -> str:
@@ -42,7 +42,7 @@ class Indicator:
 
     @classmethod
     def from_code(cls, code: str, text: str) -> "Indicator":
-        if CODE_PATTERN.match(code) is None:
+        if CODE_PATTERN.fullmatch(code) is None:
             raise ValueError(f"invalid indicator code {code!r}")
         return cls(code=code, text=text)
 

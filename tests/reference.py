@@ -182,9 +182,10 @@ def unfused_attention_forward(model, batch, training=False, rng=None):
     cfg = model.config
     params = model.params
     B, T = batch.question_ids.shape
+    head_dim = cfg.embed_dim // cfg.attention_heads
 
     def split_heads(x):
-        return transpose(reshape(x, (B, T, cfg.attention_heads, cfg.head_dim)), (0, 2, 1, 3))
+        return transpose(reshape(x, (B, T, cfg.attention_heads, head_dim)), (0, 2, 1, 3))
 
     pos = nn.embedding_lookup(params["embed.position"], np.broadcast_to(np.arange(T), (B, T)))
     x = nn.add(model.interaction_embedding(batch), pos)
@@ -195,7 +196,7 @@ def unfused_attention_forward(model, batch, training=False, rng=None):
     k = split_heads(nn.matmul(x, params["attn.wk"]))
     v = split_heads(nn.matmul(x, params["attn.wv"]))
 
-    scores = nn.mul(stacked_matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(cfg.head_dim))
+    scores = nn.mul(stacked_matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
     causal = np.tril(np.ones((T, T), dtype=bool))
     key_valid = batch.valid_mask.astype(bool)[:, None, None, :]
     allowed = causal[None, None, :, :] & key_valid

@@ -49,6 +49,12 @@ def _float_counts(text: str) -> str:
     return "".join(json.dumps(doc) + "\n" for doc in docs)
 
 
+def _every_record(key, value):
+    """An edit of ``interactions.jsonl`` that sets ``key`` to ``value`` in every record."""
+    return lambda text: "".join(json.dumps({**json.loads(line), key: value}) + "\n"
+                                for line in text.splitlines())
+
+
 class TestHelpers:
     def test_read_config_file(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -121,8 +127,15 @@ class TestExitCodes:
             json.dumps({**json.loads(line), "timestamp": "abc"}) + "\n"
             for line in text.splitlines())),
         ("interactions.jsonl", _float_counts),
+        ("interactions.jsonl", _every_record("correct", True)),
+        ("interactions.jsonl", _every_record("correct", 1.0)),
+        ("interactions.jsonl", _every_record("timestamp", 1.5)),
+        ("interactions.jsonl", _every_record("timestamp", "1700000000000")),
+        ("problems.json", lambda text: json.dumps(
+            [{**doc, "difficulty": 3.7} for doc in json.loads(text)])),
     ], ids=["problems-not-json", "problem-without-kc-ids", "non-integer-timestamp",
-            "float-counts"])
+            "float-counts", "bool-correct", "float-correct", "float-timestamp",
+            "string-timestamp", "float-difficulty"])
     def test_malformed_dataset_names_the_file(self, workspace, tmp_path, capsys, file, edit):
         data = tmp_path / "data"
         data.mkdir()

@@ -141,6 +141,21 @@ class TestLoadSave:
                            match=f"{path}: malformed record at line 5: {error}"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("correct", True), ("correct", 1.0), ("timestamp", 1.5), ("timestamp", "1040"),
+    ])
+    def test_integer_field_that_is_not_an_int_names_the_file_and_line(self, tmp_path, dataset,
+                                                                       key, value):
+        # each was coerced: true and 1.0 were kept as correct, 1.5 and "1040" loaded as ints
+        save_dataset(tmp_path, dataset)
+        path = tmp_path / "interactions.jsonl"
+        lines = path.read_text().splitlines()
+        lines[4] = json.dumps({**json.loads(lines[4]), key: value})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError,
+                           match=f"{path}: malformed record at line 5: ValidationError: .*{key}"):
+            load_dataset(tmp_path)
+
     def test_dangling_problem_id(self, tmp_path, dataset):
         save_dataset(tmp_path, dataset)
         with open(tmp_path / "interactions.jsonl", "a") as fh:

@@ -50,11 +50,6 @@ class TestConfig:
         assert ModelConfig("recurrent", "original", 5, 5).embed_dim == 200
         assert ModelConfig("attention", "original", 5, 5).embed_dim == 256
 
-    def test_head_dim(self):
-        cfg = ModelConfig("attention", "original", 5, 5, embed_dim=256,
-                          attention_heads=8)
-        assert cfg.head_dim == 32
-
     def test_round_trip(self):
         cfg = small_config("attention")
         assert ModelConfig.from_json(cfg.to_json()) == cfg

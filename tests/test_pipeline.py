@@ -215,6 +215,14 @@ class TestParseIndicators:
         got = parse_indicators(indicator_completion(pairs), "p1")
         assert got.codes() == ["CU1", "PF1"]
 
+    def test_code_with_a_trailing_newline_dropped(self, caplog):
+        pairs = [("CU1\n", "a"), ("CU1", "b"), ("SC1", "s")]
+        with caplog.at_level("WARNING", logger="prockt.pipeline.parsing"):
+            got = parse_indicators(indicator_completion(pairs), "p1")
+        assert got.codes() == ["CU1", "SC1"] and got.indicators[0].text == "b"
+        assert [r.getMessage() for r in caplog.records] == [
+            "problem p1: dropping indicator with unknown code 'CU1\\n'"]
+
     def test_duplicate_keeps_first(self):
         pairs = [("CU1", "first"), ("CU1", "second"), ("SC1", "s")]
         got = parse_indicators(indicator_completion(pairs), "p1")
@@ -699,6 +707,145 @@ class TestSingleFlight:
         assert [r.failed for r in reports] == [1, 1]
         assert [c.prompts.count(p0) for c in clients] == [2, 2]
         assert len(clients[0].prompts) == len(clients[1].prompts)
+
+
+def stage_of(prompt):
+    for stage, template in (("indicators", INDICATOR_TEMPLATE), ("responses", STUDENT_TEMPLATE),
+                            ("verdicts", EVAL_TEMPLATE)):
+        if prompt.startswith(template[:template.index("{")]):
+            return stage
+
+
+def without_annotated_at(path):
+    return re.sub(rb', "annotated_at": [0-9.e+-]+', b"", path.read_bytes())
+
+
+class InFlightClient(CountingClient):
+    """Sleeps 20 ms per call and records the most calls in flight at once, per stage."""
+
+    def __init__(self):
+        super().__init__(delay=0.02)
+        self.in_flight = {}
+        self.most = {}
+
+    def complete(self, system_message, user_message, params):
+        stage = stage_of(user_message)
+        with self._lock:
+            self.in_flight[stage] = self.in_flight.get(stage, 0) + 1
+            self.most[stage] = max(self.most.get(stage, 0), self.in_flight[stage])
+        try:
+            return super().complete(system_message, user_message, params)
+        finally:
+            with self._lock:
+                self.in_flight[stage] -= 1
+
+
+class InterruptingClient(CountingClient):
+    """Raises KeyboardInterrupt on the third stage-3 call; records the answered prompts."""
+
+    def __init__(self):
+        super().__init__(delay=0.002)
+        self.verdict_calls = 0
+        self.answered = []
+
+    def complete(self, system_message, user_message, params):
+        if stage_of(user_message) == "verdicts":
+            with self._lock:
+                self.verdict_calls += 1
+                interrupt = self.verdict_calls == 3
+            if interrupt:
+                raise KeyboardInterrupt
+        text = super().complete(system_message, user_message, params)
+        with self._lock:
+            self.answered.append(user_message)
+        return text
+
+
+class SlowRubricClient(CountingClient):
+    """Holds each rubric call for the problem text ``slow`` for 300 ms; records the
+    order in which calls return."""
+
+    def __init__(self, slow):
+        super().__init__(delay=0.001)
+        self.slow = slow
+        self.returned = []
+
+    def complete(self, system_message, user_message, params):
+        if stage_of(user_message) == "indicators" and self.slow in user_message:
+            time.sleep(0.3)
+        text = super().complete(system_message, user_message, params)
+        with self._lock:
+            self.returned.append(user_message)
+        return text
+
+
+class TestPipelinedStages:
+    def test_logs_do_not_depend_on_concurrency(self, tmp_path):
+        data = distinct_students(num_students=6, steps=5)
+        runs = [("serial", 1), ("pool-a", 4), ("pool-b", 4)]
+        for name, concurrency in runs:
+            run_pipeline(data, CountingClient(), tmp_path / name, concurrency=concurrency)
+        ratios = {(tmp_path / name / "ratios.jsonl").read_bytes() for name, _ in runs}
+        audits = {without_annotated_at(tmp_path / name / "audit.jsonl") for name, _ in runs}
+        assert len(ratios) == len(audits) == 1
+        assert audits.pop().count(b"\n") == 30
+
+    def test_stages_two_and_three_fill_the_pool(self, tmp_path):
+        data = distinct_students(num_students=4, steps=3)
+        client = InFlightClient()
+        _, report = run_pipeline(data, client, tmp_path, concurrency=4)
+        assert report.annotated == 12
+        assert client.most["responses"] == client.most["verdicts"] == 4
+        assert max(client.most.values()) == 4
+
+    def test_problem_with_empty_text_fails_without_a_call(self, tmp_path):
+        data = make_dataset(num_students=3, steps=4)
+        data.problems["p0"].text = ""
+        client = CountingClient(delay=0)
+        _, report = run_pipeline(data, client, tmp_path / "run", concurrency=4)
+        bad = [rec for seq in data.sequences for rec in seq.steps if rec.problem_id == "p0"]
+        assert report.failed == len(bad) == 3 and report.annotated == 9
+        audits = dict(map(json.loads, (tmp_path / "run" / "audit.jsonl").read_text().splitlines()))
+        assert [audits[key]["error"] for key in report.failures] == \
+            ["ValueError: problem p0 has empty text"] * 3
+        # the client sees exactly the prompts of a run without p0's interactions
+        rest = Dataset(problems=data.problems, sequences=[
+            replace(seq, steps=[rec for rec in seq.steps if rec.problem_id != "p0"])
+            for seq in data.sequences])
+        expected = CountingClient(delay=0)
+        run_pipeline(rest, expected, tmp_path / "rest")
+        assert sorted(client.prompts) == sorted(expected.prompts)
+
+    def test_a_slow_call_holds_up_only_the_interactions_that_need_it(self, tmp_path):
+        data = distinct_students(num_students=4, steps=3)
+        slow = data.problems["p0"].text
+        client = SlowRubricClient(slow)
+        _, report = run_pipeline(data, client, tmp_path, concurrency=4)
+        assert report.annotated == 12
+        rubric = next(i for i, p in enumerate(client.returned)
+                      if stage_of(p) == "indicators" and slow in p)
+        # the 8 interactions of p1 and p2 are judged while p0's rubric call is out
+        assert [stage_of(p) for p in client.returned[:rubric]].count("verdicts") == 8
+
+    @pytest.mark.parametrize("concurrency", (1, 4))
+    def test_interrupt_in_stage_three_resumes_with_the_unanswered_prompts(self, tmp_path,
+                                                                          concurrency):
+        data = distinct_students(num_students=4, steps=3)
+        cold = CountingClient(delay=0)
+        run_pipeline(data, cold, tmp_path / "cold")
+        client = InterruptingClient()
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(data, client, tmp_path / "run", concurrency=concurrency)
+        # results and audits are appended only once every interaction is done
+        for name in ("audit.jsonl", "ratios.jsonl"):
+            assert (tmp_path / "run" / name).read_text() == ""
+        rerun = CountingClient(delay=0)
+        _, report = run_pipeline(data, rerun, tmp_path / "run", concurrency=concurrency)
+        assert report.annotated == 12 and report.failed == 0
+        # every answered call was cached; the stages of different interactions
+        # overlap, so a call of any stage may be among those never answered
+        assert sorted(rerun.prompts) == sorted(set(cold.prompts) - set(client.answered))
+        assert "verdicts" in map(stage_of, rerun.prompts)
 
 
 class TestCacheKeys:
