@@ -7,6 +7,7 @@ annotated with a four-dimension proficiency ratio vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 DIMENSIONS = ("CU", "SC", "PF", "AR")
@@ -15,6 +16,14 @@ QUESTION_TYPES = ("multiple_choice", "short_answer")
 
 class ValidationError(ValueError):
     """A record violates the schema."""
+
+
+def _require_strings(where: str, record, names: tuple[str, ...]) -> None:
+    """Raise unless each field ``names`` of ``record`` is a (JSON) string."""
+    for name in names:
+        value = getattr(record, name)
+        if type(value) is not str:
+            raise ValidationError(f"{where}{name} must be a string, got {value!r}")
 
 
 @dataclass
@@ -29,10 +38,15 @@ class Problem:
     options: list[str] = field(default_factory=list)
 
     def validate(self) -> None:
+        _require_strings("", self, ("problem_id",))
         if not self.problem_id:
             raise ValidationError("problem_id must be non-empty")
+        _require_strings(f"problem {self.problem_id}: ", self, ("text",))
         if not self.kc_ids:
             raise ValidationError(f"problem {self.problem_id}: kc_ids must be non-empty")
+        if any(type(kc) is not str for kc in self.kc_ids):
+            raise ValidationError(
+                f"problem {self.problem_id}: kc_ids must be strings, got {self.kc_ids!r}")
         if self.question_type not in QUESTION_TYPES:
             raise ValidationError(
                 f"problem {self.problem_id}: question_type {self.question_type!r} "
@@ -140,16 +154,19 @@ class InteractionRecord:
     mp: MPRatios | None = None
 
     def validate(self) -> None:
+        _require_strings("", self, ("student_id", "problem_id", "selected_answer",
+                                    "process_text"))
         if not self.student_id:
             raise ValidationError("student_id must be non-empty")
         if type(self.correct) is not int or self.correct not in (0, 1):
             raise ValidationError(
                 f"student {self.student_id}, problem {self.problem_id}: "
                 f"correct must be 0 or 1, got {self.correct!r}")
-        if self.duration < 0:
+        if type(self.duration) not in (int, float) \
+                or not (math.isfinite(self.duration) and self.duration >= 0):
             raise ValidationError(
                 f"student {self.student_id}, problem {self.problem_id}: "
-                f"duration must be >= 0, got {self.duration}")
+                f"duration must be a finite number >= 0, got {self.duration!r}")
         if type(self.timestamp) is not int:
             raise ValidationError(
                 f"student {self.student_id}, problem {self.problem_id}: "

@@ -4,10 +4,14 @@ A training step allocates and frees tens of megabytes of activations and
 gradients. By default glibc serves the largest of them with new
 ``mmap`` mappings and hands the top of the heap back to the OS whenever
 more than a threshold is free, so the next step faults every page of its
-arrays in again. Raising both thresholds keeps those pages mapped. The
-trim threshold is the smallest of 64-128 MiB that kept a recurrent
-(dim 200) and an attention (dim 256) training below 1,000 page faults
-per training once warm. Without glibc's ``mallopt`` this does nothing.
+arrays in again. Raising both thresholds keeps most of those pages mapped.
+The trim threshold is the smallest of 64-128 MiB with which most warm
+trainings of a recurrent (dim 200) and an attention (dim 256) model
+faulted no pages at all. It does not hold every time: in ``getrusage``
+probes around each training of the benchmark, some warm attention
+trainings still faulted 27,800-36,900 pages, when the allocations left
+the heap top free; over a 12-round probe the guard cut minor faults from
+383k-447k to 64k-93k. Without glibc's ``mallopt`` this does nothing.
 """
 
 from __future__ import annotations

@@ -142,20 +142,6 @@ def add(a, b) -> Tensor:
     return _make(out_data, (a, b), backward_fn, "add")
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out_data = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-
-    def backward_fn(g):
-        a._accumulate(_unbroadcast(g * b.data, a.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    return _make(out_data, (a, b), backward_fn, "mul")
-
-
 def matmul(a, b) -> Tensor:
     """Dense layer: an N-D ``a`` (N >= 2) times a 2-D ``b``.
 
@@ -175,16 +161,6 @@ def matmul(a, b) -> Tensor:
         b._accumulate(a2.T @ g2)
 
     return _make((a2 @ b.data).reshape(*a.shape[:-1], n), (a, b), backward_fn, "matmul")
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.log(a.data)
-
-    def backward_fn(g):
-        a._accumulate(g / a.data)
-
-    return _make(out_data, (a,), backward_fn, "log")
 
 
 def sigmoid(a) -> Tensor:
@@ -235,24 +211,6 @@ def dropout(a, mask: np.ndarray | None) -> Tensor:
         a._accumulate(g * mask)
 
     return _make(out_data, (a,), backward_fn, "dropout")
-
-
-def masked_mean(a, mask) -> Tensor:
-    """Mean of ``a`` over positions where ``mask`` is nonzero.
-
-    Returns 0 when the mask is empty (denominator floored at 1).
-    """
-    a = as_tensor(a)
-    m = np.asarray(mask, dtype=a.data.dtype)
-    if m.shape != a.shape:
-        raise ShapeError(f"masked_mean: mask shape {m.shape} != value shape {a.shape}")
-    denom = max(float(m.sum()), 1.0)
-    out_data = np.array((a.data * m).sum() / denom)
-
-    def backward_fn(g):
-        a._accumulate(g * m / denom)
-
-    return _make(out_data, (a,), backward_fn, "masked_mean")
 
 
 def slice_(a, key) -> Tensor:

@@ -1,4 +1,4 @@
-from .loss import composite_loss
+from ..nn import composite_loss
 from .metrics import Metrics, acc, auc, evaluate, gather_predictions
 from .loop import EpochStats, TrainConfig, TrainResult, train
 from .grid import GridCell, GridResult, grid_search

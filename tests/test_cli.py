@@ -55,6 +55,11 @@ def _every_record(key, value):
                                 for line in text.splitlines())
 
 
+def _every_problem(key, value):
+    """An edit of ``problems.json`` that sets ``key`` to ``value`` in every problem."""
+    return lambda text: json.dumps([{**doc, key: value} for doc in json.loads(text)])
+
+
 class TestHelpers:
     def test_read_config_file(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -133,9 +138,20 @@ class TestExitCodes:
         ("interactions.jsonl", _every_record("timestamp", "1700000000000")),
         ("problems.json", lambda text: json.dumps(
             [{**doc, "difficulty": 3.7} for doc in json.loads(text)])),
+        ("interactions.jsonl", _every_record("student_id", 7)),
+        ("interactions.jsonl", _every_record("problem_id", 3)),
+        ("interactions.jsonl", _every_record("selected_answer", 2)),
+        ("interactions.jsonl", _every_record("process_text", ["a"])),
+        ("problems.json", _every_problem("text", 5)),
+        ("problems.json", _every_problem("kc_ids", [1])),
+        ("interactions.jsonl", _every_record("duration", True)),
+        ("interactions.jsonl", _every_record("duration", float("inf"))),
+        ("interactions.jsonl", _every_record("duration", float("nan"))),
     ], ids=["problems-not-json", "problem-without-kc-ids", "non-integer-timestamp",
             "float-counts", "bool-correct", "float-correct", "float-timestamp",
-            "string-timestamp", "float-difficulty"])
+            "string-timestamp", "float-difficulty", "int-student-id", "int-problem-id",
+            "int-selected-answer", "list-process-text", "int-problem-text", "int-kc-id",
+            "bool-duration", "infinite-duration", "nan-duration"])
     def test_malformed_dataset_names_the_file(self, workspace, tmp_path, capsys, file, edit):
         data = tmp_path / "data"
         data.mkdir()
@@ -164,6 +180,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{data / 'interactions.jsonl'}: malformed record at line 2" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("file, edit", [
+        ("interactions.jsonl", _every_record("selected_answer", 2)),
+        ("problems.json", _every_problem("text", 5)),
+    ], ids=["int-selected-answer", "int-problem-text"])
+    def test_extract_mp_rejects_a_non_string_field(self, workspace, tmp_path, capsys, file,
+                                                   edit):
+        # the first ended with a TypeError traceback, the second failed every
+        # interaction without a word
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("problems.json", "interactions.jsonl"):
+            text = (workspace / "data" / name).read_text()
+            (data / name).write_text(edit(text) if name == file else text)
+        assert main(["extract-mp", "--data", str(data), "--out", str(tmp_path / "out"),
+                     "--cache", str(tmp_path / "cache"), "--client", "mock"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(data / file) in err and "Traceback" not in err
 
     def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"

@@ -156,6 +156,34 @@ class TestLoadSave:
                            match=f"{path}: malformed record at line 5: ValidationError: .*{key}"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("student_id", 7), ("problem_id", 3), ("selected_answer", 2), ("process_text", ["a"]),
+        ("duration", True), ("duration", float("inf")), ("duration", float("nan")),
+    ])
+    def test_field_of_the_wrong_type_names_the_file_and_line(self, tmp_path, dataset, key,
+                                                            value):
+        # each loaded; true and Infinity were written back, Infinity as invalid JSON
+        save_dataset(tmp_path, dataset)
+        path = tmp_path / "interactions.jsonl"
+        lines = path.read_text().splitlines()
+        lines[4] = json.dumps({**json.loads(lines[4]), key: value})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError,
+                           match=f"{path}: malformed record at line 5: ValidationError: .*{key}"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("key, value", [("problem_id", 3), ("text", 5), ("kc_ids", [1])])
+    def test_problem_field_of_the_wrong_type_names_the_file(self, tmp_path, dataset, key,
+                                                           value):
+        save_dataset(tmp_path, dataset)
+        path = tmp_path / "problems.json"
+        docs = json.loads(path.read_text())
+        docs[2][key] = value
+        path.write_text(json.dumps(docs))
+        with pytest.raises(DatasetFormatError,
+                           match=f"{path}: malformed problems: ValidationError: .*{key}"):
+            load_dataset(tmp_path)
+
     def test_dangling_problem_id(self, tmp_path, dataset):
         save_dataset(tmp_path, dataset)
         with open(tmp_path / "interactions.jsonl", "a") as fh:

@@ -8,8 +8,7 @@ import pytest
 import reference as ref
 from prockt import nn
 from prockt.models import ConfigError, ModelConfig, build_model
-from prockt.training import TrainConfig, train
-from prockt.training.loss import composite_loss
+from prockt.training import TrainConfig, composite_loss, train
 from prockt.verify import op_cases, toy_batch
 
 BACKBONES = ("recurrent", "attention")
@@ -382,7 +381,7 @@ class TestFusedLSTM:
         for fn in (nn.lstm, ref.unrolled_lstm):
             leaves = [nn.Tensor(t.data, requires_grad=True) for t in inputs]
             out = fn(*leaves)
-            ref.sum_(nn.mul(out, w)).backward()
+            ref.sum_(ref.mul(out, w)).backward()
             results.append((out.data, [t.grad for t in leaves]))
         (out, grads), (out_ref, grads_ref) = results
         np.testing.assert_array_equal(out, out_ref)
@@ -396,7 +395,7 @@ class TestFusedLSTM:
         leaves, w = self.lstm_inputs(rng, 6)
         out = nn.lstm(*leaves)
         data = out.data.copy()
-        loss = ref.sum_(nn.mul(out, w))
+        loss = ref.sum_(ref.mul(out, w))
         loss.backward()
         once = [t.grad.copy() for t in leaves]
         loss.backward()
@@ -442,6 +441,21 @@ class TestOpSet:
                     and getattr(nn, name).__module__ == nn.tensor.__name__} - {"as_tensor"}
         assert exported - used == set()
         assert used - checked == set()
+
+
+class TestGraphSize:
+    @pytest.mark.parametrize("backbone, variant, nodes", [
+        ("recurrent", "statuskt", 25), ("recurrent", "original", 21),
+        ("attention", "statuskt", 39), ("attention", "original", 35)])
+    def test_op_nodes_per_training_step(self, backbone, variant, nodes):
+        # the loss is one node; tests/reference.py's graph of it has 31
+        # (statuskt) or 10 (original)
+        model = build_model(small_config(backbone, variant, dropout=0.2))
+        batch = toy_batch(0)
+        preds = model.forward(batch, training=True, rng=np.random.default_rng(0))
+        ops = graph_ops(loss_of(batch, preds))
+        assert len(ops) - ops.count("") == nodes
+        assert ops.count("composite_loss") == 1
 
 
 def trimmed_batch(seed, lengths):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from prockt import nn
 from prockt.models import ModelConfig, build_model
 from prockt.training import (
@@ -46,7 +47,7 @@ class TestCompositeLoss:
         mp_pred = nn.Tensor(rng.random((2, 5, 4)))
         got = composite_loss(r_gt, probs, rng.random((2, 5, 4)), mp_pred,
                              np.ones((2, 5, 4)), valid, alpha=0.0)
-        want = nn.bce(r_gt, probs, valid)
+        want = ref.bce(r_gt, probs, valid)
         assert got.item() == want.item()
 
     def test_hand_value(self):
@@ -92,6 +93,95 @@ class TestCompositeLoss:
         with pytest.raises(ValueError):
             composite_loss(np.ones((1, 1)), r_pred, None, None, None,
                            np.ones((1, 1)), alpha=-0.1)
+
+
+def assert_same_bits(got, want):
+    """``np.array_equal``, and the zeros carry the same sign."""
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def loss_and_gradients(loss_fn, r_gt, r_pred, mp_gt, mp_pred, mp_mask, valid, alpha):
+    """``loss_fn`` on leaf copies of the predictions: the loss and the
+    gradients of ``r_pred`` and ``mp_pred`` (None for no ``mp_pred``)."""
+    r = nn.Tensor(r_pred, requires_grad=True)
+    mp = None if mp_pred is None else nn.Tensor(mp_pred, requires_grad=True)
+    loss = loss_fn(r_gt, r, mp_gt, mp, mp_mask, valid, alpha)
+    loss.backward()
+    return loss.data, r.grad, None if mp is None else mp.grad
+
+
+class TestFusedCompositeLoss:
+    """Oracle: the node-by-node graph of the objective in tests/reference.py.
+    The loss and the gradients of r_pred, mp_pred and every model parameter
+    must be equal to the graph's bit for bit, no tolerance."""
+
+    @staticmethod
+    def inputs(seed, case, B=3, T=5):
+        rng = np.random.default_rng(seed)
+        r_gt = rng.integers(0, 2, size=(B, T)).astype(float)
+        r_pred = rng.random((B, T))
+        mp_gt = rng.random((B, T, 4))
+        mp_pred = rng.random((B, T, 4))
+        mp_mask = (rng.random((B, T, 4)) < 0.7).astype(float)
+        valid = (rng.random((B, T)) < 0.8).astype(float)
+        if case == "saturated":  # exactly 0 and 1, and inside the clip margin
+            r_pred.flat[:6] = [0.0, 1.0, 0.0, 1.0, 1e-9, 1.0 - 1e-9]
+            mp_pred.flat[:4] = [0.0, 1.0, 0.0, 1.0]
+            mp_gt.flat[:4] = [1.0, 0.0, 0.0, 1.0]
+        elif case == "empty-valid":
+            valid[:] = 0.0
+        elif case == "empty-mp-mask":
+            mp_mask[:] = 0.0
+        elif case == "no-mp-head":
+            mp_pred = None
+        return r_gt, r_pred, mp_gt, mp_pred, mp_mask, valid
+
+    @pytest.mark.parametrize("alpha", (0.0, 0.5, 2.0))
+    @pytest.mark.parametrize("case", ("random", "saturated", "empty-valid", "empty-mp-mask",
+                                      "no-mp-head"))
+    def test_matches_graph(self, case, alpha):
+        for seed in range(10):
+            args = self.inputs(seed, case) + (alpha,)
+            got = loss_and_gradients(composite_loss, *args)
+            want = loss_and_gradients(ref.composite_loss, *args)
+            for g, w in zip(got, want):
+                if w is None:  # mp_pred gets no gradient when alpha is 0 or it is None
+                    assert g is None
+                else:
+                    assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("alpha", (0.0, 0.5, 2.0))
+    @pytest.mark.parametrize("variant", ("original", "statuskt"))
+    @pytest.mark.parametrize("backbone", ("recurrent", "attention"))
+    def test_training_step_matches_graph(self, backbone, variant, alpha):
+        model = build_model(ModelConfig(backbone=backbone, variant=variant, num_questions=6,
+                                        num_concepts=4, max_len=8, embed_dim=8, dropout=0.2,
+                                        attention_heads=2, seed=0))
+        batch = toy_batch(0)
+        steps = []
+        for loss_fn in (composite_loss, ref.composite_loss):
+            preds = model.forward(batch, training=True, rng=np.random.default_rng(0))
+            loss = loss_fn(batch.targets_correct, preds.r_pred, batch.targets_mp,
+                           preds.mp_pred, batch.target_mp_mask, batch.target_mask, alpha)
+            loss.backward()
+            steps.append((loss.data, {n: p.grad for n, p in model.parameters().items()}))
+            for p in model.parameters().values():
+                p.grad = None
+        (loss, grads), (ref_loss, ref_grads) = steps
+        assert_same_bits(loss, ref_loss)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert_same_bits(grads[name], ref_grads[name])
+
+    @pytest.mark.parametrize("alpha, with_mp", [(0.5, True), (0.0, True), (0.5, False)])
+    def test_one_call_adds_one_node(self, alpha, with_mp):
+        r_gt, r_pred, mp_gt, mp_pred, mp_mask, valid = self.inputs(0, "random")
+        r = nn.Tensor(r_pred, requires_grad=True)
+        mp = nn.Tensor(mp_pred, requires_grad=True) if with_mp else None
+        loss = composite_loss(r_gt, r, mp_gt, mp, mp_mask, valid, alpha)
+        assert loss._op == "composite_loss"
+        assert loss._parents == ((r, mp) if with_mp and alpha else (r,))
 
 
 def auc_brute_force(labels, scores):
