@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Subcommands: synth, extract-mp, train, eval, report, gradcheck. Every
-command writes a run manifest sufficient to replay it. Exit codes:
-0 success, 1 usage error, 2 validation error, 3 runtime failure.
+Subcommands: synth, extract-mp, train, eval, report, gradcheck. synth,
+extract-mp and train write a run manifest sufficient to replay them.
+Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ EXIT_RUNTIME = 3
 
 # smallest accepted value of numeric flags, checked before any path is opened
 FLAG_MINIMUMS = {"batch_size": 1, "epochs": 1, "patience": 1, "concurrency": 1,
-                 "max_retries": 1, "max_len": 2, "embed_dim": 1, "alpha": 0.0}
+                 "max_retries": 1, "max_len": 2, "embed_dim": 1, "alpha": 0.0, "seeds": 1}
 # open interval that each of these float flags must lie in, checked likewise
 FLAG_INTERVALS = {"test_frac": (0.0, 1.0), "val_frac": (0.0, 1.0), "lr": (0.0, float("inf"))}
 

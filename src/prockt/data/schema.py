@@ -42,6 +42,10 @@ class Problem:
         if not self.problem_id:
             raise ValidationError("problem_id must be non-empty")
         _require_strings(f"problem {self.problem_id}: ", self, ("text",))
+        for name in ("kc_ids", "options"):
+            if type(getattr(self, name)) is not list:
+                raise ValidationError(f"problem {self.problem_id}: {name} must be a list, "
+                                      f"got {getattr(self, name)!r}")
         if not self.kc_ids:
             raise ValidationError(f"problem {self.problem_id}: kc_ids must be non-empty")
         if any(type(kc) is not str for kc in self.kc_ids):
@@ -74,13 +78,13 @@ class Problem:
     def from_json(cls, doc: dict) -> "Problem":
         p = cls(
             problem_id=doc["problem_id"],
-            kc_ids=list(doc["kc_ids"]),
+            kc_ids=doc["kc_ids"],
             text=doc["text"],
             solution_text=doc.get("solution_text"),
             answer=doc["answer"],
             question_type=doc["question_type"],
             difficulty=doc["difficulty"],
-            options=list(doc.get("options", [])),
+            options=doc.get("options", []),
         )
         p.validate()
         return p

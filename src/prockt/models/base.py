@@ -132,15 +132,12 @@ class KTModel:
                       nn.embedding_lookup(self.params["embed.concept"], nc))
 
     def readout(self, state: nn.Tensor, next_q: nn.Tensor) -> Predictions:
-        """All heads as one matmul on their weights and biases side by side."""
-        z = nn.concat([state, next_q], axis=-1)
+        """All heads as one fused readout on their weights and biases side by side."""
         heads = ["head.correct"]
         if self.config.variant == "statuskt":
             heads += [f"head.mp.{dim}" for dim in DIMENSIONS]
-        w = nn.concat([self.params[f"{h}.weight"] for h in heads], axis=-1)
-        b = nn.concat([self.params[f"{h}.bias"] for h in heads], axis=-1)
-        logits = nn.add(nn.matmul(z, w), b)
-        probs = nn.sigmoid(nn.clamp(logits, -LOGIT_CLAMP, LOGIT_CLAMP))
+        probs = nn.readout(state, next_q, [self.params[f"{h}.weight"] for h in heads],
+                           [self.params[f"{h}.bias"] for h in heads], LOGIT_CLAMP)
         mp_pred = probs[..., 1:] if self.config.variant == "statuskt" else None
         return Predictions(r_pred=probs[..., 0], mp_pred=mp_pred)
 

@@ -4,16 +4,14 @@ from .tensor import (
     add,
     as_tensor,
     attention,
-    clamp,
-    concat,
     dropout,
     embedding_lookup,
     layer_norm,
     lstm,
     matmul,
     no_grad,
+    readout,
     relu,
-    sigmoid,
     slice_,
 )
 from .losses import PROB_EPS, composite_loss
@@ -27,7 +25,7 @@ keep_heap()
 
 __all__ = [
     "Adam", "PROB_EPS", "ShapeError", "Tensor", "add", "as_tensor", "attention",
-    "check_gradients", "clamp", "composite_loss", "concat", "dropout", "embedding_lookup",
-    "init", "layer_norm", "load_checkpoint", "lstm", "matmul", "no_grad",
-    "numeric_gradient", "relu", "save_checkpoint", "sigmoid", "slice_",
+    "check_gradients", "composite_loss", "dropout", "embedding_lookup", "init",
+    "layer_norm", "load_checkpoint", "lstm", "matmul", "no_grad", "numeric_gradient",
+    "readout", "relu", "save_checkpoint", "slice_",
 ]

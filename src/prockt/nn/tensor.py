@@ -163,16 +163,6 @@ def matmul(a, b) -> Tensor:
     return _make((a2 @ b.data).reshape(*a.shape[:-1], n), (a, b), backward_fn, "matmul")
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward_fn(g):
-        a._accumulate(g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (a,), backward_fn, "sigmoid")
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.maximum(a.data, 0.0)
@@ -181,18 +171,6 @@ def relu(a) -> Tensor:
         a._accumulate(g * (a.data > 0.0))
 
     return _make(out_data, (a,), backward_fn, "relu")
-
-
-def clamp(a, lo: float, hi: float) -> Tensor:
-    """Clip values to [lo, hi]; gradient is zero outside the interval."""
-    a = as_tensor(a)
-    out_data = np.clip(a.data, lo, hi)
-    inside = (a.data >= lo) & (a.data <= hi)
-
-    def backward_fn(g):
-        a._accumulate(g * inside)
-
-    return _make(out_data, (a,), backward_fn, "clamp")
 
 
 def dropout(a, mask: np.ndarray | None) -> Tensor:
@@ -224,19 +202,6 @@ def slice_(a, key) -> Tensor:
         a._accumulate(scattered)
 
     return _make(out_data, (a,), backward_fn, "slice")
-
-
-def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward_fn(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            t._accumulate(piece)
-
-    return _make(out_data, tuple(tensors), backward_fn, "concat")
 
 
 def embedding_lookup(table, indices) -> Tensor:
@@ -402,3 +367,39 @@ def attention(q, k, v, bias: np.ndarray, heads: int, mask: np.ndarray | None) ->
         v._accumulate(merge(np.matmul(weights.transpose(0, 1, 3, 2), gh)))
 
     return _make(merge(np.matmul(weights, vh)), (q, k, v), backward_fn, "attention")
+
+
+def readout(state, next_q, weights, biases, limit: float) -> Tensor:
+    """Linear heads on ``[state | next_q]``: sigmoid of the logits clipped to ±``limit``.
+
+    Head i has a (n, k_i) weight and a (k_i,) bias, where n is the width of
+    ``state`` plus that of ``next_q``; the output holds the (..., Σk_i)
+    probabilities of all heads side by side. Forward and backward do the
+    float operations of the ``concat``/``matmul``/``add``/``clamp``/``sigmoid``
+    graph in ``tests/reference.py`` in the same order, so both match that
+    graph bit for bit.
+    """
+    state, next_q = as_tensor(state), as_tensor(next_q)
+    weights, biases = [as_tensor(w) for w in weights], [as_tensor(b) for b in biases]
+    z = np.concatenate([state.data, next_q.data], axis=-1)
+    w = np.concatenate([t.data for t in weights], axis=-1)
+    b = np.concatenate([t.data for t in biases], axis=-1)
+    if w.ndim != 2 or w.shape[0] != z.shape[-1] or b.shape != w.shape[1:]:
+        raise ShapeError(f"readout: incompatible shapes {z.shape}, {w.shape}, {b.shape}")
+    n, k = w.shape
+    z2 = z.reshape(-1, n)
+    logits = (z2 @ w).reshape(*z.shape[:-1], k) + b
+    inside = (logits >= -limit) & (logits <= limit)
+    probs = 1.0 / (1.0 + np.exp(-np.clip(logits, -limit, limit)))
+
+    def backward_fn(g):
+        g = g * probs * (1.0 - probs) * inside
+        g2 = g.reshape(-1, k)
+        head_splits = np.cumsum([t.shape[-1] for t in weights])[:-1]
+        pieces = (np.split((g2 @ w.T).reshape(z.shape), [state.shape[-1]], axis=-1)
+                  + np.split(z2.T @ g2, head_splits, axis=-1)
+                  + np.split(_unbroadcast(g, (k,)), head_splits, axis=-1))
+        for t, piece in zip((state, next_q, *weights, *biases), pieces):
+            t._accumulate(piece)
+
+    return _make(probs, (state, next_q, *weights, *biases), backward_fn, "readout")

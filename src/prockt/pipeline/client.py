@@ -11,7 +11,6 @@ import hashlib
 import json
 import os
 import re
-import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -160,13 +159,7 @@ class MockChatClient:
     bit-identically across runs.
     """
 
-    def __init__(self):
-        self.calls = 0
-        self._calls_lock = threading.Lock()  # run_pipeline calls from a thread pool
-
     def complete(self, system_message: str, user_message: str, params: ChatParams) -> str:
-        with self._calls_lock:
-            self.calls += 1
         if user_message.startswith("You are Teacher GPT.\nYour task is to analyze"):
             return self._indicators(user_message)
         if user_message.startswith("You are Student GPT"):

@@ -30,7 +30,6 @@ def op_cases(seed: int):
     table = _rand(rng, 5, 3)
     idx = rng.integers(0, 5, size=(2, 4))
     mask = (rng.random((2, 3)) < 0.6).astype(float)
-    probs_logit = _rand(rng, 2, 3)
     labels = (rng.random((2, 3)) < 0.5).astype(float)
     drop_mask = (rng.random((2, 3)) < 0.5) / 0.5
     xw = _rand(rng, 2, 3, 8)  # B=2, T=3, d=2
@@ -44,9 +43,12 @@ def op_cases(seed: int):
     padded[1, ..., 2] = True  # the second sequence's last key
     attn_bias = np.where(np.triu(np.ones((3, 3), dtype=bool), 1) | padded, -1e9, 0.0)
     attn_mask = (rng.random((2, 2, 3, 3)) < 0.8) / 0.8
-    mp_logit = _rand(rng, 2, 3, 4)
     mp_targets = rng.random((2, 3, 4))
     mp_mask = (rng.random((2, 3, 4)) < 0.7).astype(float)
+    state, next_q = _rand(rng, 2, 3, 2), _rand(rng, 2, 3, 2)
+    # the statuskt heads: correctness, then the four proficiency ratios
+    head_w = [_rand(rng, 4, 1) for _ in range(5)]
+    head_b = [_rand(rng, 1) for _ in range(5)]
 
     def reduce(x):
         """sum(w·x) for the fixed weights w = sin(1), sin(2), ...: one node
@@ -55,27 +57,29 @@ def op_cases(seed: int):
         return nn.Tensor((x.data * w).sum(), parents=(x,),
                          backward_fn=lambda g: x._accumulate(g * w))
 
-    def head(logit):  # as ``KTModel.readout`` turns logits into probabilities
-        return nn.sigmoid(nn.clamp(logit, -LOGIT_CLAMP, LOGIT_CLAMP))
+    def head():  # as ``KTModel.readout`` reads all heads out at once
+        return nn.readout(state, next_q, head_w, head_b, LOGIT_CLAMP)
+
+    def loss():
+        probs = head()
+        return nn.composite_loss(labels, probs[..., 0], mp_targets, probs[..., 1:], mp_mask,
+                                 mask, 0.5)
 
     return [
         ("add", lambda: reduce(nn.add(a23, b23)), [a23, b23]),
         ("add_broadcast", lambda: reduce(nn.add(a23, m34[:, 0])), [a23, m34]),
         ("matmul", lambda: reduce(nn.matmul(a23, m34)), [a23, m34]),
         ("matmul_3d", lambda: reduce(nn.matmul(a234, m42)), [a234, m42]),
-        ("concat", lambda: reduce(nn.concat([a23, b23], axis=1)), [a23, b23]),
         ("slice", lambda: reduce(a23[:, 1:3]), [a23]),
         ("embedding_lookup", lambda: reduce(nn.embedding_lookup(table, idx)), [table]),
-        ("sigmoid", lambda: reduce(nn.sigmoid(a23)), [a23]),
         ("dropout", lambda: reduce(nn.dropout(a23, drop_mask)), [a23]),
         ("relu", lambda: reduce(nn.relu(nn.add(a23, 0.05))), [a23]),
         ("lstm", lambda: reduce(nn.lstm(xw, wh, bias)), [xw, wh, bias]),
         ("layer_norm", lambda: reduce(nn.layer_norm(ln_x, gain, shift, 1e-5)),
          [ln_x, gain, shift]),
         ("attention", lambda: reduce(nn.attention(q, k, v, attn_bias, 2, attn_mask)), [q, k, v]),
-        ("composite_loss", lambda: nn.composite_loss(
-            labels, head(probs_logit), mp_targets, head(mp_logit), mp_mask, mask, 0.5),
-         [probs_logit, mp_logit]),
+        ("readout", lambda: reduce(head()), [state, next_q, *head_w, *head_b]),
+        ("composite_loss", loss, [state, next_q, *head_w, *head_b]),
     ]
 
 

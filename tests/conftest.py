@@ -1,10 +1,13 @@
 import json
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from prockt.data import Dataset, InteractionRecord, MPRatios, Problem, StudentSequence
+from prockt.pipeline import ChatClientError, MockChatClient
 
 
 def make_problem(pid="prob-1", text="Solve x^2 - 5x + 6 = 0.", qtype="multiple_choice",
@@ -49,6 +52,39 @@ def logged_failures(cache_dir, failures):
              (audits[key]["student_id"], audits[key]["problem_id"], audits[key]["timestamp"])
              if key in audits else None)
             for key in failures]
+
+
+class CountingClient:
+    """Wraps the mock: sleeps ``delay`` seconds per call and counts prompts.
+
+    ``fail_first`` names a prompt whose first call fails after 50 ms, long
+    enough for other workers to be waiting for it; ``stall_first`` names one
+    whose first call succeeds after 50 ms.
+    """
+
+    def __init__(self, delay=0.001, model="", fail_first=None, stall_first=None):
+        self.inner = MockChatClient()
+        self.delay = delay
+        if model:
+            self.model = model
+        self.fail_first = fail_first
+        self.stall_first = stall_first
+        self.prompts = []
+        self._lock = threading.Lock()
+
+    def complete(self, system_message, user_message, params):
+        with self._lock:
+            self.prompts.append(user_message)
+            fail = user_message == self.fail_first
+            if fail:
+                self.fail_first = None
+            stall = user_message == self.stall_first
+            if stall:
+                self.stall_first = None
+        time.sleep(0.05 if fail or stall else self.delay)
+        if fail:
+            raise ChatClientError("injected failure of the first call")
+        return self.inner.complete(system_message, user_message, params)
 
 
 @pytest.fixture

@@ -2,8 +2,10 @@
 
 The ops here are the autodiff primitives that no program calls any more:
 the elementwise, reduction and reshaping ops, the stacked branch of
-``matmul``, and ``dropout`` drawing its own mask. With them,
-``composite_loss`` is the loss oracle: it builds the training objective
+``matmul``, and ``dropout`` drawing its own mask. With them, ``readout`` is
+the oracle of ``nn.readout``: the prediction heads as the ``concat``,
+``matmul``, ``add``, ``clamp`` and ``sigmoid`` nodes ``KTModel.readout``
+built before the readout was one node. ``composite_loss`` is the loss oracle: it builds the training objective
 node by node from ``bce`` and one ``masked_mse`` per proficiency dimension,
 as the training loop did before ``nn.composite_loss`` made it one node.
 ``layer_norm`` and ``unfused_attention_forward`` build the attention block
@@ -55,6 +57,40 @@ def stacked_matmul(a, b) -> nn.Tensor:
         b._accumulate(_unbroadcast(gb, b.shape))
 
     return _make(out_data, (a, b), backward_fn, "matmul")
+
+
+def sigmoid(a) -> nn.Tensor:
+    a = as_tensor(a)
+    out_data = 1.0 / (1.0 + np.exp(-a.data))
+
+    def backward_fn(g):
+        a._accumulate(g * out_data * (1.0 - out_data))
+
+    return _make(out_data, (a,), backward_fn, "sigmoid")
+
+
+def clamp(a, lo: float, hi: float) -> nn.Tensor:
+    """Clip values to [lo, hi]; gradient is zero outside the interval."""
+    a = as_tensor(a)
+    out_data = np.clip(a.data, lo, hi)
+    inside = (a.data >= lo) & (a.data <= hi)
+
+    def backward_fn(g):
+        a._accumulate(g * inside)
+
+    return _make(out_data, (a,), backward_fn, "clamp")
+
+
+def concat(tensors, axis: int = -1) -> nn.Tensor:
+    tensors = [as_tensor(t) for t in tensors]
+    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+
+    def backward_fn(g):
+        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
+            t._accumulate(piece)
+
+    return _make(out_data, tuple(tensors), backward_fn, "concat")
 
 
 def mul(a, b) -> nn.Tensor:
@@ -208,7 +244,7 @@ def bce(labels, probs: nn.Tensor, mask=None) -> nn.Tensor:
     if mask is None:
         mask = np.ones_like(y)
     m = np.asarray(mask, dtype=probs.data.dtype)
-    p = nn.clamp(probs, PROB_EPS, 1.0 - PROB_EPS)
+    p = clamp(probs, PROB_EPS, 1.0 - PROB_EPS)
     ll = nn.add(mul(y, log(p)), mul(1.0 - y, log(nn.add(1.0, mul(p, -1.0)))))
     return mul(masked_mean(ll, m), -1.0)
 
@@ -237,6 +273,13 @@ def composite_loss(r_gt, r_pred, mp_gt, mp_pred, mp_mask, valid_mask, alpha) -> 
         term = masked_mse(mp_gt[..., i], mp_pred[..., i], valid * mp_mask[..., i])
         mp_total = term if mp_total is None else nn.add(mp_total, term)
     return nn.add(loss, mul(mp_total, alpha))
+
+
+def readout(state, next_q, weights, biases, limit) -> nn.Tensor:
+    """``nn.readout`` as a graph: the heads' weights and biases concatenated
+    side by side, one matmul on ``[state | next_q]``, then clamp and sigmoid."""
+    logits = nn.add(nn.matmul(concat([state, next_q]), concat(weights)), concat(biases))
+    return sigmoid(clamp(logits, -limit, limit))
 
 
 def layer_norm(x, gain, bias) -> nn.Tensor:
@@ -306,14 +349,14 @@ def unrolled_lstm(xw, wh, b) -> nn.Tensor:
     hs = []
     for t in range(T):
         gates = nn.add(nn.add(xw[:, t, :], nn.matmul(h, wh)), b)
-        i = nn.sigmoid(gates[:, 0 * d:1 * d])
-        f = nn.sigmoid(gates[:, 1 * d:2 * d])
+        i = sigmoid(gates[:, 0 * d:1 * d])
+        f = sigmoid(gates[:, 1 * d:2 * d])
         g = tanh(gates[:, 2 * d:3 * d])
-        o = nn.sigmoid(gates[:, 3 * d:4 * d])
+        o = sigmoid(gates[:, 3 * d:4 * d])
         c = nn.add(mul(f, c), mul(i, g))
         h = mul(o, tanh(c))
         hs.append(reshape(h, (B, 1, d)))
-    return nn.concat(hs, axis=1)
+    return concat(hs, axis=1)
 
 
 def unrolled_recurrent_forward(model, batch, training=False, rng=None):

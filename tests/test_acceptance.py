@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import logged_failures, make_record
-from reference import bce
+from conftest import CountingClient, logged_failures, make_record
+from reference import bce, sigmoid
 from prockt import nn
 from prockt.data import (
     StudentSequence,
@@ -68,7 +68,7 @@ def test_criterion_2_alpha_zero_reduces_to_bce():
     rng = np.random.default_rng(0)
     r_gt = rng.integers(0, 2, size=(4, 9)).astype(float)
     valid = (rng.random((4, 9)) < 0.8).astype(float)
-    probs = nn.sigmoid(nn.Tensor(rng.normal(size=(4, 9))))
+    probs = sigmoid(nn.Tensor(rng.normal(size=(4, 9))))
     mp_pred = nn.Tensor(rng.random((4, 9, 4)))
     got = composite_loss(r_gt, probs, rng.random((4, 9, 4)), mp_pred,
                          np.ones((4, 9, 4)), valid, alpha=0.0).item()
@@ -283,14 +283,14 @@ def test_criterion_8_pipeline_survives_injected_failures(tmp_path):
         != ((rec.student_id, rec.problem_id, rec.timestamp) in expected)
         for seq in annotated.sequences for rec in seq.steps)
 
-    warm = MockChatClient()
+    warm = CountingClient(delay=0)
     _, second = run_pipeline(data, warm, tmp_path, concurrency=4)
-    warm_ok = warm.calls == 0 and second.cached == 200 and second.failed == 10
+    warm_ok = len(warm.prompts) == 0 and second.cached == 200 and second.failed == 10
 
     ok = flagged_ok and absent_ok and warm_ok
     report(8, ok, f"failed {first.failed}/200 flagged exactly: {flagged_ok}; "
                   f"failed records carry absent ratios: {absent_ok}; "
-                  f"warm rerun calls={warm.calls} cached={second.cached}")
+                  f"warm rerun calls={len(warm.prompts)} cached={second.cached}")
 
 
 # 9. No information from the future --------------------------------------

@@ -144,6 +144,9 @@ class TestExitCodes:
         ("interactions.jsonl", _every_record("process_text", ["a"])),
         ("problems.json", _every_problem("text", 5)),
         ("problems.json", _every_problem("kc_ids", [1])),
+        ("problems.json", _every_problem("kc_ids", "algebra")),
+        ("problems.json", _every_problem("kc_ids", {"a": 1})),
+        ("problems.json", _every_problem("options", "abc")),
         ("interactions.jsonl", _every_record("duration", True)),
         ("interactions.jsonl", _every_record("duration", float("inf"))),
         ("interactions.jsonl", _every_record("duration", float("nan"))),
@@ -151,6 +154,7 @@ class TestExitCodes:
             "float-counts", "bool-correct", "float-correct", "float-timestamp",
             "string-timestamp", "float-difficulty", "int-student-id", "int-problem-id",
             "int-selected-answer", "list-process-text", "int-problem-text", "int-kc-id",
+            "string-kc-ids", "object-kc-ids", "string-options",
             "bool-duration", "infinite-duration", "nan-duration"])
     def test_malformed_dataset_names_the_file(self, workspace, tmp_path, capsys, file, edit):
         data = tmp_path / "data"
@@ -221,14 +225,15 @@ class TestExitCodes:
         ("eval", "--batch-size", "0"), ("extract-mp", "--concurrency", "0"),
         ("extract-mp", "--max-retries", "0"), ("train", "--test-frac", "1.5"),
         ("train", "--val-frac", "0"), ("train", "--alpha", "-1"), ("train", "--lr", "-1"),
-        ("train", "--lr", "0"), ("train", "--embed-dim", "0")])
+        ("train", "--lr", "0"), ("train", "--embed-dim", "0"), ("gradcheck", "--seeds", "0")])
     def test_bad_numeric_flag_is_a_validation_error(self, command, flag, value,
                                                      tmp_path, capsys):
         # the flag is rejected before any of these paths is opened
         d = str(tmp_path / "missing")
         required = {"train": ["--data", d, "--out", d],
                     "eval": ["--checkpoint", d, "--data", d],
-                    "extract-mp": ["--data", d, "--out", d, "--cache", d]}
+                    "extract-mp": ["--data", d, "--out", d, "--cache", d],
+                    "gradcheck": []}
         assert main([command] + required[command] + [flag, value]) == EXIT_VALIDATION
         assert flag in capsys.readouterr().err
 

@@ -172,7 +172,9 @@ class TestLoadSave:
                            match=f"{path}: malformed record at line 5: ValidationError: .*{key}"):
             load_dataset(tmp_path)
 
-    @pytest.mark.parametrize("key, value", [("problem_id", 3), ("text", 5), ("kc_ids", [1])])
+    @pytest.mark.parametrize("key, value", [("problem_id", 3), ("text", 5), ("kc_ids", [1]),
+                                            ("kc_ids", "algebra"), ("kc_ids", {"a": 1}),
+                                            ("options", "abc")])
     def test_problem_field_of_the_wrong_type_names_the_file(self, tmp_path, dataset, key,
                                                            value):
         save_dataset(tmp_path, dataset)

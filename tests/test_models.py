@@ -252,6 +252,47 @@ class TestFusedReadout:
                                    [(mp[..., 2] * (1 - mp[..., 2])).sum()], rtol=1e-12)
 
 
+class TestReadoutOp:
+    """Oracle: tests/reference.py's concat/matmul/add/clamp/sigmoid graph. The
+    output and the gradient of every input must equal the graph's bit for
+    bit, the signs of zeros included."""
+
+    @pytest.mark.parametrize("k", (1, 5))
+    @pytest.mark.parametrize("limit_at", ("above_every_logit", "a_positive_logit",
+                                          "a_negative_logit"))
+    def test_matches_graph(self, rng, k, limit_at):
+        state, next_q = rng.normal(size=(3, 4, 3)), rng.normal(size=(3, 4, 2))
+        weights = [rng.normal(size=(5, 1)) for _ in range(k)]
+        biases = [rng.normal(size=1) for _ in range(k)]
+        logits = ((np.concatenate([state, next_q], -1).reshape(-1, 5)
+                   @ np.concatenate(weights, -1)).reshape(3, 4, k) + np.concatenate(biases))
+        positive, negative = np.sort(logits[logits > 0]), np.sort(-logits[logits < 0])
+        limit = {"above_every_logit": 2.0 * np.abs(logits).max(),
+                 "a_positive_logit": positive[len(positive) // 2],
+                 "a_negative_logit": negative[len(negative) // 2]}[limit_at]
+        if limit_at != "above_every_logit":  # inside, beyond and exactly at ±limit
+            assert (np.abs(logits) < limit).any() and (np.abs(logits) > limit).any()
+            assert (logits == (limit if limit_at == "a_positive_logit" else -limit)).any()
+        g = rng.normal(size=(3, 4, k))
+        g.flat[::2] = -0.0
+        results = []
+        for fn in (nn.readout, ref.readout):
+            leaves = [nn.Tensor(a, requires_grad=True) for a in (state, next_q, *weights, *biases)]
+            out = fn(leaves[0], leaves[1], leaves[2:2 + k], leaves[2 + k:], limit)
+            nn.Tensor((out.data * g).sum(), parents=(out,),
+                      backward_fn=lambda grad, out=out: out._accumulate(grad * g)).backward()
+            results.append([out.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_one_call_is_one_node(self, rng):
+        leaves = [nn.Tensor(rng.normal(size=shape), requires_grad=True)
+                  for shape in ((2, 3, 4), (2, 3, 4), (8, 1), (8, 1), (1,), (1,))]
+        ops = graph_ops(nn.readout(leaves[0], leaves[1], leaves[2:4], leaves[4:], 15.0))
+        assert ops.count("readout") == 1 and len(ops) - ops.count("") == 1
+
+
 def perturb_future(batch, t0, seed):
     """Randomize every future input that must not affect position t0."""
     rng = np.random.default_rng(seed)
@@ -445,11 +486,12 @@ class TestOpSet:
 
 class TestGraphSize:
     @pytest.mark.parametrize("backbone, variant, nodes", [
-        ("recurrent", "statuskt", 25), ("recurrent", "original", 21),
-        ("attention", "statuskt", 39), ("attention", "original", 35)])
+        ("recurrent", "statuskt", 19), ("recurrent", "original", 15),
+        ("attention", "statuskt", 33), ("attention", "original", 29)])
     def test_op_nodes_per_training_step(self, backbone, variant, nodes):
         # the loss is one node; tests/reference.py's graph of it has 31
-        # (statuskt) or 10 (original)
+        # (statuskt) or 10 (original). The heads are one readout node and
+        # its slices, where the reference graph has 7 nodes and the slices
         model = build_model(small_config(backbone, variant, dropout=0.2))
         batch = toy_batch(0)
         preds = model.forward(batch, training=True, rng=np.random.default_rng(0))

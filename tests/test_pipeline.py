@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from conftest import logged_failures, make_dataset, make_problem
+from conftest import CountingClient, logged_failures, make_dataset, make_problem
 from prockt import synth
 from prockt.data import Dataset, MPRatios
 from prockt.pipeline import (
@@ -375,12 +375,12 @@ class TestRunPipeline:
 
     def test_stage_one_shared_per_problem(self, tmp_path):
         data = make_dataset(num_students=3, steps=4)
-        client = MockChatClient()
+        client = CountingClient(delay=0)
         run_pipeline(data, client, tmp_path)
         # 12 interactions over 4 distinct problems; stage-2/3 prompts repeat
         # across students here (same trace and answer), so the completion
         # cache collapses each stage to one call per problem
-        assert client.calls == 12
+        assert len(client.prompts) == 12
 
     def test_deterministic_across_fresh_caches(self, tmp_path):
         data = make_dataset()
@@ -393,9 +393,9 @@ class TestRunPipeline:
     def test_warm_rerun_makes_no_calls(self, tmp_path):
         data = make_dataset()
         run_pipeline(data, MockChatClient(), tmp_path)
-        client = MockChatClient()
+        client = CountingClient(delay=0)
         out, report = run_pipeline(data, client, tmp_path)
-        assert client.calls == 0
+        assert len(client.prompts) == 0
         assert report.cached == 12
         assert all(rec.mp is not None for seq in out.sequences for rec in seq.steps)
 
@@ -428,9 +428,9 @@ class TestRunPipeline:
         results = [v for _, v in map(json.loads,
                                      (tmp_path / "ratios.jsonl").read_text().splitlines())]
         assert results.count({"status": "failed"}) == 1
-        client = MockChatClient()
+        client = CountingClient(delay=0)
         _, report = run_pipeline(data, client, tmp_path)
-        assert client.calls == 0
+        assert len(client.prompts) == 0
         assert report.failed == 1 and report.cached == 12
 
     def test_deleting_the_result_log_retries_failures(self, tmp_path):
@@ -468,39 +468,6 @@ class TestRunPipeline:
             assert out.sequences[0].steps[step_i].mp.to_json() == doc["ratios"]
 
 
-class CountingClient:
-    """Wraps the mock: sleeps ``delay`` seconds per call and counts prompts.
-
-    ``fail_first`` names a prompt whose first call fails after 50 ms, long
-    enough for other workers to be waiting for it; ``stall_first`` names one
-    whose first call succeeds after 50 ms.
-    """
-
-    def __init__(self, delay=0.001, model="", fail_first=None, stall_first=None):
-        self.inner = MockChatClient()
-        self.delay = delay
-        if model:
-            self.model = model
-        self.fail_first = fail_first
-        self.stall_first = stall_first
-        self.prompts = []
-        self._lock = threading.Lock()
-
-    def complete(self, system_message, user_message, params):
-        with self._lock:
-            self.prompts.append(user_message)
-            fail = user_message == self.fail_first
-            if fail:
-                self.fail_first = None
-            stall = user_message == self.stall_first
-            if stall:
-                self.stall_first = None
-        time.sleep(0.05 if fail or stall else self.delay)
-        if fail:
-            raise ChatClientError("injected failure of the first call")
-        return self.inner.complete(system_message, user_message, params)
-
-
 def distinct_students(num_students, steps):
     """Students with their own traces, so stage-2/3 prompts differ by student."""
     data = make_dataset(num_students=num_students, steps=steps)
@@ -531,18 +498,18 @@ class TestCacheLog:
         log_path = tmp_path / "ratios.jsonl"
         text = log_path.read_text()
         log_path.write_text(text[:-40])  # a crash in the middle of the last record
-        client = MockChatClient()
+        client = CountingClient(delay=0)
         _, report = run_pipeline(data, client, tmp_path)
         assert report.cached == 11 and report.annotated == 12
-        assert client.calls == 0  # re-annotated from cached completions
+        assert len(client.prompts) == 0  # re-annotated from cached completions
         lines = log_path.read_text().splitlines()
         assert len(lines) == 13
         with pytest.raises(json.JSONDecodeError):
             json.loads(lines[11])
         assert all(len(json.loads(line)) == 2 for line in lines[:11] + lines[12:])
-        warm = MockChatClient()
+        warm = CountingClient(delay=0)
         _, report = run_pipeline(data, warm, tmp_path)
-        assert warm.calls == 0 and report.cached == 12
+        assert len(warm.prompts) == 0 and report.cached == 12
 
     def test_torn_audit_line_is_no_miss_and_next_append_survives(self, tmp_path):
         data = make_dataset(num_students=3, steps=4)
@@ -550,9 +517,9 @@ class TestCacheLog:
         log_path = tmp_path / "audit.jsonl"
         log_path.write_text(log_path.read_text()[:-40])
         torn = log_path.read_bytes()
-        warm = MockChatClient()
+        warm = CountingClient(delay=0)
         _, report = run_pipeline(data, warm, tmp_path)
-        assert warm.calls == 0 and report.cached == 12
+        assert len(warm.prompts) == 0 and report.cached == 12
         assert log_path.read_bytes() == torn
         data.sequences[0].steps[0].selected_answer = "3"  # one miss appends one audit
         _, report = run_pipeline(data, MockChatClient(), tmp_path)
@@ -568,9 +535,9 @@ class TestCacheLog:
         cold, _ = run_pipeline(data, MockChatClient(), tmp_path)
         garbage = b'not json\n[["a"], 1]\n\xff\xfe\n{"a": 1, "b": 2}\n' * 12
         (tmp_path / "audit.jsonl").write_bytes(garbage)
-        client = MockChatClient()
+        client = CountingClient(delay=0)
         warm, report = run_pipeline(data, client, tmp_path)
-        assert client.calls == 0 and report.cached == report.annotated == 12
+        assert len(client.prompts) == 0 and report.cached == report.annotated == 12
         assert (tmp_path / "audit.jsonl").read_bytes() == garbage
         assert [r.to_json() for s in warm.sequences for r in s.steps] == \
             [r.to_json() for s in cold.sequences for r in s.steps]
@@ -580,15 +547,15 @@ class TestCacheLog:
         data = distinct_students(num_students=4, steps=3)
         cold, cold_report = run_pipeline(data, MockChatClient(), tmp_path)
         (tmp_path / "ratios.jsonl").unlink()
-        client = MockChatClient()
+        client = CountingClient(delay=0)
         out, report = run_pipeline(data, client, tmp_path, concurrency=4)
-        assert client.calls == 0
+        assert len(client.prompts) == 0
         assert (report.annotated, report.failed, report.cached) == (12, 0, 0)
         assert [r.to_json() for s in out.sequences for r in s.steps] == \
             [r.to_json() for s in cold.sequences for r in s.steps]
-        warm = MockChatClient()
+        warm = CountingClient(delay=0)
         _, report = run_pipeline(data, warm, tmp_path)
-        assert warm.calls == 0 and report.cached == 12
+        assert len(warm.prompts) == 0 and report.cached == 12
 
     @pytest.mark.parametrize("value", [
         5, "ok", [1, 2], {"status": "ok"},
@@ -607,9 +574,9 @@ class TestCacheLog:
         lines = log_path.read_text().splitlines()
         key = json.loads(lines[0])[0]
         log_path.write_text("\n".join([json.dumps([key, value])] + lines[1:]) + "\n")
-        client = MockChatClient()
+        client = CountingClient(delay=0)
         out, report = run_pipeline(data, client, tmp_path)
-        assert client.calls == 0  # re-annotated from cached completions
+        assert len(client.prompts) == 0  # re-annotated from cached completions
         assert report.cached == 11 and report.annotated == 12
         assert [r.to_json() for s in out.sequences for r in s.steps] == \
             [r.to_json() for s in cold.sequences for r in s.steps]
@@ -630,9 +597,9 @@ class TestCacheLog:
         for path in tmp_path.iterdir():
             with open(path, "a") as fh:
                 fh.write('[["a"], 1]\n[1, 2]\n{"a": 1, "b": 2}\n')
-        client = MockChatClient()
+        client = CountingClient(delay=0)
         _, report = run_pipeline(data, client, tmp_path)
-        assert client.calls == 0 and report.cached == 12
+        assert len(client.prompts) == 0 and report.cached == 12
         data.sequences[0].steps[0].selected_answer = "3"  # a miss reads the completions
         _, report = run_pipeline(data, client, tmp_path)
         assert report.cached == 11 and report.annotated == 12
@@ -673,9 +640,9 @@ class TestCacheLog:
         for name in ("audit.jsonl", "completions.jsonl", "ratios.jsonl"):
             for line in (tmp_path / name).read_text().splitlines():
                 assert len(json.loads(line)) == 2
-        warm = MockChatClient()
+        warm = CountingClient(delay=0)
         _, report = run_pipeline(data, warm, tmp_path)
-        assert warm.calls == 0 and report.cached == 40
+        assert len(warm.prompts) == 0 and report.cached == 40
 
 
 class TestSingleFlight:
@@ -972,9 +939,9 @@ class TestHitsAndRubrics:
                 raise AssertionError("a warm run made a thread pool")
 
         monkeypatch.setattr(runner_module, "ThreadPoolExecutor", NoPool)
-        client = MockChatClient()
+        client = CountingClient(delay=0)
         out, report = run_pipeline(data, client, tmp_path, concurrency=4)
-        assert client.calls == 0 and report.cached == report.annotated == 12
+        assert len(client.prompts) == 0 and report.cached == report.annotated == 12
         assert all(rec.mp is not None for seq in out.sequences for rec in seq.steps)
 
     @pytest.mark.parametrize("text, error", [
@@ -1163,28 +1130,6 @@ class TestHttpChatClient:
 # -- mock client schema ---------------------------------------------------
 
 class TestMockChatClient:
-    def test_call_count_is_exact_under_threads(self):
-        client = MockChatClient()
-        threads_n, calls_each = 8, 2000
-
-        def worker():
-            for _ in range(calls_each):
-                with pytest.raises(ChatClientError):  # counted, then rejected
-                    client.complete("", "unrecognized", ChatParams())
-
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker) for _ in range(threads_n)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old_interval)
-        assert not any(t.is_alive() for t in threads)
-        assert client.calls == threads_n * calls_each
-
     def test_stage_one_covers_every_dimension(self, problem):
         client = MockChatClient()
         raw = client.complete("", render_indicator_prompt(problem), ChatParams())
