@@ -256,14 +256,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    runs = []
-    for path in sorted(Path(args.runs).rglob("metrics.json")):
-        with open(path) as fh:
-            runs.append(json.load(fh))
     by_backbone: dict[str, dict[str, dict]] = {}
-    for m in runs:
-        if "backbone" in m and "variant" in m:
-            by_backbone.setdefault(m["backbone"], {})[m["variant"]] = m
+    for path in sorted(Path(args.runs).rglob("metrics.json")):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                m = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: not JSON: {exc}") from None
+        if not isinstance(m, dict):
+            raise ValidationError(f"{path}: expected a JSON object, got {type(m).__name__}")
+        if "backbone" not in m or "variant" not in m:
+            continue
+        for key in ("test_auc", "test_acc"):  # the columns of the table
+            value = m.get(key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValidationError(f"{path}: {key} must be a number, got {value!r}")
+        by_backbone.setdefault(m["backbone"], {})[m["variant"]] = m
     lines = ["| Backbone | AUC (original) | AUC (statuskt) | ACC (original) | ACC (statuskt) |",
              "|---|---|---|---|---|"]
     fmt = lambda m, k: f"{m[k]:.4f}" if m else "-"
@@ -362,10 +370,7 @@ def main(argv=None) -> int:
                 raise ValidationError(f"--{name.replace('_', '-')} must be in ({low}, {high}), "
                                       f"got {value}")
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (UsageError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValidationError, DatasetFormatError, SplitError, ConfigError) as exc:

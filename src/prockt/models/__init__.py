@@ -1,5 +1,5 @@
 from .config import BACKBONES, VARIANTS, ConfigError, ModelConfig
-from .base import KTModel, Predictions
+from .base import KTModel
 from .recurrent import RecurrentKT
 from .attention import AttentionKT
 
@@ -13,5 +13,5 @@ def build_model(config: ModelConfig) -> KTModel:
 
 __all__ = [
     "AttentionKT", "BACKBONES", "ConfigError", "KTModel", "ModelConfig",
-    "Predictions", "RecurrentKT", "VARIANTS", "build_model",
+    "RecurrentKT", "VARIANTS", "build_model",
 ]

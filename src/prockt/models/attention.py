@@ -11,7 +11,7 @@ import numpy as np
 
 from .. import nn
 from ..data.batches import Batch
-from .base import KTModel, Predictions
+from .base import KTModel
 from .config import ModelConfig
 
 MASK_FILL = -1e9
@@ -34,7 +34,7 @@ class AttentionKT(KTModel):
             self._add_zeros(f"{name}.bias", (d,))
 
     def forward(self, batch: Batch, training: bool = False,
-                rng: np.random.Generator | None = None) -> Predictions:
+                rng: np.random.Generator | None = None) -> nn.Tensor:
         self._check_batch(batch)
         cfg = self.config
         B, T = batch.question_ids.shape

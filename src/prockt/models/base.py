@@ -1,14 +1,14 @@
 """Shared model machinery: embeddings, fusion, readout heads.
 
-Position t of the output predicts step t+1: the probability of answering
-question t+1 correctly and, in the statuskt variant, the four
-proficiency ratios of step t+1. Inputs at position t never include
-anything from step t+1 except the identity of its question and concept.
+``forward`` returns one (B, T, k) tensor of probabilities. Position t
+predicts step t+1: column 0 is the probability of answering question t+1
+correctly and, in the statuskt variant (k = 5), columns 1-4 are the
+proficiency ratios of step t+1 in ``DIMENSIONS`` order; the original
+variant has k = 1. Inputs at position t never include anything from step
+t+1 except the identity of its question and concept.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,12 +18,6 @@ from ..data.schema import DIMENSIONS
 from .config import ModelConfig
 
 LOGIT_CLAMP = 15.0
-
-
-@dataclass
-class Predictions:
-    r_pred: nn.Tensor              # (B, T), P(next answer correct)
-    mp_pred: nn.Tensor | None      # (B, T, 4) in the statuskt variant, else None
 
 
 class KTModel:
@@ -131,17 +125,15 @@ class KTModel:
         return nn.add(nn.embedding_lookup(self.params["embed.question"], nq),
                       nn.embedding_lookup(self.params["embed.concept"], nc))
 
-    def readout(self, state: nn.Tensor, next_q: nn.Tensor) -> Predictions:
+    def readout(self, state: nn.Tensor, next_q: nn.Tensor) -> nn.Tensor:
         """All heads as one fused readout on their weights and biases side by side."""
         heads = ["head.correct"]
         if self.config.variant == "statuskt":
             heads += [f"head.mp.{dim}" for dim in DIMENSIONS]
-        probs = nn.readout(state, next_q, [self.params[f"{h}.weight"] for h in heads],
-                           [self.params[f"{h}.bias"] for h in heads], LOGIT_CLAMP)
-        mp_pred = probs[..., 1:] if self.config.variant == "statuskt" else None
-        return Predictions(r_pred=probs[..., 0], mp_pred=mp_pred)
+        return nn.readout(state, next_q, [self.params[f"{h}.weight"] for h in heads],
+                          [self.params[f"{h}.bias"] for h in heads], LOGIT_CLAMP)
 
     def forward(self, batch: Batch, training: bool = False,
-                rng: np.random.Generator | None = None) -> Predictions:
+                rng: np.random.Generator | None = None) -> nn.Tensor:
         raise NotImplementedError
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from .. import nn
 from ..data.batches import Batch
-from .base import KTModel, Predictions
+from .base import KTModel
 from .config import ModelConfig
 
 
@@ -19,7 +19,7 @@ class RecurrentKT(KTModel):
         self._add_zeros("rnn.b", (4 * d,))
 
     def forward(self, batch: Batch, training: bool = False,
-                rng: np.random.Generator | None = None) -> Predictions:
+                rng: np.random.Generator | None = None) -> nn.Tensor:
         self._check_batch(batch)
         x = self.interaction_embedding(batch)
         x = nn.dropout(x, self._dropout_mask(x.shape, training, rng))

@@ -12,7 +12,6 @@ from .tensor import (
     no_grad,
     readout,
     relu,
-    slice_,
 )
 from .losses import PROB_EPS, composite_loss
 from .optim import Adam
@@ -27,5 +26,5 @@ __all__ = [
     "Adam", "PROB_EPS", "ShapeError", "Tensor", "add", "as_tensor", "attention",
     "check_gradients", "composite_loss", "dropout", "embedding_lookup", "init",
     "layer_norm", "load_checkpoint", "lstm", "matmul", "no_grad", "numeric_gradient",
-    "readout", "relu", "save_checkpoint", "slice_",
+    "readout", "relu", "save_checkpoint",
 ]

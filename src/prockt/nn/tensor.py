@@ -84,9 +84,6 @@ class Tensor:
             if node._backward_fn is not None and grad is not None:
                 node._backward_fn(grad)
 
-    def __getitem__(self, key):
-        return slice_(self, key)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -189,19 +186,6 @@ def dropout(a, mask: np.ndarray | None) -> Tensor:
         a._accumulate(g * mask)
 
     return _make(out_data, (a,), backward_fn, "dropout")
-
-
-def slice_(a, key) -> Tensor:
-    """Basic (view-style) indexing; gradient scatters back into place."""
-    a = as_tensor(a)
-    out_data = a.data[key]
-
-    def backward_fn(g):
-        scattered = np.zeros_like(a.data)
-        scattered[key] += g
-        a._accumulate(scattered)
-
-    return _make(out_data, (a,), backward_fn, "slice")
 
 
 def embedding_lookup(table, indices) -> Tensor:

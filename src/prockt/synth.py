@@ -9,6 +9,7 @@ their satisfied/total structure matches pipeline-produced annotations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ class SimConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name, v in vars(self).items():
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         for name in ("guess", "slip", "mp_noise_sd", "concept_stickiness"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -58,10 +58,10 @@ class TrainResult:
             model.params[name].data = data.copy()
 
 
-def _nan_dump(batch: Batch, preds_data: np.ndarray) -> str:
+def _nan_dump(batch: Batch, p_correct: np.ndarray) -> str:
     return (f"question_ids range [{batch.question_ids.min()}, {batch.question_ids.max()}], "
             f"supervised positions {int(batch.target_mask.sum())}, "
-            f"r_pred range [{preds_data.min():.3e}, {preds_data.max():.3e}]")
+            f"P(correct) range [{p_correct.min():.3e}, {p_correct.max():.3e}]")
 
 
 def train(model: KTModel, train_batches: list[Batch], val_batches: list[Batch],
@@ -81,16 +81,14 @@ def train(model: KTModel, train_batches: list[Batch], val_batches: list[Batch],
         losses = []
         for bi in order:
             batch = train_batches[bi]
-            preds = model.forward(batch, training=True, rng=rng)
-            loss = composite_loss(batch.targets_correct, preds.r_pred,
-                                  batch.targets_mp, preds.mp_pred,
-                                  batch.target_mp_mask, batch.target_mask,
-                                  config.alpha)
+            probs = model.forward(batch, training=True, rng=rng)
+            loss = composite_loss(batch.targets_correct, probs, batch.targets_mp,
+                                  batch.target_mp_mask, batch.target_mask, config.alpha)
             value = loss.item()
             if not math.isfinite(value):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {bi}: "
-                    + _nan_dump(batch, preds.r_pred.data))
+                    + _nan_dump(batch, probs.data[..., 0]))
             opt.zero_grad()
             loss.backward()
             opt.step()

@@ -64,13 +64,13 @@ def gather_predictions(model: KTModel, batches: list[Batch]
     mp_t, mp_p, mp_m = [], [], []
     for batch in batches:
         with nn.no_grad():
-            preds = model.forward(batch, training=False)
+            probs = model.forward(batch, training=False).data
         mask = batch.target_mask.astype(bool)
         labels.append(batch.targets_correct[mask])
-        scores.append(preds.r_pred.data[mask])
-        if preds.mp_pred is not None:
+        scores.append(probs[..., 0][mask])
+        if probs.shape[-1] > 1:
             mp_t.append(batch.targets_mp[mask])
-            mp_p.append(preds.mp_pred.data[mask])
+            mp_p.append(probs[..., 1:][mask])
             mp_m.append(batch.target_mp_mask[mask])
     cat = lambda parts, width: (np.concatenate(parts) if parts
                                 else np.zeros((0, width) if width else 0))

@@ -1,13 +1,15 @@
 """Unfused reference graphs that the fused ops are tested against.
 
 The ops here are the autodiff primitives that no program calls any more:
-the elementwise, reduction and reshaping ops, the stacked branch of
-``matmul``, and ``dropout`` drawing its own mask. With them, ``readout`` is
-the oracle of ``nn.readout``: the prediction heads as the ``concat``,
-``matmul``, ``add``, ``clamp`` and ``sigmoid`` nodes ``KTModel.readout``
-built before the readout was one node. ``composite_loss`` is the loss oracle: it builds the training objective
-node by node from ``bce`` and one ``masked_mse`` per proficiency dimension,
-as the training loop did before ``nn.composite_loss`` made it one node.
+the elementwise, reduction and reshaping ops, ``slice_`` (basic indexing),
+the stacked branch of ``matmul``, and ``dropout`` drawing its own mask.
+With them, ``readout`` is the oracle of ``nn.readout``: the prediction
+heads as the ``concat``, ``matmul``, ``add``, ``clamp`` and ``sigmoid``
+nodes ``KTModel.readout`` built before the readout was one node.
+``composite_loss`` is the loss oracle: it slices the columns out of the
+readout's probabilities and builds the training objective node by node
+from ``bce`` and one ``masked_mse`` per proficiency dimension, as the
+training loop did before ``nn.composite_loss`` made it one node.
 ``layer_norm`` and ``unfused_attention_forward`` build the attention block
 node by node, as ``AttentionKT.forward`` did before ``nn.layer_norm`` and
 ``nn.attention`` replaced it, and ``unrolled_lstm`` and
@@ -189,6 +191,19 @@ def dropout(a, rate: float, rng: np.random.Generator | None = None, training: bo
     return _make(out_data, (a,), backward_fn, "dropout")
 
 
+def slice_(a, key) -> nn.Tensor:
+    """Basic (view-style) indexing; gradient scatters back into place."""
+    a = as_tensor(a)
+    out_data = a.data[key]
+
+    def backward_fn(g):
+        scattered = np.zeros_like(a.data)
+        scattered[key] += g
+        a._accumulate(scattered)
+
+    return _make(out_data, (a,), backward_fn, "slice")
+
+
 def sum_(a, axis=None, keepdims=False) -> nn.Tensor:
     a = as_tensor(a)
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
@@ -257,20 +272,22 @@ def masked_mse(targets, preds: nn.Tensor, mask) -> nn.Tensor:
     return masked_mean(mul(diff, diff), m)
 
 
-def composite_loss(r_gt, r_pred, mp_gt, mp_pred, mp_mask, valid_mask, alpha) -> nn.Tensor:
-    """``nn.composite_loss`` as a graph of ``bce``, four ``masked_mse`` terms on
-    column slices of ``mp_pred``, and the adds and the multiply joining them."""
+def composite_loss(r_gt, probs, mp_gt, mp_mask, valid_mask, alpha) -> nn.Tensor:
+    """``nn.composite_loss`` as a graph: ``bce`` on a slice of column 0 of
+    ``probs``, one ``masked_mse`` term on a slice of each further column, and
+    the adds and the multiply joining them."""
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    loss = bce(r_gt, r_pred, valid_mask)
-    if alpha == 0 or mp_pred is None:
+    loss = bce(r_gt, slice_(probs, np.s_[..., 0]), valid_mask)
+    if alpha == 0 or probs.shape[-1] == 1:
         return loss
     valid = np.asarray(valid_mask)
     mp_mask = np.asarray(mp_mask)
     mp_gt = np.asarray(mp_gt)
     mp_total = None
-    for i in range(len(DIMENSIONS)):
-        term = masked_mse(mp_gt[..., i], mp_pred[..., i], valid * mp_mask[..., i])
+    for i in range(probs.shape[-1] - 1):
+        term = masked_mse(mp_gt[..., i], slice_(probs, np.s_[..., 1 + i]),
+                          valid * mp_mask[..., i])
         mp_total = term if mp_total is None else nn.add(mp_total, term)
     return nn.add(loss, mul(mp_total, alpha))
 
@@ -348,11 +365,11 @@ def unrolled_lstm(xw, wh, b) -> nn.Tensor:
     c = nn.Tensor(np.zeros((B, d)))
     hs = []
     for t in range(T):
-        gates = nn.add(nn.add(xw[:, t, :], nn.matmul(h, wh)), b)
-        i = sigmoid(gates[:, 0 * d:1 * d])
-        f = sigmoid(gates[:, 1 * d:2 * d])
-        g = tanh(gates[:, 2 * d:3 * d])
-        o = sigmoid(gates[:, 3 * d:4 * d])
+        gates = nn.add(nn.add(slice_(xw, np.s_[:, t, :]), nn.matmul(h, wh)), b)
+        i = sigmoid(slice_(gates, np.s_[:, 0 * d:1 * d]))
+        f = sigmoid(slice_(gates, np.s_[:, 1 * d:2 * d]))
+        g = tanh(slice_(gates, np.s_[:, 2 * d:3 * d]))
+        o = sigmoid(slice_(gates, np.s_[:, 3 * d:4 * d]))
         c = nn.add(mul(f, c), mul(i, g))
         h = mul(o, tanh(c))
         hs.append(reshape(h, (B, 1, d)))

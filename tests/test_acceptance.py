@@ -37,7 +37,8 @@ from prockt.pipeline import (
     run_pipeline,
 )
 from prockt.synth import SimConfig, generate
-from prockt.training import TrainConfig, auc, composite_loss, train
+from prockt.nn import composite_loss
+from prockt.training import TrainConfig, auc, train
 from prockt.training.metrics import evaluate
 from prockt.verify import check_model_loss, check_ops, toy_batch
 
@@ -68,20 +69,20 @@ def test_criterion_2_alpha_zero_reduces_to_bce():
     rng = np.random.default_rng(0)
     r_gt = rng.integers(0, 2, size=(4, 9)).astype(float)
     valid = (rng.random((4, 9)) < 0.8).astype(float)
-    probs = sigmoid(nn.Tensor(rng.normal(size=(4, 9))))
-    mp_pred = nn.Tensor(rng.random((4, 9, 4)))
-    got = composite_loss(r_gt, probs, rng.random((4, 9, 4)), mp_pred,
+    p_correct = sigmoid(nn.Tensor(rng.normal(size=(4, 9))))
+    probs = nn.Tensor(np.dstack([p_correct.data, rng.random((4, 9, 4))]))
+    got = composite_loss(r_gt, probs, rng.random((4, 9, 4)),
                          np.ones((4, 9, 4)), valid, alpha=0.0).item()
-    want = bce(r_gt, probs, valid).item()
+    want = bce(r_gt, p_correct, valid).item()
     bitwise = got == want
 
     # hand-checked composite: ln 2 from the BCE term, 0.5 * 0.04 from the
     # single supervised proficiency dimension
     mp_mask = np.zeros((1, 1, 4))
     mp_mask[0, 0, 0] = 1.0
-    value = composite_loss(np.ones((1, 1)), nn.Tensor(np.full((1, 1), 0.5)),
-                           np.full((1, 1, 4), 0.5), nn.Tensor(np.full((1, 1, 4), 0.7)),
-                           mp_mask, np.ones((1, 1)), alpha=0.5).item()
+    value = composite_loss(np.ones((1, 1)), nn.Tensor([[[0.5, 0.7, 0.7, 0.7, 0.7]]]),
+                           np.full((1, 1, 4), 0.5), mp_mask, np.ones((1, 1)),
+                           alpha=0.5).item()
     expect = math.log(2.0) + 0.02
     hand = abs(value - expect) < 1e-9
     report(2, bitwise and hand,
@@ -324,11 +325,8 @@ def test_criterion_9_predictions_are_causal():
             t0 = int(rng.integers(0, batch.question_ids.shape[1] - 1))
             base = model.forward(batch)
             pert = model.forward(_perturb_future(batch, t0, rng))
-            worst = max(worst,
-                        float(np.abs(pert.r_pred.data[:, :t0 + 1]
-                                     - base.r_pred.data[:, :t0 + 1]).max()),
-                        float(np.abs(pert.mp_pred.data[:, :t0 + 1]
-                                     - base.mp_pred.data[:, :t0 + 1]).max()))
+            worst = max(worst, float(np.abs(pert.data[:, :t0 + 1]
+                                            - base.data[:, :t0 + 1]).max()))
             checked += 1
     ok = worst < 1e-12 and checked == 50
     report(9, ok, f"max prediction change from future-only perturbations "

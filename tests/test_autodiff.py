@@ -128,12 +128,13 @@ class TestBackwardValues:
 
     def test_slice_scatters_gradient(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        ref.sum_(x[0, 1:]).backward()
+        ref.sum_(ref.slice_(x, np.s_[0, 1:])).backward()
         np.testing.assert_array_equal(x.grad, [[0, 1, 1], [0, 0, 0]])
 
     def test_overlapping_slices_accumulate(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        ref.sum_(nn.add(ref.mul(x[:, :2], 2.0), x[:, 1:])).backward()
+        ref.sum_(nn.add(ref.mul(ref.slice_(x, np.s_[:, :2]), 2.0),
+                        ref.slice_(x, np.s_[:, 1:]))).backward()
         np.testing.assert_array_equal(x.grad, [[2, 3, 1], [2, 3, 1]])
 
     @pytest.mark.parametrize("same", (True, False))
@@ -146,7 +147,8 @@ class TestBackwardValues:
         y = x if same else Tensor(np.ones((2, 3)), requires_grad=True)
         w = np.array([[1.0, -2.0, 3.0], [4.0, 5.0, -6.0]])
         s = nn.add(x, y)
-        terms = [ref.sum_(ref.mul(s, w)), ref.sum_(s[:, :2]), ref.sum_(x[:, 1:]), ref.sum_(y[0])]
+        terms = [ref.sum_(ref.mul(s, w)), ref.sum_(ref.slice_(s, np.s_[:, :2])),
+                 ref.sum_(ref.slice_(x, np.s_[:, 1:])), ref.sum_(ref.slice_(y, np.s_[0]))]
         if reverse:
             terms.reverse()
         loss = terms[0]
@@ -214,7 +216,7 @@ class TestGradientOwnership:
         # the operand order of the joining add moves which backward reaches x first
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         w = np.array([[1.0, -2.0, 3.0], [4.0, 5.0, -6.0]])
-        terms = [nn.add(x[0], x[1]), ref.mul(x, w)]
+        terms = [nn.add(ref.slice_(x, np.s_[0]), ref.slice_(x, np.s_[1])), ref.mul(x, w)]
         if not slices_first:
             terms.reverse()
         ref.sum_(nn.add(*terms)).backward()
@@ -228,8 +230,8 @@ class TestGradientOwnership:
                                         embed_dim=8, dropout=0.3, attention_heads=2, seed=0))
         batch = toy_batch(0)
         opt = Adam(model.parameters())
-        preds = model.forward(batch, training=True, rng=np.random.default_rng(0))
-        composite_loss(batch.targets_correct, preds.r_pred, batch.targets_mp, preds.mp_pred,
+        probs = model.forward(batch, training=True, rng=np.random.default_rng(0))
+        composite_loss(batch.targets_correct, probs, batch.targets_mp,
                        batch.target_mp_mask, batch.target_mask, alpha=0.5).backward()
         opt.step()
         for name, p in model.parameters().items():
@@ -286,9 +288,10 @@ class TestShapeErrors:
 
 
 def bce(labels, probs, mask=None):
-    """The objective's BCE term: ``composite_loss`` with alpha = 0."""
+    """The objective's BCE term: ``composite_loss`` with alpha = 0 on ``probs``
+    as its one column."""
     y = np.asarray(labels, dtype=np.float64)
-    return composite_loss(y, probs, None, None, None,
+    return composite_loss(y, ref.reshape(probs, (*probs.shape, 1)), None, None,
                           np.ones_like(y) if mask is None else mask, alpha=0.0)
 
 

@@ -103,6 +103,19 @@ class TestExitCodes:
                      "--out", str(tmp_path / "d")]) == EXIT_VALIDATION
         assert "num_students" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("learn_rate", "nan"), ("discrimination", "inf"),
+                                            ("guess", "-inf"), ("difficulty_sd", "nan")])
+    def test_non_finite_simulator_float_is_a_validation_error(self, key, value, tmp_path,
+                                                              capsys):
+        # nan learn_rate ended in a traceback; inf discrimination wrote a dataset
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SIM + f"{key} = {value}\n")
+        assert main(["synth", "--config", str(cfg),
+                     "--out", str(tmp_path / "d")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert key in err and "finite" in err and "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
     def test_too_few_students_is_a_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text("num_students = 2\nnum_problems = 5\n"
@@ -218,6 +231,35 @@ class TestExitCodes:
                      "--data", str(workspace / "annotated")]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert str(ckpt) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: "{bad",
+        lambda doc: json.dumps([doc]),
+        lambda doc: json.dumps({**doc, "test_auc": "x"}),
+        lambda doc: json.dumps({**doc, "test_acc": None}),
+        lambda doc: json.dumps({k: v for k, v in doc.items() if k != "test_acc"}),
+    ], ids=["not-json", "not-an-object", "string-test-auc", "null-test-acc",
+            "missing-test-acc"])
+    def test_bad_run_metrics_names_the_file(self, workspace, tmp_path, capsys, edit):
+        metrics = tmp_path / "run" / "metrics.json"
+        metrics.parent.mkdir()
+        metrics.write_text(edit(json.loads((workspace / "run" / "metrics.json").read_text())))
+        assert main(["report", "--runs", str(tmp_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(metrics) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "train"],
+                             ids=["eval---checkpoint-DIR", "train---data-FILE"])
+    def test_path_of_the_wrong_kind_is_a_usage_error(self, workspace, tmp_path, capsys,
+                                                     command):
+        # like a missing path: the checkpoint is a directory, the data a file
+        args = {"eval": ["--checkpoint", str(workspace / "run"),
+                         "--data", str(workspace / "annotated")],
+                "train": ["--data", str(workspace / "run" / "metrics.json"),
+                          "--out", str(tmp_path / "run")] + TRAIN_FLAGS}
+        assert main([command] + args[command]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("command, flag, value", [
         ("train", "--batch-size", "0"), ("train", "--epochs", "0"),

@@ -8,7 +8,8 @@ import pytest
 import reference as ref
 from prockt import nn
 from prockt.models import ConfigError, ModelConfig, build_model
-from prockt.training import TrainConfig, composite_loss, train
+from prockt.nn import composite_loss
+from prockt.training import TrainConfig, train
 from prockt.verify import op_cases, toy_batch
 
 BACKBONES = ("recurrent", "attention")
@@ -135,40 +136,36 @@ class TestParameters:
         loaded, _ = nn.load_checkpoint(path)
         dst.load_params(loaded)
         batch = toy_batch(0)
-        np.testing.assert_allclose(dst.forward(batch).r_pred.data,
-                                   src.forward(batch).r_pred.data, atol=1e-12)
+        np.testing.assert_allclose(dst.forward(batch).data, src.forward(batch).data, atol=1e-12)
 
 
 class TestForward:
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_output_shapes_and_range(self, backbone):
         batch = toy_batch(0)
-        preds = build_model(small_config(backbone)).forward(batch)
-        assert preds.r_pred.shape == (2, 8)
-        assert preds.mp_pred.shape == (2, 8, 4)
-        for arr in (preds.r_pred.data, preds.mp_pred.data):
-            assert (arr > 0).all() and (arr < 1).all()
+        probs = build_model(small_config(backbone)).forward(batch)
+        assert probs.shape == (2, 8, 5)  # P(correct), then CU, SC, PF, AR
+        assert (probs.data > 0).all() and (probs.data < 1).all()
 
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_original_variant_has_no_mp_head(self, backbone):
-        preds = build_model(small_config(backbone, "original")).forward(toy_batch(0))
-        assert preds.mp_pred is None
+        probs = build_model(small_config(backbone, "original")).forward(toy_batch(0))
+        assert probs.shape == (2, 8, 1)
 
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_original_ignores_mp_inputs(self, backbone):
         model = build_model(small_config(backbone, "original"))
         batch = toy_batch(0)
         scrambled = replace(batch, mp_inputs=np.random.default_rng(9).random((2, 8, 8)))
-        np.testing.assert_array_equal(model.forward(batch).r_pred.data,
-                                      model.forward(scrambled).r_pred.data)
+        np.testing.assert_array_equal(model.forward(batch).data, model.forward(scrambled).data)
 
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_statuskt_uses_mp_inputs(self, backbone):
         model = build_model(small_config(backbone))
         batch = toy_batch(0)
         scrambled = replace(batch, mp_inputs=np.random.default_rng(9).random((2, 8, 8)))
-        assert not np.array_equal(model.forward(batch).r_pred.data,
-                                  model.forward(scrambled).r_pred.data)
+        assert not np.array_equal(model.forward(batch).data[..., 0],
+                                  model.forward(scrambled).data[..., 0])
 
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_statuskt_with_zero_fusion_matches_original(self, backbone):
@@ -177,8 +174,8 @@ class TestForward:
         fused.params["mp.proj.weight"].data[:] = 0.0
         fused.params["mp.proj.bias"].data[:] = 0.0
         batch = toy_batch(1)
-        np.testing.assert_allclose(fused.forward(batch).r_pred.data,
-                                   orig.forward(batch).r_pred.data, atol=1e-12)
+        np.testing.assert_allclose(fused.forward(batch).data[..., :1],
+                                   orig.forward(batch).data, atol=1e-12)
 
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_all_padding_batch_runs(self, backbone):
@@ -188,8 +185,8 @@ class TestForward:
                         concept_ids=np.zeros_like(batch.concept_ids),
                         correctness=np.zeros_like(batch.correctness),
                         valid_mask=np.zeros_like(batch.valid_mask))
-        preds = build_model(small_config(backbone)).forward(empty)
-        assert np.isfinite(preds.r_pred.data).all()
+        probs = build_model(small_config(backbone)).forward(empty)
+        assert np.isfinite(probs.data).all()
 
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_batch_longer_than_max_len_rejected(self, backbone):
@@ -200,9 +197,7 @@ class TestForward:
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_batch_shorter_than_max_len_accepted(self, backbone):
         model = build_model(small_config(backbone, max_len=16))
-        preds = model.forward(toy_batch(0))  # T = 8
-        assert preds.r_pred.shape == (2, 8)
-        assert preds.mp_pred.shape == (2, 8, 4)
+        assert model.forward(toy_batch(0)).shape == (2, 8, 5)  # T = 8
 
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_dropout_needs_rng_in_training(self, backbone):
@@ -215,8 +210,8 @@ class TestForward:
         drop = build_model(small_config(backbone, dropout=0.5))
         none = build_model(small_config(backbone, dropout=0.0))
         batch = toy_batch(2)
-        np.testing.assert_array_equal(drop.forward(batch, training=False).r_pred.data,
-                                      none.forward(batch).r_pred.data)
+        np.testing.assert_array_equal(drop.forward(batch, training=False).data,
+                                      none.forward(batch).data)
 
 
 class TestFusedReadout:
@@ -229,21 +224,21 @@ class TestFusedReadout:
             p.data = rng.normal(size=p.shape)
         state = nn.Tensor(rng.normal(size=(2, 8, 8)), requires_grad=True)
         next_q = nn.Tensor(rng.normal(size=(2, 8, 8)))
-        preds = model.readout(state, next_q)
+        probs = model.readout(state, next_q)
         z = np.concatenate([state.data, next_q.data], axis=-1)
 
         def head(name):
             logit = z @ model.params[f"{name}.weight"].data + model.params[f"{name}.bias"].data
             return 1.0 / (1.0 + np.exp(-np.clip(logit, -15.0, 15.0)))
 
-        np.testing.assert_allclose(preds.r_pred.data, head("head.correct")[..., 0], rtol=1e-12)
+        np.testing.assert_allclose(probs.data[..., :1], head("head.correct"), rtol=1e-12)
         if variant == "original":
-            assert preds.mp_pred is None
+            assert probs.shape[-1] == 1
             return
         mp = np.concatenate([head(f"head.mp.{d}") for d in ("CU", "SC", "PF", "AR")], axis=-1)
-        np.testing.assert_allclose(preds.mp_pred.data, mp, rtol=1e-12)
+        np.testing.assert_allclose(probs.data[..., 1:], mp, rtol=1e-12)
         # each head's parameters get the gradient of their own column only
-        ref.sum_(preds.mp_pred[..., 2]).backward()
+        ref.sum_(ref.slice_(probs, np.s_[..., 3])).backward()  # PF
         assert model.params["head.mp.PF.weight"].grad is not None
         for other in ("head.correct.weight", "head.mp.CU.bias"):
             grad = model.params[other].grad
@@ -319,12 +314,9 @@ class TestCausality:
         batch = toy_batch(3)
         base = model.forward(batch)
         for t0 in range(batch.question_ids.shape[1] - 1):
-            preds = model.forward(perturb_future(batch, t0, seed=100 + t0))
-            np.testing.assert_allclose(preds.r_pred.data[:, :t0 + 1],
-                                       base.r_pred.data[:, :t0 + 1], atol=1e-12)
-            if variant == "statuskt":
-                np.testing.assert_allclose(preds.mp_pred.data[:, :t0 + 1],
-                                           base.mp_pred.data[:, :t0 + 1], atol=1e-12)
+            probs = model.forward(perturb_future(batch, t0, seed=100 + t0))
+            np.testing.assert_allclose(probs.data[:, :t0 + 1], base.data[:, :t0 + 1],
+                                       atol=1e-12)
 
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_next_question_identity_does_matter(self, backbone):
@@ -333,8 +325,8 @@ class TestCausality:
         q = batch.question_ids.copy()
         q[:, 4] = (q[:, 4] % 6) + 1
         changed = replace(batch, question_ids=q)
-        assert not np.allclose(model.forward(changed).r_pred.data[:, 3],
-                               model.forward(batch).r_pred.data[:, 3])
+        assert not np.allclose(model.forward(changed).data[:, 3, 0],
+                               model.forward(batch).data[:, 3, 0])
 
 
 class TestGradientFlow:
@@ -343,11 +335,7 @@ class TestGradientFlow:
     def test_every_parameter_receives_gradient(self, backbone, seed):
         model = build_model(small_config(backbone, seed=seed))
         batch = toy_batch(seed)
-        preds = model.forward(batch)
-        loss = composite_loss(batch.targets_correct, preds.r_pred,
-                              batch.targets_mp, preds.mp_pred,
-                              batch.target_mp_mask, batch.target_mask, alpha=0.5)
-        loss.backward()
+        loss_of(batch, model.forward(batch)).backward()
         for name, p in model.parameters().items():
             assert p.grad is not None, name
             assert np.isfinite(p.grad).all(), name
@@ -374,18 +362,16 @@ def assert_matches_reference(model, forward, reference, batch, training):
     results = []
     for fn in (forward, reference):
         rng = np.random.default_rng(11) if training else None
-        preds = fn(batch, training=training, rng=rng)
-        loss = loss_of(batch, preds)
+        probs = fn(batch, training=training, rng=rng)
+        loss = loss_of(batch, probs)
         for p in model.parameters().values():
             p.grad = None
         loss.backward()
         grads = {n: p.grad.copy() for n, p in model.parameters().items()}
-        mp = None if preds.mp_pred is None else preds.mp_pred.data
         state = rng.bit_generator.state if training else None
-        results.append((preds.r_pred.data, mp, loss.item(), grads, state))
-    (r, mp, loss, grads, state), (r_ref, mp_ref, loss_ref, g_ref, state_ref) = results
-    np.testing.assert_array_equal(r, r_ref)
-    np.testing.assert_array_equal(mp, mp_ref)
+        results.append((probs.data, loss.item(), grads, state))
+    (probs, loss, grads, state), (probs_ref, loss_ref, g_ref, state_ref) = results
+    np.testing.assert_array_equal(probs, probs_ref)
     assert loss == loss_ref
     assert state == state_ref
     for name, ref_grad in g_ref.items():
@@ -403,9 +389,9 @@ class TestFusedLSTM:
 
     def test_graph_has_one_lstm_node(self):
         model = build_model(small_config("recurrent"))
-        ops = graph_ops(model.forward(toy_batch(0)).r_pred)
+        ops = graph_ops(model.forward(toy_batch(0)))
         assert ops.count("lstm") == 1
-        assert ops.count("slice") == 1  # r_pred's [..., 0]
+        assert ops[0] == "readout"  # the output is the readout node itself
 
     @staticmethod
     def lstm_inputs(rng, T, B=3, d=4):
@@ -459,7 +445,7 @@ class TestFusedAttention:
 
     def test_graph_has_one_node_per_fused_op(self):
         model = build_model(small_config("attention"))
-        ops = graph_ops(model.forward(toy_batch(0)).r_pred)
+        ops = graph_ops(model.forward(toy_batch(0)))
         assert ops.count("attention") == 1
         assert ops.count("layer_norm") == 2
 
@@ -473,8 +459,8 @@ class TestOpSet:
             for variant in ("original", "statuskt"):
                 model = build_model(small_config(backbone, variant, dropout=0.2))
                 batch = toy_batch(0)
-                preds = model.forward(batch, training=True, rng=np.random.default_rng(0))
-                used.update(graph_ops(loss_of(batch, preds)))
+                probs = model.forward(batch, training=True, rng=np.random.default_rng(0))
+                used.update(graph_ops(loss_of(batch, probs)))
         used.discard("")
         checked = {op for _, fn, _ in op_cases(0) for op in graph_ops(fn())}
         exported = {name.rstrip("_") for name in nn.__all__
@@ -486,16 +472,17 @@ class TestOpSet:
 
 class TestGraphSize:
     @pytest.mark.parametrize("backbone, variant, nodes", [
-        ("recurrent", "statuskt", 19), ("recurrent", "original", 15),
-        ("attention", "statuskt", 33), ("attention", "original", 29)])
+        ("recurrent", "statuskt", 17), ("recurrent", "original", 14),
+        ("attention", "statuskt", 31), ("attention", "original", 28)])
     def test_op_nodes_per_training_step(self, backbone, variant, nodes):
-        # the loss is one node; tests/reference.py's graph of it has 31
-        # (statuskt) or 10 (original). The heads are one readout node and
-        # its slices, where the reference graph has 7 nodes and the slices
+        # the loss is one node on the readout's output, where the graph in
+        # tests/reference.py slices the columns out and has 32 nodes
+        # (statuskt) or 11 (original). The heads are one readout node,
+        # where the reference graph has 7 nodes.
         model = build_model(small_config(backbone, variant, dropout=0.2))
         batch = toy_batch(0)
-        preds = model.forward(batch, training=True, rng=np.random.default_rng(0))
-        ops = graph_ops(loss_of(batch, preds))
+        probs = model.forward(batch, training=True, rng=np.random.default_rng(0))
+        ops = graph_ops(loss_of(batch, probs))
         assert len(ops) - ops.count("") == nodes
         assert ops.count("composite_loss") == 1
 
@@ -522,9 +509,8 @@ def padded_to(batch, max_len):
     return replace(batch, **{f.name: pad(getattr(batch, f.name)) for f in fields(batch)})
 
 
-def loss_of(batch, preds):
-    return composite_loss(batch.targets_correct, preds.r_pred,
-                          batch.targets_mp, preds.mp_pred,
+def loss_of(batch, probs):
+    return composite_loss(batch.targets_correct, probs, batch.targets_mp,
                           batch.target_mp_mask, batch.target_mask, alpha=0.5)
 
 
@@ -542,20 +528,19 @@ class TestTrimmedBatches:
 
         def run(batch):
             rng = np.random.default_rng(12) if training else None
-            preds = model.forward(batch, training=training, rng=rng)
-            loss = loss_of(batch, preds)
+            probs = model.forward(batch, training=training, rng=rng)
+            loss = loss_of(batch, probs)
             for p in model.parameters().values():
                 p.grad = None
             loss.backward()
             grads = {n: p.grad.copy() for n, p in model.parameters().items()}
             state = rng.bit_generator.state if training else None
-            return preds.r_pred.data[:, :6], preds.mp_pred.data[:, :6], loss.item(), grads, state
+            return probs.data[:, :6], loss.item(), grads, state
 
         trimmed = trimmed_batch(6, (6, 3))
-        r_trim, mp_trim, loss_trim, g_trim, rng_trim = run(trimmed)
-        r_pad, mp_pad, loss_pad, g_pad, rng_pad = run(padded_to(trimmed, self.MAX_LEN))
-        np.testing.assert_allclose(r_trim, r_pad, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(mp_trim, mp_pad, rtol=0, atol=1e-12)
+        probs_trim, loss_trim, g_trim, rng_trim = run(trimmed)
+        probs_pad, loss_pad, g_pad, rng_pad = run(padded_to(trimmed, self.MAX_LEN))
+        np.testing.assert_allclose(probs_trim, probs_pad, rtol=0, atol=1e-12)
         assert abs(loss_trim - loss_pad) <= 1e-12
         for name, ref in g_pad.items():
             err = np.abs(g_trim[name] - ref).max() / np.abs(ref).max()

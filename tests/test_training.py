@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 import reference as ref
 from prockt import nn
 from prockt.models import ModelConfig, build_model
+from prockt.nn import composite_loss
 from prockt.training import (
     GridCell,
     TrainConfig,
     acc,
     auc,
-    composite_loss,
     evaluate,
     gather_predictions,
     grid_search,
@@ -31,7 +31,7 @@ def small_model(dropout=0.0, seed=0, variant="statuskt"):
 
 
 class TestCompositeLoss:
-    def single_position(self, r_pred, mp_pred):
+    def single_position(self):
         r_gt = np.ones((1, 1))
         mp_gt = np.full((1, 1, 4), 0.5)
         mp_mask = np.zeros((1, 1, 4))
@@ -43,34 +43,31 @@ class TestCompositeLoss:
         rng = np.random.default_rng(0)
         r_gt = rng.integers(0, 2, size=(2, 5)).astype(float)
         valid = np.ones((2, 5))
-        probs = ref.sigmoid(nn.Tensor(rng.normal(size=(2, 5))))
-        mp_pred = nn.Tensor(rng.random((2, 5, 4)))
-        got = composite_loss(r_gt, probs, rng.random((2, 5, 4)), mp_pred,
+        p_correct = ref.sigmoid(nn.Tensor(rng.normal(size=(2, 5))))
+        probs = nn.Tensor(np.dstack([p_correct.data, rng.random((2, 5, 4))]))
+        got = composite_loss(r_gt, probs, rng.random((2, 5, 4)),
                              np.ones((2, 5, 4)), valid, alpha=0.0)
-        want = ref.bce(r_gt, probs, valid)
+        want = ref.bce(r_gt, p_correct, valid)
         assert got.item() == want.item()
 
     def test_hand_value(self):
         # BCE term: y=1, p=0.5 -> ln 2. MP term: one supervised dimension
         # with error 0.2 -> MSE 0.04; alpha 0.5 adds exactly 0.02.
-        r_gt, mp_gt, mp_mask, valid = self.single_position(None, None)
-        r_pred = nn.Tensor(np.full((1, 1), 0.5))
-        mp_pred = nn.Tensor(np.full((1, 1, 4), 0.7))
-        loss = composite_loss(r_gt, r_pred, mp_gt, mp_pred, mp_mask, valid, alpha=0.5)
+        r_gt, mp_gt, mp_mask, valid = self.single_position()
+        probs = nn.Tensor([[[0.5, 0.7, 0.7, 0.7, 0.7]]])
+        loss = composite_loss(r_gt, probs, mp_gt, mp_mask, valid, alpha=0.5)
         assert loss.item() == pytest.approx(math.log(2.0) + 0.02, abs=1e-9)
 
     def test_all_mp_masked_out_equals_bce(self):
-        r_gt, mp_gt, _, valid = self.single_position(None, None)
-        r_pred = nn.Tensor(np.full((1, 1), 0.5))
-        mp_pred = nn.Tensor(np.full((1, 1, 4), 0.9))
-        loss = composite_loss(r_gt, r_pred, mp_gt, mp_pred,
-                              np.zeros((1, 1, 4)), valid, alpha=0.5)
+        r_gt, mp_gt, _, valid = self.single_position()
+        probs = nn.Tensor([[[0.5, 0.9, 0.9, 0.9, 0.9]]])
+        loss = composite_loss(r_gt, probs, mp_gt, np.zeros((1, 1, 4)), valid, alpha=0.5)
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_no_mp_head_ignores_alpha(self):
-        r_gt, mp_gt, mp_mask, valid = self.single_position(None, None)
-        r_pred = nn.Tensor(np.full((1, 1), 0.5))
-        loss = composite_loss(r_gt, r_pred, mp_gt, None, mp_mask, valid, alpha=0.5)
+        r_gt, mp_gt, mp_mask, valid = self.single_position()
+        probs = nn.Tensor(np.full((1, 1, 1), 0.5))
+        loss = composite_loss(r_gt, probs, mp_gt, mp_mask, valid, alpha=0.5)
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_additive_in_alpha(self):
@@ -79,20 +76,17 @@ class TestCompositeLoss:
         valid = (rng.random((2, 6)) < 0.8).astype(float)
         mp_gt = rng.random((2, 6, 4))
         mp_mask = (rng.random((2, 6, 4)) < 0.7).astype(float)
-        r_pred = nn.Tensor(rng.random((2, 6)) * 0.9 + 0.05)
-        mp_pred = nn.Tensor(rng.random((2, 6, 4)))
-        at = lambda alpha: composite_loss(r_gt, r_pred, mp_gt, mp_pred,
-                                          mp_mask, valid, alpha).item()
+        probs = nn.Tensor(np.dstack([rng.random((2, 6)) * 0.9 + 0.05, rng.random((2, 6, 4))]))
+        at = lambda alpha: composite_loss(r_gt, probs, mp_gt, mp_mask, valid, alpha).item()
         base = at(0.0)
         slope = at(1.0) - base
         for alpha in (0.25, 0.5, 2.0):
             assert at(alpha) == pytest.approx(base + alpha * slope, rel=1e-12)
 
     def test_negative_alpha_rejected(self):
-        r_pred = nn.Tensor(np.full((1, 1), 0.5))
+        probs = nn.Tensor(np.full((1, 1, 1), 0.5))
         with pytest.raises(ValueError):
-            composite_loss(np.ones((1, 1)), r_pred, None, None, None,
-                           np.ones((1, 1)), alpha=-0.1)
+            composite_loss(np.ones((1, 1)), probs, None, None, np.ones((1, 1)), alpha=-0.1)
 
 
 def assert_same_bits(got, want):
@@ -101,23 +95,24 @@ def assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def loss_and_gradients(loss_fn, r_gt, r_pred, mp_gt, mp_pred, mp_mask, valid, alpha):
-    """``loss_fn`` on leaf copies of the predictions: the loss and the
-    gradients of ``r_pred`` and ``mp_pred`` (None for no ``mp_pred``)."""
-    r = nn.Tensor(r_pred, requires_grad=True)
-    mp = None if mp_pred is None else nn.Tensor(mp_pred, requires_grad=True)
-    loss = loss_fn(r_gt, r, mp_gt, mp, mp_mask, valid, alpha)
+def loss_and_gradient(loss_fn, r_gt, probs, mp_gt, mp_mask, valid, alpha):
+    """``loss_fn`` on a leaf copy of the probabilities: the loss and their gradient."""
+    leaf = nn.Tensor(probs, requires_grad=True)
+    loss = loss_fn(r_gt, leaf, mp_gt, mp_mask, valid, alpha)
     loss.backward()
-    return loss.data, r.grad, None if mp is None else mp.grad
+    return loss.data, leaf.grad
 
 
 class TestFusedCompositeLoss:
-    """Oracle: the node-by-node graph of the objective in tests/reference.py.
-    The loss and the gradients of r_pred, mp_pred and every model parameter
-    must be equal to the graph's bit for bit, no tolerance."""
+    """Oracle: the node-by-node graph of the objective in tests/reference.py,
+    which slices the columns out of the probabilities. The loss and the
+    gradients of the probabilities and of every model parameter must be equal
+    to the graph's bit for bit, the signs of zeros included, no tolerance."""
 
     @staticmethod
     def inputs(seed, case, B=3, T=5):
+        """(r_gt, probs, mp_gt, mp_mask, valid): probs is (B, T, 5), or
+        (B, T, 1) for the case without ratio heads."""
         rng = np.random.default_rng(seed)
         r_gt = rng.integers(0, 2, size=(B, T)).astype(float)
         r_pred = rng.random((B, T))
@@ -133,9 +128,8 @@ class TestFusedCompositeLoss:
             valid[:] = 0.0
         elif case == "empty-mp-mask":
             mp_mask[:] = 0.0
-        elif case == "no-mp-head":
-            mp_pred = None
-        return r_gt, r_pred, mp_gt, mp_pred, mp_mask, valid
+        probs = r_pred[..., None] if case == "no-mp-head" else np.dstack([r_pred, mp_pred])
+        return r_gt, probs, mp_gt, mp_mask, valid
 
     @pytest.mark.parametrize("alpha", (0.0, 0.5, 2.0))
     @pytest.mark.parametrize("case", ("random", "saturated", "empty-valid", "empty-mp-mask",
@@ -143,13 +137,10 @@ class TestFusedCompositeLoss:
     def test_matches_graph(self, case, alpha):
         for seed in range(10):
             args = self.inputs(seed, case) + (alpha,)
-            got = loss_and_gradients(composite_loss, *args)
-            want = loss_and_gradients(ref.composite_loss, *args)
+            got = loss_and_gradient(composite_loss, *args)
+            want = loss_and_gradient(ref.composite_loss, *args)
             for g, w in zip(got, want):
-                if w is None:  # mp_pred gets no gradient when alpha is 0 or it is None
-                    assert g is None
-                else:
-                    assert_same_bits(g, w)
+                assert_same_bits(g, w)
 
     @pytest.mark.parametrize("alpha", (0.0, 0.5, 2.0))
     @pytest.mark.parametrize("variant", ("original", "statuskt"))
@@ -161,9 +152,9 @@ class TestFusedCompositeLoss:
         batch = toy_batch(0)
         steps = []
         for loss_fn in (composite_loss, ref.composite_loss):
-            preds = model.forward(batch, training=True, rng=np.random.default_rng(0))
-            loss = loss_fn(batch.targets_correct, preds.r_pred, batch.targets_mp,
-                           preds.mp_pred, batch.target_mp_mask, batch.target_mask, alpha)
+            probs = model.forward(batch, training=True, rng=np.random.default_rng(0))
+            loss = loss_fn(batch.targets_correct, probs, batch.targets_mp,
+                           batch.target_mp_mask, batch.target_mask, alpha)
             loss.backward()
             steps.append((loss.data, {n: p.grad for n, p in model.parameters().items()}))
             for p in model.parameters().values():
@@ -176,12 +167,11 @@ class TestFusedCompositeLoss:
 
     @pytest.mark.parametrize("alpha, with_mp", [(0.5, True), (0.0, True), (0.5, False)])
     def test_one_call_adds_one_node(self, alpha, with_mp):
-        r_gt, r_pred, mp_gt, mp_pred, mp_mask, valid = self.inputs(0, "random")
-        r = nn.Tensor(r_pred, requires_grad=True)
-        mp = nn.Tensor(mp_pred, requires_grad=True) if with_mp else None
-        loss = composite_loss(r_gt, r, mp_gt, mp, mp_mask, valid, alpha)
+        r_gt, probs, mp_gt, mp_mask, valid = self.inputs(0, "random" if with_mp else "no-mp-head")
+        leaf = nn.Tensor(probs, requires_grad=True)
+        loss = composite_loss(r_gt, leaf, mp_gt, mp_mask, valid, alpha)
         assert loss._op == "composite_loss"
-        assert loss._parents == ((r, mp) if with_mp and alpha else (r,))
+        assert loss._parents == (leaf,)
 
 
 def auc_brute_force(labels, scores):
@@ -290,11 +280,10 @@ class TestGraphFreeEvaluation:
     def test_output_has_no_parents(self, backbone):
         model, batch = backbone_model(backbone), toy_batch(0)
         with nn.no_grad():
-            preds = model.forward(batch, training=False)
-        for out in (preds.r_pred, preds.mp_pred):
-            assert out._parents == () and out._backward_fn is None
+            probs = model.forward(batch, training=False)
+        assert probs._parents == () and probs._backward_fn is None
         # outside the context the graph is built again
-        assert model.forward(batch, training=False).r_pred._parents
+        assert model.forward(batch, training=False)._parents
 
     def test_training_after_evaluation_is_unchanged(self, backbone, monkeypatch):
         # every epoch validates, so each later epoch trains after an evaluation
