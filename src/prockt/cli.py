@@ -227,6 +227,12 @@ def cmd_train(args) -> int:
         writer.writerow(["epoch", "train_loss", "val_auc", "val_acc"])
         for st in result.history:
             writer.writerow([st.epoch, st.train_loss, st.val_auc, st.val_acc])
+    if args.grid:  # one row per cell, in grid order; no wall time, so a seed fixes its bytes
+        with open(out / "grid.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["lr", "dropout", "val_auc", "val_acc", "epochs_trained"])
+            for c in gr.table:
+                writer.writerow([c.lr, c.dropout, c.val_auc, c.val_acc, c.epochs_trained])
     write_manifest(args.out, "train", {**vars(args), "func": None}, args.seed,
                    [args.data], [out / "checkpoint.json", out / "metrics.json"], started)
     print(json.dumps(metrics))
@@ -256,8 +262,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
+    runs = Path(args.runs)
+    if not runs.is_dir():
+        raise UsageError(f"--runs {runs}: "
+                         f"{'not a directory' if runs.exists() else 'no such directory'}")
     by_backbone: dict[str, dict[str, dict]] = {}
-    for path in sorted(Path(args.runs).rglob("metrics.json")):
+    for path in sorted(runs.rglob("metrics.json")):
         try:
             with open(path, encoding="utf-8") as fh:
                 m = json.load(fh)

@@ -39,9 +39,8 @@ class AttentionKT(KTModel):
         cfg = self.config
         B, T = batch.question_ids.shape
 
-        pos = nn.embedding_lookup(self.params["embed.position"],
-                                  np.broadcast_to(np.arange(T), (B, T)))
-        x = nn.add(self.interaction_embedding(batch), pos)
+        position = (self.params["embed.position"], np.broadcast_to(np.arange(T), (B, T)))
+        x = self.interaction_embedding(batch, extra=[position])
         x = nn.dropout(x, self._dropout_mask(x.shape, training, rng))
         next_q = self.next_question_embedding(batch)
 
@@ -57,10 +56,7 @@ class AttentionKT(KTModel):
 
         h1 = nn.layer_norm(nn.add(ctx, next_q), self.params["ln1.gain"],
                            self.params["ln1.bias"], LAYER_NORM_EPS)
-        f = nn.add(nn.matmul(nn.relu(nn.add(nn.matmul(h1, self.params["ffn.w1"]),
-                                            self.params["ffn.b1"])),
-                             self.params["ffn.w2"]),
-                   self.params["ffn.b2"])
+        f = nn.feed_forward(h1, *(self.params[f"ffn.{n}"] for n in ("w1", "b1", "w2", "b2")))
         f = nn.dropout(f, self._dropout_mask(f.shape, training, rng))
         state = nn.layer_norm(nn.add(f, h1), self.params["ln2.gain"],
                               self.params["ln2.bias"], LAYER_NORM_EPS)

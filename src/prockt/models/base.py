@@ -105,25 +105,24 @@ class KTModel:
             bg.state = {**bg.state, "has_uint32": buffered["has_uint32"],
                         "uinteger": buffered["uinteger"]}
             u = u[..., :shape[-1]]
-        return (u >= rate).astype(np.float64) * (1.0 / (1.0 - rate))
+        np.greater_equal(u, rate, out=u)  # the mask is written over its uniforms
+        u *= 1.0 / (1.0 - rate)
+        return u
 
-    def interaction_embedding(self, batch: Batch) -> nn.Tensor:
-        """e_t = question + concept + response embeddings (+ fused ratios)."""
-        e = nn.add(
-            nn.add(nn.embedding_lookup(self.params["embed.question"], batch.question_ids),
-                   nn.embedding_lookup(self.params["embed.concept"], batch.concept_ids)),
-            nn.embedding_lookup(self.params["embed.response"], batch.correctness))
+    def interaction_embedding(self, batch: Batch, extra=()) -> nn.Tensor:
+        """e_t = question + concept + response embeddings (+ fused ratios),
+        then the ``nn.embed`` terms in ``extra``, as one node."""
+        terms = [(self.params["embed.question"], batch.question_ids),
+                 (self.params["embed.concept"], batch.concept_ids),
+                 (self.params["embed.response"], batch.correctness)]
         if self.config.variant == "statuskt":
-            fused = nn.add(nn.matmul(nn.as_tensor(batch.mp_inputs), self.params["mp.proj.weight"]),
-                           self.params["mp.proj.bias"])
-            e = nn.add(e, fused)
-        return e
+            terms.append((batch.mp_inputs, self.params["mp.proj.weight"],
+                          self.params["mp.proj.bias"]))
+        return nn.embed(terms + list(extra))
 
     def next_question_embedding(self, batch: Batch) -> nn.Tensor:
-        nq = shift_left(batch.question_ids)
-        nc = shift_left(batch.concept_ids)
-        return nn.add(nn.embedding_lookup(self.params["embed.question"], nq),
-                      nn.embedding_lookup(self.params["embed.concept"], nc))
+        return nn.embed([(self.params["embed.question"], shift_left(batch.question_ids)),
+                         (self.params["embed.concept"], shift_left(batch.concept_ids))])
 
     def readout(self, state: nn.Tensor, next_q: nn.Tensor) -> nn.Tensor:
         """All heads as one fused readout on their weights and biases side by side."""

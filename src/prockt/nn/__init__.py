@@ -5,13 +5,13 @@ from .tensor import (
     as_tensor,
     attention,
     dropout,
-    embedding_lookup,
+    embed,
+    feed_forward,
     layer_norm,
     lstm,
     matmul,
     no_grad,
     readout,
-    relu,
 )
 from .losses import PROB_EPS, composite_loss
 from .optim import Adam
@@ -24,7 +24,7 @@ keep_heap()
 
 __all__ = [
     "Adam", "PROB_EPS", "ShapeError", "Tensor", "add", "as_tensor", "attention",
-    "check_gradients", "composite_loss", "dropout", "embedding_lookup", "init",
+    "check_gradients", "composite_loss", "dropout", "embed", "feed_forward", "init",
     "layer_norm", "load_checkpoint", "lstm", "matmul", "no_grad", "numeric_gradient",
-    "readout", "relu", "save_checkpoint",
+    "readout", "save_checkpoint",
 ]

@@ -160,16 +160,6 @@ def matmul(a, b) -> Tensor:
     return _make((a2 @ b.data).reshape(*a.shape[:-1], n), (a, b), backward_fn, "matmul")
 
 
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.maximum(a.data, 0.0)
-
-    def backward_fn(g):
-        a._accumulate(g * (a.data > 0.0))
-
-    return _make(out_data, (a,), backward_fn, "relu")
-
-
 def dropout(a, mask: np.ndarray | None) -> Tensor:
     """``a`` times a dropout multiplier (0 where dropped, 1/(1-rate) where kept).
 
@@ -188,24 +178,58 @@ def dropout(a, mask: np.ndarray | None) -> Tensor:
     return _make(out_data, (a,), backward_fn, "dropout")
 
 
-def embedding_lookup(table, indices) -> Tensor:
-    """Gather rows of a (vocab, dim) table; gradient scatter-adds."""
-    table = as_tensor(table)
-    if table.data.ndim != 2:
-        raise ShapeError(f"embedding table must be 2-d, got {table.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
-    out_data = table.data[idx]
+def embed(terms) -> Tensor:
+    """The sum of ``terms``, added left to right into one buffer, as one node.
+
+    A term is a ``(table, ids)`` pair, the rows of a (vocab, d) table at an
+    index array, or an ``(x, w, b)`` triple, ``x @ w + b`` for a data array
+    ``x`` of shape (*ids.shape, k), a (k, d) ``w`` and a (d,) ``b``; ``x``
+    gets no gradient. In that order the output has the bits of the
+    ``embedding_lookup``, ``matmul`` and ``add`` graph in
+    ``tests/reference.py``. Each term gets the output's gradient: a table's
+    is a sparse scatter of it, a dense term's the products of ``matmul``
+    and ``add``.
+    """
+    lookups, denses, out = [], [], None
+    for term in terms:
+        if len(term) == 2:
+            table, idx = as_tensor(term[0]), np.asarray(term[1], dtype=np.int64)
+            if table.data.ndim != 2:
+                raise ShapeError(f"embed: a table must be 2-d, got {table.shape}")
+            lookups.append((table, idx))
+            value = table.data[idx]
+        else:
+            x, w, b = np.asarray(term[0], dtype=np.float64), as_tensor(term[1]), as_tensor(term[2])
+            if w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+                raise ShapeError(f"embed: incompatible dense shapes {x.shape}, {w.shape}, "
+                                 f"{b.shape}")
+            x2 = x.reshape(-1, w.shape[0])
+            denses.append((x2, w, b))
+            value = (x2 @ w.data).reshape(*x.shape[:-1], w.shape[1])
+            value += b.data
+        if out is None:
+            out = value
+        elif value.shape != out.shape:
+            raise ShapeError(f"embed: a term of shape {value.shape} added to {out.shape}")
+        else:
+            out += value
+    d = out.shape[-1]
 
     def backward_fn(g):
-        vocab, dim = table.shape
-        flat = idx.reshape(-1)
-        # a (vocab, N) 0/1 matrix: each table row sums its gradient rows in
-        # input order, as np.add.at does, so the sums have the same bits
-        scatter = scipy.sparse.csr_matrix((np.ones(flat.size), (flat, np.arange(flat.size))),
-                                          shape=(vocab, flat.size))
-        table._accumulate(scatter @ g.reshape(-1, dim))
+        g2 = g.reshape(-1, d)
+        for table, idx in lookups:
+            # a (vocab, N) 0/1 matrix: each table row sums its gradient rows
+            # in input order, as np.add.at does, so the sums have the same bits
+            flat = idx.reshape(-1)
+            scatter = scipy.sparse.csr_matrix((np.ones(flat.size), (flat, np.arange(flat.size))),
+                                              shape=(table.shape[0], flat.size))
+            table._accumulate(scatter @ g2)
+        for x2, w, b in denses:
+            w._accumulate(x2.T @ g2)
+            b._accumulate(_unbroadcast(g, b.shape))
 
-    return _make(out_data, (table,), backward_fn, "embedding_lookup")
+    params = [t for t, _ in lookups] + [p for _, w, b in denses for p in (w, b)]
+    return _make(out, tuple(params), backward_fn, "embed")
 
 
 def lstm(xw, wh, b) -> Tensor:
@@ -289,23 +313,66 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
     The forward does the float operations of the node-by-node graph in
     ``tests/reference.py`` in the same order, so its output matches that
     graph bit for bit. Backward is the closed form of Ba et al. (2016).
+    Forward and backward each write into two (..., d) buffers: the forward
+    keeps x̂ in one and returns the other.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: incompatible shapes {x.shape}, {gain.shape}, {bias.shape}")
-    centered = x.data + x.data.mean(axis=-1, keepdims=True) * -1.0
-    inv = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
-    xhat = centered * inv
+    xhat = x.data + x.data.mean(axis=-1, keepdims=True) * -1.0  # centred, then x̂
+    out = np.multiply(xhat, xhat)
+    inv = (out.mean(axis=-1, keepdims=True) + eps) ** -0.5
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def backward_fn(g):
-        dxhat = g * gain.data
-        x._accumulate(inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)))
-        gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+        dx = g * gain.data  # dx̂, then dx
+        tmp = dx * xhat
+        dot = tmp.mean(axis=-1, keepdims=True)
+        dx -= dx.mean(axis=-1, keepdims=True)
+        dx -= np.multiply(xhat, dot, out=tmp)
+        dx *= inv
+        x._accumulate(dx)
+        gain._accumulate(np.multiply(g, xhat, out=tmp).reshape(-1, d).sum(axis=0))
         bias._accumulate(g.reshape(-1, d).sum(axis=0))
 
-    return _make(xhat * gain.data + bias.data, (x, gain, bias), backward_fn, "layer_norm")
+    return _make(out, (x, gain, bias), backward_fn, "layer_norm")
+
+
+def feed_forward(x, w1, b1, w2, b2) -> Tensor:
+    """The position-wise block ``relu(x @ w1 + b1) @ w2 + b2`` as one node.
+
+    Each GEMM output takes its bias, and the first its relu, in place. The
+    float operations are those of the ``matmul``/``add``/``relu`` graph in
+    ``tests/reference.py``, in the same order, so the output and every
+    gradient match that graph bit for bit.
+    """
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    d = x.shape[-1]
+    if (x.data.ndim < 2 or w1.data.ndim != 2 or w1.shape[0] != d
+            or b1.shape != w1.shape[1:] or w2.shape != (*b1.shape, d) or b2.shape != (d,)):
+        raise ShapeError(f"feed_forward: incompatible shapes {x.shape}, {w1.shape}, "
+                         f"{b1.shape}, {w2.shape}, {b2.shape}")
+    x2 = x.data.reshape(-1, d)
+    h = x2 @ w1.data
+    h += b1.data
+    np.maximum(h, 0.0, out=h)
+    out = h @ w2.data
+    out += b2.data
+
+    def backward_fn(g):
+        g2 = g.reshape(-1, d)
+        dh = g2 @ w2.data.T
+        dh *= h > 0.0
+        b2._accumulate(_unbroadcast(g, b2.shape))
+        w2._accumulate(h.T @ g2)
+        b1._accumulate(_unbroadcast(dh.reshape(*x.shape[:-1], -1), b1.shape))
+        x._accumulate((dh @ w1.data.T).reshape(x.shape))
+        w1._accumulate(x2.T @ dh)
+
+    return _make(out.reshape(x.shape), (x, w1, b1, w2, b2), backward_fn, "feed_forward")
 
 
 def attention(q, k, v, bias: np.ndarray, heads: int, mask: np.ndarray | None) -> Tensor:
@@ -319,6 +386,15 @@ def attention(q, k, v, bias: np.ndarray, heads: int, mask: np.ndarray | None) ->
     the node-by-node graph in ``tests/reference.py`` in the same order, so its
     output matches that graph bit for bit. Backward goes through the softmax
     as dS = P∘(dP − rowsum(dP∘P)) (Dao et al., 2022).
+
+    One (B, heads, T, T) buffer holds the scores and then, in place, the
+    probabilities; backward likewise turns one dP buffer into dS. The
+    softmax takes exp only where the shifted score is not below −746, and
+    writes +0.0 elsewhere. exp of any float below about −745.13 rounds to
+    exactly +0.0, so the bits are those of a plain exp, while the hidden
+    keys, shifted to about −1e9, skip exp's slow path for huge negative
+    arguments. The test is negated, so a NaN is not taken for an underflow:
+    it goes through exp and the division as NaN, not as a 0/0.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     B, T, d = q.shape
@@ -335,19 +411,26 @@ def attention(q, k, v, bias: np.ndarray, heads: int, mask: np.ndarray | None) ->
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = 1.0 / np.sqrt(dh)
-    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale + bias
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
+    probs = np.matmul(qh, kh.transpose(0, 1, 3, 2))  # the scores, then their softmax
+    probs *= scale
+    probs += bias
+    probs -= probs.max(axis=-1, keepdims=True)
+    underflow = probs < -746.0
+    np.exp(probs, out=probs, where=~underflow)
+    np.copyto(probs, 0.0, where=underflow)
+    probs /= probs.sum(axis=-1, keepdims=True)
     weights = probs if mask is None else probs * mask
 
     def backward_fn(g):
         gh = split(g)
-        dprobs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
+        ds = np.matmul(gh, vh.transpose(0, 1, 3, 2))  # dP, then dS
         if mask is not None:
-            dprobs = dprobs * mask
-        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) * scale
-        q._accumulate(merge(np.matmul(dscores, kh)))
-        k._accumulate(merge(np.matmul(dscores.transpose(0, 1, 3, 2), qh)))
+            ds *= mask
+        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds *= probs
+        ds *= scale
+        q._accumulate(merge(np.matmul(ds, kh)))
+        k._accumulate(merge(np.matmul(ds.transpose(0, 1, 3, 2), qh)))
         v._accumulate(merge(np.matmul(weights.transpose(0, 1, 3, 2), gh)))
 
     return _make(merge(np.matmul(weights, vh)), (q, k, v), backward_fn, "attention")

@@ -27,8 +27,9 @@ def op_cases(seed: int):
     a23 = _rand(rng, 2, 3)
     b23 = _rand(rng, 2, 3)
     m34 = _rand(rng, 3, 4)
-    table = _rand(rng, 5, 3)
-    idx = rng.integers(0, 5, size=(2, 4))
+    table, table2 = _rand(rng, 5, 3), _rand(rng, 4, 3)
+    idx, idx2 = rng.integers(0, 5, size=(2, 4)), rng.integers(0, 4, size=(2, 4))
+    dense_x, dense_w, dense_b = rng.normal(size=(2, 4, 2)), _rand(rng, 2, 3), _rand(rng, 3)
     mask = (rng.random((2, 3)) < 0.6).astype(float)
     labels = (rng.random((2, 3)) < 0.5).astype(float)
     drop_mask = (rng.random((2, 3)) < 0.5) / 0.5
@@ -37,6 +38,7 @@ def op_cases(seed: int):
     bias = _rand(rng, 8)
     a234 = _rand(rng, 2, 3, 4)  # a dense layer over (B, T, k)
     m42 = _rand(rng, 4, 2)
+    w1, b1, w2, b2 = _rand(rng, 4, 5), _rand(rng, 5), _rand(rng, 5, 4), _rand(rng, 4)
     ln_x, gain, shift = _rand(rng, 2, 3, 8), _rand(rng, 8), _rand(rng, 8)
     q, k, v = _rand(rng, 2, 3, 4), _rand(rng, 2, 3, 4), _rand(rng, 2, 3, 4)  # 2 heads of 2
     padded = np.zeros((2, 1, 1, 3), dtype=bool)
@@ -69,9 +71,13 @@ def op_cases(seed: int):
         ("add_broadcast", lambda: reduce(nn.add(a23, b3)), [a23, b3]),
         ("matmul", lambda: reduce(nn.matmul(a23, m34)), [a23, m34]),
         ("matmul_3d", lambda: reduce(nn.matmul(a234, m42)), [a234, m42]),
-        ("embedding_lookup", lambda: reduce(nn.embedding_lookup(table, idx)), [table]),
+        ("embed", lambda: reduce(nn.embed([(table, idx), (table2, idx2)])), [table, table2]),
+        ("embed_dense", lambda: reduce(nn.embed([(table, idx), (dense_x, dense_w, dense_b),
+                                                 (table2, idx2)])),
+         [table, table2, dense_w, dense_b]),
         ("dropout", lambda: reduce(nn.dropout(a23, drop_mask)), [a23]),
-        ("relu", lambda: reduce(nn.relu(nn.add(a23, 0.05))), [a23]),
+        ("feed_forward", lambda: reduce(nn.feed_forward(a234, w1, b1, w2, b2)),
+         [a234, w1, b1, w2, b2]),
         ("lstm", lambda: reduce(nn.lstm(xw, wh, bias)), [xw, wh, bias]),
         ("layer_norm", lambda: reduce(nn.layer_norm(ln_x, gain, shift, 1e-5)),
          [ln_x, gain, shift]),

@@ -1,21 +1,28 @@
 """Unfused reference graphs that the fused ops are tested against.
 
 The ops here are the autodiff primitives that no program calls any more:
-the elementwise, reduction and reshaping ops, ``slice_`` (basic indexing),
-the stacked branch of ``matmul``, and ``dropout`` drawing its own mask.
-With them, ``readout`` is the oracle of ``nn.readout``: the prediction
-heads as the ``concat``, ``matmul``, ``add``, ``clamp`` and ``sigmoid``
-nodes ``KTModel.readout`` built before the readout was one node.
+the elementwise, reduction and reshaping ops, ``relu``,
+``embedding_lookup``, ``slice_`` (basic indexing), the stacked branch of
+``matmul``, and ``dropout`` drawing its own mask. With them, ``embed`` is
+the oracle of ``nn.embed`` and ``feed_forward`` that of
+``nn.feed_forward``; ``interaction_embedding`` and
+``next_question_embedding`` build a model's embeddings as the lookups and
+adds they were before each became one ``embed`` node. ``readout`` is the
+oracle of ``nn.readout``: the prediction heads as the ``concat``,
+``matmul``, ``add``, ``clamp`` and ``sigmoid`` nodes ``KTModel.readout``
+built before the readout was one node.
 ``composite_loss`` is the loss oracle: it slices the columns out of the
 readout's probabilities and builds the training objective node by node
 from ``bce`` and one ``masked_mse`` per proficiency dimension, as the
 training loop did before ``nn.composite_loss`` made it one node.
-``layer_norm`` and ``unfused_attention_forward`` build the attention block
-node by node, as ``AttentionKT.forward`` did before ``nn.layer_norm`` and
-``nn.attention`` replaced it, and ``unrolled_lstm`` and
-``unrolled_recurrent_forward`` build the LSTM step by step, as
-``RecurrentKT.forward`` did before ``nn.lstm``. Dropout masks are drawn at
-the shape padded to ``max_len`` with one plain draw each.
+``layer_norm``, ``attention`` and ``unfused_attention_forward`` build the
+attention block node by node, as ``AttentionKT.forward`` did before
+``nn.layer_norm`` and ``nn.attention`` replaced it;
+``layer_norm_closed_form`` is ``nn.layer_norm`` computing every
+intermediate into a new array, the bit-for-bit oracle of its gradients.
+``unrolled_lstm`` and ``unrolled_recurrent_forward`` build the LSTM step
+by step, as ``RecurrentKT.forward`` did before ``nn.lstm``. Dropout masks
+are drawn at the shape padded to ``max_len`` with one plain draw each.
 
 The ``render_*`` functions are the pipeline's prompt renderers as a chain
 of ``str.replace`` calls with one ``json.dumps`` per JSON piece, the way
@@ -33,8 +40,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from prockt import nn
+from prockt.data.batches import shift_left
 from prockt.data.schema import DIMENSIONS, ValidationError
 from prockt.nn import PROB_EPS
 from prockt.nn.tensor import ShapeError, _make, _unbroadcast, as_tensor
@@ -166,6 +175,56 @@ def softmax(a) -> nn.Tensor:
         a._accumulate(out_data * (g - dot))
 
     return _make(out_data, (a,), backward_fn, "softmax")
+
+
+def relu(a) -> nn.Tensor:
+    a = as_tensor(a)
+    out_data = np.maximum(a.data, 0.0)
+
+    def backward_fn(g):
+        a._accumulate(g * (a.data > 0.0))
+
+    return _make(out_data, (a,), backward_fn, "relu")
+
+
+def embedding_lookup(table, indices) -> nn.Tensor:
+    """Gather rows of a (vocab, dim) table; gradient scatter-adds."""
+    table = as_tensor(table)
+    if table.data.ndim != 2:
+        raise ShapeError(f"embedding table must be 2-d, got {table.shape}")
+    idx = np.asarray(indices, dtype=np.int64)
+    out_data = table.data[idx]
+
+    def backward_fn(g):
+        vocab, dim = table.shape
+        flat = idx.reshape(-1)
+        # a (vocab, N) 0/1 matrix: each table row sums its gradient rows in
+        # input order, as np.add.at does, so the sums have the same bits
+        scatter = scipy.sparse.csr_matrix((np.ones(flat.size), (flat, np.arange(flat.size))),
+                                          shape=(vocab, flat.size))
+        table._accumulate(scatter @ g.reshape(-1, dim))
+
+    return _make(out_data, (table,), backward_fn, "embedding_lookup")
+
+
+def embed(terms) -> nn.Tensor:
+    """``nn.embed`` as a graph: an ``embedding_lookup`` per ``(table, ids)``
+    term, ``matmul`` and ``add`` per ``(x, w, b)`` term, joined left to right
+    by ``add``."""
+    out = None
+    for term in terms:
+        if len(term) == 2:
+            value = embedding_lookup(*term)
+        else:
+            x, w, b = term
+            value = nn.add(nn.matmul(nn.Tensor(x), w), b)
+        out = value if out is None else nn.add(out, value)
+    return out
+
+
+def feed_forward(x, w1, b1, w2, b2) -> nn.Tensor:
+    """``nn.feed_forward`` as the ``matmul``/``add``/``relu`` graph."""
+    return nn.add(nn.matmul(relu(nn.add(nn.matmul(x, w1), b1)), w2), b2)
 
 
 def dropout(a, rate: float, rng: np.random.Generator | None = None, training: bool = True,
@@ -307,6 +366,61 @@ def layer_norm(x, gain, bias) -> nn.Tensor:
     return nn.add(mul(mul(centered, inv), gain), bias)
 
 
+def interaction_embedding(model, batch) -> nn.Tensor:
+    """``KTModel.interaction_embedding`` as the lookups and adds it was built from."""
+    params = model.params
+    e = nn.add(nn.add(embedding_lookup(params["embed.question"], batch.question_ids),
+                      embedding_lookup(params["embed.concept"], batch.concept_ids)),
+               embedding_lookup(params["embed.response"], batch.correctness))
+    if model.config.variant == "statuskt":
+        fused = nn.add(nn.matmul(nn.Tensor(batch.mp_inputs), params["mp.proj.weight"]),
+                       params["mp.proj.bias"])
+        e = nn.add(e, fused)
+    return e
+
+
+def next_question_embedding(model, batch) -> nn.Tensor:
+    return nn.add(embedding_lookup(model.params["embed.question"], shift_left(batch.question_ids)),
+                  embedding_lookup(model.params["embed.concept"], shift_left(batch.concept_ids)))
+
+
+def layer_norm_closed_form(x, gain, bias, eps=LAYER_NORM_EPS) -> nn.Tensor:
+    """``nn.layer_norm`` with a new array for every intermediate: the forward
+    of ``layer_norm`` above and the closed-form backward of Ba et al. (2016),
+    each float operation in the order ``nn.layer_norm`` does it."""
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    d = x.shape[-1]
+    centered = x.data + x.data.mean(axis=-1, keepdims=True) * -1.0
+    inv = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    xhat = centered * inv
+
+    def backward_fn(g):
+        dxhat = g * gain.data
+        x._accumulate(inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)))
+        gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+        bias._accumulate(g.reshape(-1, d).sum(axis=0))
+
+    return _make(xhat * gain.data + bias.data, (x, gain, bias), backward_fn, "layer_norm")
+
+
+def attention(q, k, v, bias, heads, mask) -> nn.Tensor:
+    """``nn.attention`` as a graph: the heads split by ``reshape`` and
+    ``transpose``, the scaled scores, ``softmax`` and the dropout ``mul``,
+    and the heads merged back."""
+    B, T, d = q.shape
+    dh = d // heads
+
+    def split(t):
+        return transpose(reshape(t, (B, T, heads, dh)), (0, 2, 1, 3))
+
+    scores = mul(stacked_matmul(split(q), transpose(split(k), (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    weights = softmax(nn.add(scores, bias))
+    if mask is not None:
+        weights = mul(weights, mask)
+    return reshape(transpose(stacked_matmul(weights, split(v)), (0, 2, 1, 3)), (B, T, d))
+
+
 def model_dropout(model, x, training, rng) -> nn.Tensor:
     """Dropout with the mask drawn at the shape padded to ``max_len``."""
     L = model.config.max_len
@@ -318,40 +432,33 @@ def model_dropout(model, x, training, rng) -> nn.Tensor:
 
 
 def unfused_attention_forward(model, batch, training=False, rng=None):
-    """``AttentionKT.forward`` with the attention block built node by node."""
+    """``AttentionKT.forward`` built node by node."""
     cfg = model.config
     params = model.params
     B, T = batch.question_ids.shape
-    head_dim = cfg.embed_dim // cfg.attention_heads
 
-    def split_heads(x):
-        return transpose(reshape(x, (B, T, cfg.attention_heads, head_dim)), (0, 2, 1, 3))
-
-    pos = nn.embedding_lookup(params["embed.position"], np.broadcast_to(np.arange(T), (B, T)))
-    x = nn.add(model.interaction_embedding(batch), pos)
+    pos = embedding_lookup(params["embed.position"], np.broadcast_to(np.arange(T), (B, T)))
+    x = nn.add(interaction_embedding(model, batch), pos)
     x = model_dropout(model, x, training, rng)
-    next_q = model.next_question_embedding(batch)
+    next_q = next_question_embedding(model, batch)
 
-    q = split_heads(nn.matmul(next_q, params["attn.wq"]))
-    k = split_heads(nn.matmul(x, params["attn.wk"]))
-    v = split_heads(nn.matmul(x, params["attn.wv"]))
-
-    scores = mul(stacked_matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
+    q = nn.matmul(next_q, params["attn.wq"])
+    k = nn.matmul(x, params["attn.wk"])
+    v = nn.matmul(x, params["attn.wv"])
     causal = np.tril(np.ones((T, T), dtype=bool))
     key_valid = batch.valid_mask.astype(bool)[:, None, None, :]
     allowed = causal[None, None, :, :] & key_valid
     bias = np.where(allowed, 0.0, MASK_FILL)
-    weights = softmax(nn.add(scores, bias))
-    weights = model_dropout(model, weights, training, rng)
-
-    ctx = stacked_matmul(weights, v)  # (B, h, T, dh)
-    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (B, T, cfg.embed_dim))
+    weight_mask = None
+    if training and cfg.dropout:  # drawn as ``dropout`` draws it
+        L = cfg.max_len
+        keep = rng.random((B, cfg.attention_heads, L, L))[:, :, :T, :T] >= cfg.dropout
+        weight_mask = keep * (1.0 / (1.0 - cfg.dropout))
+    ctx = attention(q, k, v, bias, cfg.attention_heads, weight_mask)
     ctx = nn.matmul(ctx, params["attn.wo"])
 
     h1 = layer_norm(nn.add(ctx, next_q), params["ln1.gain"], params["ln1.bias"])
-    f = nn.add(nn.matmul(nn.relu(nn.add(nn.matmul(h1, params["ffn.w1"]), params["ffn.b1"])),
-                         params["ffn.w2"]),
-               params["ffn.b2"])
+    f = feed_forward(h1, params["ffn.w1"], params["ffn.b1"], params["ffn.w2"], params["ffn.b2"])
     f = model_dropout(model, f, training, rng)
     state = layer_norm(nn.add(f, h1), params["ln2.gain"], params["ln2.bias"])
     return model.readout(state, next_q)
@@ -379,11 +486,11 @@ def unrolled_lstm(xw, wh, b) -> nn.Tensor:
 def unrolled_recurrent_forward(model, batch, training=False, rng=None):
     """``RecurrentKT.forward`` with the LSTM unrolled into per-step graph nodes."""
     params = model.params
-    x = model_dropout(model, model.interaction_embedding(batch), training, rng)
+    x = model_dropout(model, interaction_embedding(model, batch), training, rng)
     xw = nn.matmul(x, params["rnn.wx"])
     state = unrolled_lstm(xw, params["rnn.wh"], params["rnn.b"])
     state = model_dropout(model, state, training, rng)
-    return model.readout(state, model.next_question_embedding(batch))
+    return model.readout(state, next_question_embedding(model, batch))
 
 
 def _option_string(problem) -> str:

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,7 @@ from prockt.cli import (
     subseed,
 )
 from prockt.pipeline import MockChatClient
+from prockt.training import grid_search
 
 SIM = """
 num_students = 12
@@ -261,6 +263,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_report_runs_not_a_directory_is_a_usage_error(self, workspace, tmp_path, capsys,
+                                                          kind):
+        runs = tmp_path / "nope" if kind == "missing" else workspace / "run" / "metrics.json"
+        assert main(["report", "--runs", str(runs)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert str(runs) in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command, flag, value", [
         ("train", "--batch-size", "0"), ("train", "--epochs", "0"),
         ("train", "--patience", "0"), ("train", "--max-len", "1"),
@@ -342,6 +353,32 @@ class TestTrainEvalReport:
         assert rows[0] == ["epoch", "train_loss", "val_auc", "val_acc"]
         assert len(rows) - 1 == metrics["epochs_trained"]
         assert (run / "manifest.json").exists()
+
+    def test_grid_writes_one_row_per_cell(self, workspace, tmp_path, monkeypatch, capsys):
+        # a 2 x 2 grid in place of the 16 default cells; the rows must be
+        # grid_search's own table, in its order, and a second run the same bytes
+        tables = []
+
+        def small_grid(factory, train_b, val_b, config):
+            result = grid_search(factory, train_b, val_b,
+                                 replace(config, lr_grid=(5e-3, 1e-3), dropout_grid=(0.0, 0.2)))
+            tables.append(result.table)
+            return result
+
+        monkeypatch.setattr(cli, "grid_search", small_grid)
+        for run in ("grid", "grid2"):
+            assert main(["train", "--data", str(workspace / "annotated"), "--grid",
+                         "--out", str(tmp_path / run)] + TRAIN_FLAGS) == EXIT_OK
+        with open(tmp_path / "grid" / "grid.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["lr", "dropout", "val_auc", "val_acc", "epochs_trained"]
+        assert [[float(v) for v in row[:4]] + [int(row[4])] for row in rows[1:]] == \
+            [[c.lr, c.dropout, c.val_auc, c.val_acc, c.epochs_trained] for c in tables[0]]
+        assert [(c.lr, c.dropout) for c in tables[0]] == [(5e-3, 0.0), (5e-3, 0.2),
+                                                          (1e-3, 0.0), (1e-3, 0.2)]
+        assert (tmp_path / "grid" / "grid.csv").read_bytes() == \
+            (tmp_path / "grid2" / "grid.csv").read_bytes()
+        assert not (workspace / "run" / "grid.csv").exists()  # only a grid run writes it
 
     def test_train_is_deterministic(self, workspace, tmp_path, capsys):
         assert main(["train", "--data", str(workspace / "annotated"),

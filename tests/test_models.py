@@ -1,3 +1,4 @@
+import copy
 import inspect
 from dataclasses import fields, replace
 from functools import partial
@@ -214,6 +215,30 @@ class TestForward:
                                       none.forward(batch).data)
 
 
+class TestDropoutMask:
+    """The mask is written over its uniforms in place: it must be the plain
+    threshold-and-scale of the uniforms a clone of the generator draws at the
+    max_len-padded shape, bit for bit, and leave the generator where that
+    clone is left."""
+
+    @pytest.mark.parametrize("T", (8, 5))  # T == L: one plain draw; T < L: blocks and skips
+    @pytest.mark.parametrize("attention_weights", (False, True))
+    def test_equals_thresholded_uniforms(self, T, attention_weights):
+        L, rate = 8, 0.3
+        model = build_model(small_config("attention", max_len=L, dropout=rate))
+        shape, padded = ((3, 2, T, T), (3, 2, L, L)) if attention_weights else ((3, T, 8),
+                                                                                 (3, L, 8))
+        rng = np.random.default_rng(9)
+        clone = copy.deepcopy(rng)
+        mask = model._dropout_mask(shape, True, rng)
+        u = clone.random(padded)[tuple(slice(n) for n in shape)]
+        expect = (u >= rate).astype(np.float64) * (1.0 / (1.0 - rate))
+        assert mask.shape == shape and mask.dtype == np.float64
+        assert np.array_equal(mask, expect)
+        assert np.array_equal(np.signbit(mask), np.signbit(expect))
+        assert rng.bit_generator.state == clone.bit_generator.state
+
+
 class TestFusedReadout:
     """Oracle: each head as its own numpy matmul, as before the heads were fused."""
 
@@ -286,6 +311,228 @@ class TestReadoutOp:
                   for shape in ((2, 3, 4), (2, 3, 4), (8, 1), (8, 1), (1,), (1,))]
         ops = graph_ops(nn.readout(leaves[0], leaves[1], leaves[2:4], leaves[4:], 15.0))
         assert ops.count("readout") == 1 and len(ops) - ops.count("") == 1
+
+
+def pull(out, g):
+    """A scalar node whose backward hands ``g`` to ``out`` as its gradient,
+    read-only, so that an op writing into its incoming gradient raises."""
+    g = np.array(g)
+    g.setflags(write=False)
+    return nn.Tensor(0.0, parents=(out,), backward_fn=lambda _: out._accumulate(g))
+
+
+def run_op(fn, arrays, g):
+    """``fn`` on leaves holding ``arrays``, pulled back from ``g``: the output
+    and the gradient of every leaf."""
+    leaves = [nn.Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    pull(out, g).backward()
+    return [out.data] + [t.grad for t in leaves]
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def assert_backward_twice_doubles(fn, arrays, g):
+    # a backward that wrote into an array it had handed to ``_accumulate``,
+    # or into a buffer of the forward, would change the second sweep
+    leaves = [nn.Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    data = out.data.copy()
+    loss = pull(out, g)
+    loss.backward()
+    once = [t.grad.copy() for t in leaves]
+    loss.backward()
+    for t, grad in zip(leaves, once):
+        np.testing.assert_array_equal(t.grad, 2 * grad)
+    np.testing.assert_array_equal(out.data, data)
+
+
+def signed_zeros(g):
+    """``g`` with every third entry -0.0."""
+    g = g.copy()
+    g.flat[::3] = -0.0
+    return g
+
+
+class TestEmbedOp:
+    """Oracle: tests/reference.py's ``embedding_lookup``, ``matmul`` and
+    ``add`` graph; output and every gradient bit for bit, signs of zeros
+    included."""
+
+    @staticmethod
+    def inputs(rng, dense_at):
+        """Three tables, and a dense term in the sum at index ``dense_at``
+        unless that is None."""
+        tables = [rng.normal(size=(vocab, 4)) for vocab in (7, 3, 5)]
+        ids = [rng.integers(0, len(t), size=(3, 6)) for t in tables]
+        ids[0][0, :3] = 2  # repeated ids within a row and across rows
+        ids[0][2, 4:] = 2
+        x = rng.normal(size=(3, 6, 2))
+        arrays = tables + ([] if dense_at is None else [rng.normal(size=(2, 4)),
+                                                        rng.normal(size=4)])
+
+        def call(module):
+            def fn(*leaves):
+                terms = list(zip(leaves[:3], ids))
+                if dense_at is not None:
+                    terms.insert(dense_at, (x, *leaves[3:]))
+                return module.embed(terms)
+            return fn
+
+        return call, arrays, signed_zeros(rng.normal(size=(3, 6, 4)))
+
+    @pytest.mark.parametrize("dense_at", (None, 0, 2, 3))
+    def test_matches_graph(self, rng, dense_at):
+        call, arrays, g = self.inputs(rng, dense_at)
+        assert_same_bits(run_op(call(nn), arrays, g), run_op(call(ref), arrays, g))
+
+    @pytest.mark.parametrize("dense_at", (None, 2))
+    def test_backward_twice_doubles_gradients(self, rng, dense_at):
+        call, arrays, g = self.inputs(rng, dense_at)
+        assert_backward_twice_doubles(call(nn), arrays, g)
+
+    def test_one_call_is_one_node(self, rng):
+        call, arrays, _ = self.inputs(rng, 2)
+        ops = graph_ops(call(nn)(*(nn.Tensor(a, requires_grad=True) for a in arrays)))
+        assert ops.count("embed") == 1 and len(ops) - ops.count("") == 1
+
+    def test_mismatched_terms_rejected(self, rng):
+        table = nn.Tensor(rng.normal(size=(5, 4)))
+        ids = np.zeros((2, 3), dtype=int)
+        with pytest.raises(nn.ShapeError):  # 3-wide rows added to 4-wide ones
+            nn.embed([(table, ids), (nn.Tensor(np.ones((5, 3))), ids)])
+        with pytest.raises(nn.ShapeError):  # a (2, 4) weight for 3 input features
+            nn.embed([(table, ids), (np.ones((2, 3, 3)), np.ones((2, 4)), np.zeros(4))])
+
+
+class TestFeedForwardOp:
+    """Oracle: tests/reference.py's ``matmul``/``add``/``relu``/``matmul``/``add``
+    graph; output and every gradient bit for bit, signs of zeros included."""
+
+    @staticmethod
+    def inputs(rng):
+        x, w1, b1 = rng.normal(size=(3, 4, 5)), rng.normal(size=(5, 6)), rng.normal(size=6)
+        w1[:, 0] = 0.0  # unit 0's pre-activation is exactly 0 at every position
+        b1[0] = 0.0
+        x[1, 2] = 0.0  # and unit 1's at position (1, 2)
+        b1[1] = 0.0
+        arrays = [x, w1, b1, rng.normal(size=(6, 5)), rng.normal(size=5)]
+        return arrays, signed_zeros(rng.normal(size=(3, 4, 5)))
+
+    def test_matches_graph(self, rng):
+        arrays, g = self.inputs(rng)
+        x, w1, b1 = arrays[:3]
+        assert ((x @ w1 + b1) == 0.0).sum() >= 3 * 4 + 1
+        assert_same_bits(run_op(nn.feed_forward, arrays, g),
+                         run_op(ref.feed_forward, arrays, g))
+
+    def test_backward_twice_doubles_gradients(self, rng):
+        assert_backward_twice_doubles(nn.feed_forward, *self.inputs(rng))
+
+    def test_one_call_is_one_node(self, rng):
+        arrays, _ = self.inputs(rng)
+        ops = graph_ops(nn.feed_forward(*(nn.Tensor(a, requires_grad=True) for a in arrays)))
+        assert ops.count("feed_forward") == 1 and len(ops) - ops.count("") == 1
+
+
+def attention_inputs(rng, masked=True):
+    """q, k, v for 2 heads of 2 over 5 steps; a causal bias that also hides
+    the second sequence's last two keys; a dropout mask; an incoming gradient
+    with signed zeros."""
+    arrays = [rng.normal(size=(2, 5, 4)) for _ in range(3)]
+    hidden = np.triu(np.ones((5, 5), dtype=bool), 1) | np.zeros((2, 1, 1, 5), dtype=bool)
+    hidden[1, ..., 3:] = True
+    bias = np.where(hidden, -1e9, 0.0)
+    mask = (rng.random((2, 2, 5, 5)) >= 0.3) * (1.0 / 0.7) if masked else None
+    return arrays, bias, mask, signed_zeros(rng.normal(size=(2, 5, 4)))
+
+
+class TestAttentionOp:
+    """Oracle: tests/reference.py's node-by-node attention graph, whose
+    backward does the fused op's float operations: output and every gradient
+    bit for bit, signs of zeros included."""
+
+    @pytest.mark.parametrize("masked", (True, False))
+    def test_matches_graph(self, rng, masked):
+        arrays, bias, mask, g = attention_inputs(rng, masked)
+        got, want = (run_op(lambda q, k, v: op(q, k, v, bias, 2, mask), arrays, g)
+                     for op in (nn.attention, ref.attention))
+        assert_same_bits(got, want)
+
+    def test_backward_twice_doubles_gradients(self, rng):
+        arrays, bias, mask, g = attention_inputs(rng)
+        assert_backward_twice_doubles(lambda q, k, v: nn.attention(q, k, v, bias, 2, mask),
+                                      arrays, g)
+
+
+class TestLayerNormOp:
+    """Oracles: the output against tests/reference.py's node-by-node graph,
+    the gradients against its out-of-place closed form, each bit for bit with
+    the signs of zeros; the closed form's gradients against the graph's within
+    1e-12 relative, as they sum in another order."""
+
+    @staticmethod
+    def inputs(rng):
+        x = rng.normal(size=(3, 4, 6))
+        x[0, 1] = 0.5  # a constant row: every centred value is exactly 0
+        arrays = [x, rng.normal(size=6), rng.normal(size=6)]
+        return arrays, signed_zeros(rng.normal(size=(3, 4, 6)))
+
+    def test_matches_graph_and_closed_form(self, rng):
+        arrays, g = self.inputs(rng)
+        got = run_op(lambda x, gain, bias: nn.layer_norm(x, gain, bias, ref.LAYER_NORM_EPS),
+                     arrays, g)
+        closed = run_op(ref.layer_norm_closed_form, arrays, g)
+        graph = run_op(ref.layer_norm, arrays, g)
+        assert_same_bits(got, closed)
+        assert_same_bits(got[:1], graph[:1])
+        for a, b in zip(closed[1:], graph[1:]):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_backward_twice_doubles_gradients(self, rng):
+        assert_backward_twice_doubles(
+            lambda x, gain, bias: nn.layer_norm(x, gain, bias, ref.LAYER_NORM_EPS),
+            *self.inputs(rng))
+
+
+class TestNonFiniteInputs:
+    """A NaN in one input row gives NaN in exactly the output and gradient
+    positions where tests/reference.py's graph gives it."""
+
+    @pytest.mark.parametrize("operand", (0, 1, 2))  # q, k, v
+    def test_attention(self, rng, operand):
+        # a NaN score makes its row NaN, and the row stays NaN through exp
+        # and the division; had the exp guard taken it for an underflow and
+        # written 0 there, the row would be 0/0, which raises here
+        arrays, bias, mask, g = attention_inputs(rng)
+        arrays[operand][1, 2, 0] = np.nan
+        with np.errstate(invalid="raise"):
+            got = run_op(lambda q, k, v: nn.attention(q, k, v, bias, 2, mask), arrays, g)
+        want = run_op(lambda q, k, v: ref.attention(q, k, v, bias, 2, mask), arrays, g)
+        self.assert_same_nans(got, want)
+
+    def test_layer_norm(self, rng):
+        arrays, g = TestLayerNormOp.inputs(rng)
+        arrays[0][2, 3, 1] = np.nan
+        got = run_op(lambda x, gain, bias: nn.layer_norm(x, gain, bias, ref.LAYER_NORM_EPS),
+                     arrays, g)
+        self.assert_same_nans(got, run_op(ref.layer_norm, arrays, g))
+
+    def test_feed_forward(self, rng):
+        arrays, g = TestFeedForwardOp.inputs(rng)
+        arrays[0][2, 3, 1] = np.nan
+        self.assert_same_nans(run_op(nn.feed_forward, arrays, g),
+                              run_op(ref.feed_forward, arrays, g))
+
+    @staticmethod
+    def assert_same_nans(got, want):
+        assert np.isnan(got[0]).any()
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
 
 
 def perturb_future(batch, t0, seed):
@@ -472,13 +719,15 @@ class TestOpSet:
 
 class TestGraphSize:
     @pytest.mark.parametrize("backbone, variant, nodes", [
-        ("recurrent", "statuskt", 17), ("recurrent", "original", 14),
-        ("attention", "statuskt", 31), ("attention", "original", 28)])
+        ("recurrent", "statuskt", 8), ("recurrent", "original", 8),
+        ("attention", "statuskt", 16), ("attention", "original", 16)])
     def test_op_nodes_per_training_step(self, backbone, variant, nodes):
         # the loss is one node on the readout's output, where the graph in
         # tests/reference.py slices the columns out and has 32 nodes
         # (statuskt) or 11 (original). The heads are one readout node,
-        # where the reference graph has 7 nodes.
+        # where the reference graph has 7 nodes. Each embedding is one
+        # embed node (3 to 11 lookup, matmul and add nodes in the reference
+        # graph), and the feed-forward block one node (5).
         model = build_model(small_config(backbone, variant, dropout=0.2))
         batch = toy_batch(0)
         probs = model.forward(batch, training=True, rng=np.random.default_rng(0))
