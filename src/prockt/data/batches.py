@@ -73,16 +73,21 @@ class Batch:
         return self.valid_mask * shift_left(self.valid_mask)
 
 
-def _mp_features(rec) -> tuple[np.ndarray, np.ndarray]:
-    values = np.full(4, MP_IMPUTE)
-    mask = np.zeros(4)
-    if rec.mp is not None:
-        for i, d in enumerate(DIMENSIONS):
-            satisfied, total = rec.mp.counts[d]
-            if total:
-                values[i] = satisfied / total
-                mask[i] = 1.0
-    return values, mask
+_ABSENT_MP_ROW = (MP_IMPUTE,) * 4 + (0.0,) * 4
+
+
+def _mp_row(mp):
+    """A step's 8 proficiency inputs: the 4 ratio values, an absent one
+    imputed, then the 4 presence bits."""
+    if mp is None:
+        return _ABSENT_MP_ROW
+    row = list(_ABSENT_MP_ROW)
+    for i, d in enumerate(DIMENSIONS):
+        satisfied, total = mp.counts[d]
+        if total:
+            row[i] = satisfied / total
+            row[i + 4] = 1.0
+    return row
 
 
 def make_batches(sequences: list[StudentSequence], problems: dict[str, Problem],
@@ -98,13 +103,14 @@ def make_batches(sequences: list[StudentSequence], problems: dict[str, Problem],
     """
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2, got {max_len}")
-    used = [(rec.problem_id, problems[rec.problem_id].kc_ids[0])
-            for seq in sequences for rec in seq.steps]
-    unknown_q = sorted({q for q, _ in used} - vocab.question_index.keys())
-    unknown_c = sorted({c for _, c in used} - vocab.concept_index.keys())
+    used = {rec.problem_id for seq in sequences for rec in seq.steps}
+    unknown_q = sorted(used - vocab.question_index.keys())
+    unknown_c = sorted({problems[q].kc_ids[0] for q in used} - vocab.concept_index.keys())
     if unknown_q or unknown_c:
         raise ValidationError(f"ids missing from the vocabulary: problems {unknown_q}, "
                               f"concepts {unknown_c}")
+    qindex = vocab.question_index
+    cindex = {q: vocab.concept_index[problems[q].kc_ids[0]] for q in used}
     windows = []
     for seq in sequences:
         for start in range(0, len(seq.steps), max_len):
@@ -120,15 +126,12 @@ def make_batches(sequences: list[StudentSequence], problems: dict[str, Problem],
         mp_in = np.zeros((B, T, 8))
         valid = np.zeros((B, T))
         for bi, steps in enumerate(group):
-            for t, rec in enumerate(steps):
-                problem = problems[rec.problem_id]
-                q[bi, t] = vocab.question_index[rec.problem_id]
-                c[bi, t] = vocab.concept_index[problem.kc_ids[0]]
-                r[bi, t] = rec.correct
-                values, mask = _mp_features(rec)
-                mp_in[bi, t, :4] = values
-                mp_in[bi, t, 4:] = mask
-                valid[bi, t] = 1.0
+            n = len(steps)
+            q[bi, :n] = [qindex[rec.problem_id] for rec in steps]
+            c[bi, :n] = [cindex[rec.problem_id] for rec in steps]
+            r[bi, :n] = [rec.correct for rec in steps]
+            mp_in[bi, :n] = [_mp_row(rec.mp) for rec in steps]
+            valid[bi, :n] = 1.0
         batches.append(Batch(question_ids=q, concept_ids=c, correctness=r,
                              mp_inputs=mp_in, valid_mask=valid))
     return batches

@@ -17,6 +17,8 @@ from .schema import InteractionRecord, Problem, StudentSequence, ValidationError
 PROBLEMS_FILE = "problems.json"
 INTERACTIONS_FILE = "interactions.jsonl"
 
+_decode = json.JSONDecoder().decode
+
 
 class DatasetFormatError(ValueError):
     """Malformed dataset file (bad JSON, bad line, dangling reference)."""
@@ -64,7 +66,7 @@ def load_dataset(path) -> Dataset:
             if not line:
                 continue
             try:
-                doc = json.loads(line.decode())
+                doc = _decode(line.decode())
                 rec = InteractionRecord.from_json(doc)
             except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise DatasetFormatError(f"{root / INTERACTIONS_FILE}: malformed record at "

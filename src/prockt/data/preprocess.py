@@ -27,7 +27,7 @@ class PreprocessReport:
 
 
 def count_process_lines(process_text: str) -> int:
-    return sum(1 for line in process_text.split("\n") if line.strip())
+    return sum(map(bool, map(str.strip, process_text.split("\n"))))
 
 
 def preprocess(dataset: Dataset) -> tuple[Dataset, PreprocessReport]:

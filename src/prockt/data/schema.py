@@ -102,15 +102,27 @@ class MPRatios:
     def from_counts(cls, counts: dict) -> "MPRatios":
         """Checks ``counts``: each pair is two ints with 0 <= satisfied <= total.
         A dimension missing from ``counts`` is absent, (0, 0)."""
+        return cls._checked(counts, None)
+
+    @classmethod
+    def _checked(cls, counts, doc: dict | None) -> "MPRatios":
+        """One pass over the dimensions: checks each pair of ``counts`` and,
+        given the ``doc`` they came from, that the value and presence bit they
+        give equal the document's. Without a ``doc`` a missing pair is (0, 0)."""
         full = {}
         for d in DIMENSIONS:
-            pair = counts.get(d, (0, 0))
+            pair = counts.get(d, (0, 0)) if doc is None else counts[d]
             if type(pair) not in (list, tuple) or len(pair) != 2 \
                     or type(pair[0]) is not int or type(pair[1]) is not int:
                 raise ValidationError(f"dimension {d}: counts {pair!r} are not two ints")
             satisfied, total = pair
             if not 0 <= satisfied <= total:
                 raise ValidationError(f"dimension {d}: bad counts ({satisfied}, {total})")
+            if doc is not None and (
+                    bool(doc["present"][d]) != (total > 0)
+                    or float(doc["values"][d]) != (satisfied / total if total else 0.0)):
+                raise ValidationError(f"dimension {d}: value or presence disagrees with "
+                                      f"counts {[satisfied, total]}")
             full[d] = (satisfied, total)
         return cls(counts=full)
 
@@ -137,13 +149,7 @@ class MPRatios:
     @classmethod
     def from_json(cls, doc: dict) -> "MPRatios":
         """Rebuilds from ``counts``; ``values`` and ``present`` must agree with them."""
-        mp = cls.from_counts({d: doc["counts"][d] for d in DIMENSIONS})
-        values, present = mp.values, mp.present
-        for d in DIMENSIONS:
-            if bool(doc["present"][d]) != present[d] or float(doc["values"][d]) != values[d]:
-                raise ValidationError(f"dimension {d}: value or presence disagrees with "
-                                      f"counts {list(mp.counts[d])}")
-        return mp
+        return cls._checked(doc["counts"], doc)
 
 
 @dataclass

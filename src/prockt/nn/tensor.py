@@ -219,10 +219,14 @@ def embed(terms) -> Tensor:
         g2 = g.reshape(-1, d)
         for table, idx in lookups:
             # a (vocab, N) 0/1 matrix: each table row sums its gradient rows
-            # in input order, as np.add.at does, so the sums have the same bits
+            # in input order, as np.add.at does, so the sums have the same bits;
+            # row i's columns are the positions of id i, in order (stable sort)
             flat = idx.reshape(-1)
-            scatter = scipy.sparse.csr_matrix((np.ones(flat.size), (flat, np.arange(flat.size))),
-                                              shape=(table.shape[0], flat.size))
+            indptr = np.zeros(table.shape[0] + 1, dtype=np.int64)
+            np.cumsum(np.bincount(flat, minlength=table.shape[0]), out=indptr[1:])
+            scatter = scipy.sparse.csr_matrix(
+                (np.ones(flat.size), np.argsort(flat, kind="stable"), indptr),
+                shape=(table.shape[0], flat.size))
             table._accumulate(scatter @ g2)
         for x2, w, b in denses:
             w._accumulate(x2.T @ g2)

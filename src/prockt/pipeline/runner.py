@@ -50,7 +50,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..data.io import Dataset
@@ -321,8 +321,12 @@ def run_pipeline(dataset: Dataset, client: ChatClient, cache_dir,
 
     mps = (outs[k][1] for k in keys)
     annotated_sequences = [
-        StudentSequence(student_id=seq.student_id,
-                        steps=[replace(rec, mp=next(mps)) for rec in seq.steps])
+        StudentSequence(student_id=seq.student_id, steps=[
+            InteractionRecord(student_id=rec.student_id, problem_id=rec.problem_id,
+                              selected_answer=rec.selected_answer, correct=rec.correct,
+                              duration=rec.duration, process_text=rec.process_text,
+                              timestamp=rec.timestamp, mp=next(mps))
+            for rec in seq.steps])
         for seq in dataset.sequences]
 
     if report.failed:

@@ -32,6 +32,13 @@ they were before the one-pass renderers. On inputs that hold no literal
 ``MPRatios`` is the proficiency-ratio record as it was when it stored the
 ratio values and presence bits beside the counts, with ``validate``
 checking that the three agree.
+
+``make_batches`` fills each batch element by element, one numpy scalar
+write per array and step, as ``prockt.data.make_batches`` did before it
+filled a window's row with one list assignment per array. ``Adam`` is the
+optimizer step as whole-array expressions, each allocating a new
+parameter-sized array, as ``nn.Adam`` was before it worked in place in
+chunks.
 """
 
 from __future__ import annotations
@@ -43,9 +50,10 @@ import numpy as np
 import scipy.sparse
 
 from prockt import nn
-from prockt.data.batches import shift_left
+from prockt.data.batches import MP_IMPUTE, Batch, shift_left
 from prockt.data.schema import DIMENSIONS, ValidationError
 from prockt.nn import PROB_EPS
+from prockt.nn.optim import BETA1, BETA2, EPS
 from prockt.nn.tensor import ShapeError, _make, _unbroadcast, as_tensor
 from prockt.pipeline import prompts
 
@@ -589,3 +597,66 @@ class MPRatios:
         )
         mp.validate()
         return mp
+
+
+def _mp_features(rec) -> tuple[np.ndarray, np.ndarray]:
+    values = np.full(4, MP_IMPUTE)
+    mask = np.zeros(4)
+    if rec.mp is not None:
+        for i, d in enumerate(DIMENSIONS):
+            satisfied, total = rec.mp.counts[d]
+            if total:
+                values[i] = satisfied / total
+                mask[i] = 1.0
+    return values, mask
+
+
+def make_batches(sequences, problems, vocab, max_len: int = 200,
+                 batch_size: int = 16) -> list[Batch]:
+    windows = []
+    for seq in sequences:
+        for start in range(0, len(seq.steps), max_len):
+            windows.append(seq.steps[start:start + max_len])
+    batches = []
+    for b0 in range(0, len(windows), batch_size):
+        group = windows[b0:b0 + batch_size]
+        B, T = len(group), max(len(steps) for steps in group)
+        q = np.zeros((B, T), dtype=np.int64)
+        c = np.zeros((B, T), dtype=np.int64)
+        r = np.zeros((B, T), dtype=np.int64)
+        mp_in = np.zeros((B, T, 8))
+        valid = np.zeros((B, T))
+        for bi, steps in enumerate(group):
+            for t, rec in enumerate(steps):
+                problem = problems[rec.problem_id]
+                q[bi, t] = vocab.question_index[rec.problem_id]
+                c[bi, t] = vocab.concept_index[problem.kc_ids[0]]
+                r[bi, t] = rec.correct
+                values, mask = _mp_features(rec)
+                mp_in[bi, t, :4] = values
+                mp_in[bi, t, 4:] = mask
+                valid[bi, t] = 1.0
+        batches.append(Batch(question_ids=q, concept_ids=c, correctness=r,
+                             mp_inputs=mp_in, valid_mask=valid))
+    return batches
+
+
+class Adam(nn.Adam):
+    def step(self) -> None:
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                continue
+            m = self.m[name]
+            v = self.v[name]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            m_hat = m / bc1
+            v_hat = v / bc2
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)

@@ -396,6 +396,34 @@ class TestAdam:
             opt.step()
         assert abs(p.data[0] - 2.0) < 1e-3
 
+    def test_matches_whole_array_oracle(self):
+        # the chunked in-place step against the whole-array expressions it
+        # replaced: m, v and every parameter bit for bit over 5 steps
+        rng = np.random.default_rng(3)
+        shapes = {"big": (3, nn.optim.CHUNK + 5), "chunk": (nn.optim.CHUNK,), "scalar": ()}
+        init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        params = {name: Tensor(x.copy(), requires_grad=True) for name, x in init.items()}
+        oracle_params = {name: Tensor(x.copy(), requires_grad=True) for name, x in init.items()}
+        opt, oracle = Adam(params, lr=0.01), ref.Adam(oracle_params, lr=0.01)
+        for _ in range(5):
+            for name, shape in shapes.items():
+                g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+                params[name].grad, oracle_params[name].grad = g, g.copy()
+            opt.step()
+            oracle.step()
+            for name in shapes:
+                assert np.array_equal(opt.m[name], oracle.m[name])
+                assert np.array_equal(opt.v[name], oracle.v[name])
+                assert np.array_equal(params[name].data, oracle_params[name].data)
+                assert params[name].data.shape == shapes[name]
+
+    def test_non_contiguous_parameter_rejected(self):
+        p = Tensor(np.ones((3, 4)), requires_grad=True)
+        opt = Adam({"p": p})
+        p.data, p.grad = np.ones((4, 3)).T, np.ones((3, 4))
+        with pytest.raises(ValueError, match="p is not C-contiguous"):
+            opt.step()
+
 
 class TestInit:
     def test_named_rng_is_stable_and_name_sensitive(self):

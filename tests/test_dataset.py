@@ -114,6 +114,20 @@ class TestLoadSave:
         with pytest.raises(DatasetFormatError, match="line 13"):
             load_dataset(tmp_path)
 
+    def test_blank_lines_and_crlf_endings(self, tmp_path, dataset):
+        save_dataset(tmp_path, dataset)
+        path = tmp_path / "interactions.jsonl"
+        lines = path.read_text().splitlines()
+        # line 1 is a record, 2 and 3 are blank, 4 holds spaces, the rest records
+        text = lines[0] + "\r\n\r\n\n  \t \r\n" + "\r\n".join(lines[1:]) + "\r\n"
+        path.write_bytes(text.encode())
+        assert load_dataset(tmp_path).sequences == dataset.sequences
+        # a malformed line after the blank ones is named by its line in the file
+        path.write_bytes((text + "\r\n" + "{not json\r\n").encode())
+        with pytest.raises(DatasetFormatError,
+                           match=f"{path}: malformed record at line {len(lines) + 5}: "):
+            load_dataset(tmp_path)
+
     @pytest.mark.parametrize("edit, error", [
         ({"counts": {"CU": [1.9, 2]}}, "ValidationError"),
         ({"counts": {"CU": ["1", 2]}}, "ValidationError"),
@@ -527,10 +541,46 @@ class TestBatches:
         assert (batch.question_ids[pad] == 0).all()
         assert (batch.concept_ids[pad] == 0).all()
 
+    @pytest.mark.parametrize("max_len, batch_size", [(3, 4), (5, 16), (200, 2)])
+    def test_rows_match_the_per_element_oracle(self, max_len, batch_size):
+        # windows of mixed length share batches; some records have no mp and
+        # some ratio blocks have absent dimensions
+        problems = {f"p{i}": make_problem(pid=f"p{i}", kc_ids=[f"kc{i % 3}", "kc9"])
+                    for i in range(4)}
+        vocab = Vocab.from_problems(problems)
+        seqs = [StudentSequence(student_id=f"s{s}", steps=[
+            make_record(sid=f"s{s}", pid=f"p{(s * t) % 4}", correct=(s + t) % 2, timestamp=t,
+                        mp=None if (s + t) % 4 == 0 else MPRatios.from_counts(
+                            {d: (t % (i + 2), i + 1) for i, d in enumerate(DIMENSIONS)
+                             if (s + t + i) % 3}))
+            for t in range(n)]) for s, n in enumerate((7, 1, 12, 4, 9))]
+        assert any(rec.mp is None for seq in seqs for rec in seq.steps)
+        assert any(rec.mp is not None and not all(rec.mp.present.values())
+                   for seq in seqs for rec in seq.steps)
+        _assert_same_batches(make_batches(seqs, problems, vocab, max_len, batch_size),
+                             ref.make_batches(seqs, problems, vocab, max_len, batch_size))
+
+    def test_simulated_folds_match_the_per_element_oracle(self):
+        data = synth.generate(synth.SimConfig(num_students=12, num_problems=9, num_concepts=3,
+                                              steps_per_student=11, seed=2))
+        vocab = Vocab.from_problems(data.problems)
+        for seqs in split(data.sequences, 4, 0.2, 0.1):
+            _assert_same_batches(make_batches(seqs, data.problems, vocab, 4, 3),
+                                 ref.make_batches(seqs, data.problems, vocab, 4, 3))
+
     def test_max_len_lower_bound(self, dataset):
         vocab = Vocab.from_problems(dataset.problems)
         with pytest.raises(ValueError):
             make_batches(dataset.sequences, dataset.problems, vocab, max_len=1)
+
+
+def _assert_same_batches(got, want):
+    """Every array of every batch has the same dtype, shape and bytes."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for f in dataclasses.fields(g):
+            a, b = getattr(g, f.name), getattr(w, f.name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
 
 
 class TestShiftLeft:

@@ -407,6 +407,20 @@ class TestRunPipeline:
             for r1, r2 in zip(s1.steps, s2.steps):
                 assert r1.mp.to_json() == r2.mp.to_json()
 
+    def test_annotated_records_equal_the_replace_built_ones(self, tmp_path):
+        # each record is built field by field; it must equal a copy of the
+        # input made by dataclasses.replace with only mp changed
+        data = make_dataset(num_students=3, steps=4)
+        data.sequences[2].steps[1].mp = None
+        out, _ = run_pipeline(data, MockChatClient(), tmp_path)
+        assert [seq.student_id for seq in out.sequences] == \
+            [seq.student_id for seq in data.sequences]
+        for seq, annotated in zip(data.sequences, out.sequences):
+            assert len(annotated.steps) == len(seq.steps)
+            for rec, got in zip(seq.steps, annotated.steps):
+                assert got is not rec and got.mp is not None
+                assert got == replace(rec, mp=got.mp)
+
     def test_failures_flagged_and_run_continues(self, tmp_path):
         data = make_dataset(num_students=3, steps=4)
         marker = "XFAULTX"
