@@ -13,10 +13,14 @@ import hashlib
 import json
 import logging
 import os
+import platform
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+
+import numpy
+import scipy
 
 from . import synth
 from .data import (
@@ -113,6 +117,9 @@ def write_manifest(out_dir, command: str, config: dict, seed: int,
         "started_at": started_at,
         "finished_at": time.time(),
         "outputs": [str(p) for p in outputs],
+        # these libraries decide the bits of a run
+        "versions": {"python": platform.python_version(), "numpy": numpy.__version__,
+                     "scipy": scipy.__version__},
     }
     os.makedirs(out_dir, exist_ok=True)
     with open(Path(out_dir) / "manifest.json", "w") as fh:
@@ -277,6 +284,9 @@ def cmd_report(args) -> int:
             raise ValidationError(f"{path}: expected a JSON object, got {type(m).__name__}")
         if "backbone" not in m or "variant" not in m:
             continue
+        for key in ("backbone", "variant"):  # the row and column labels
+            if not isinstance(m[key], str):
+                raise ValidationError(f"{path}: {key} must be a string, got {m[key]!r}")
         for key in ("test_auc", "test_acc"):  # the columns of the table
             value = m.get(key)
             if isinstance(value, bool) or not isinstance(value, (int, float)):

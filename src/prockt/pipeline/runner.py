@@ -83,6 +83,9 @@ class PipelineReport:
                 "failures": list(self.failures)}
 
 
+_decode = json.JSONDecoder().decode
+
+
 def _digest(*parts: str) -> str:
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
 
@@ -91,9 +94,10 @@ class JsonLog:
     """An append-only file of ``[key, value]`` JSON lines.
 
     With ``read``, the file is parsed once into ``entries``, which appends
-    keep up to date; a line that is not ``[str, value]`` (torn by a crash,
-    empty or garbled) is skipped. Without it the file is only appended to:
-    its last byte is all that is read, and ``entries`` is None.
+    keep up to date; a line that is not ``[str, value]`` in strict UTF-8
+    (torn by a crash, empty or garbled) is skipped. Without it the file is
+    only appended to: its last byte is all that is read, and ``entries``
+    is None.
 
     A record is appended as one ``os.write`` on an ``O_APPEND`` descriptor,
     so processes sharing the file never interleave lines. If the file ends
@@ -114,7 +118,7 @@ class JsonLog:
         self.entries = {}
         for line in data.splitlines():
             try:
-                entry = json.loads(line)
+                entry = _decode(line.decode())
             except ValueError:
                 continue
             if type(entry) is list and len(entry) == 2 and type(entry[0]) is str:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .. import nn
 from ..data.batches import Batch
@@ -28,10 +27,13 @@ class Metrics:
 
 
 def auc(labels, scores) -> float:
-    """Rank-statistic AUC with tie averaging.
+    """Rank-statistic (Mann-Whitney) AUC with tie averaging.
 
     Equals P(score_pos > score_neg) + 0.5 * P(tie). Returns NaN for
-    single-class input (undefined).
+    single-class input (undefined) and for scores that hold a NaN. Tied
+    sorted positions ``start..end-1`` share the 1-based rank
+    ``(start + end + 1) / 2``, an exact half-integer, so the ranks equal
+    ``scipy.stats.rankdata(method="average")`` bit for bit.
     """
     y = np.asarray(labels)
     s = np.asarray(scores, dtype=float)
@@ -39,7 +41,14 @@ def auc(labels, scores) -> float:
     n_neg = int(y.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         return float("nan")
-    ranks = rankdata(s, method="average")
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    if np.isnan(ordered[-1]):  # a sort puts any NaN last
+        return float("nan")
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], s.size]
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     pos_rank_sum = ranks[y == 1].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

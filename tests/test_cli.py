@@ -1,8 +1,14 @@
 import csv
 import json
+import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 from prockt import cli
 from prockt.cli import (
@@ -78,6 +84,14 @@ class TestHelpers:
         assert subseed(42, "split") == subseed(42, "split")
         assert subseed(42, "split") != subseed(42, "init")
         assert subseed(42, "split") != subseed(43, "split")
+
+    def test_import_loads_no_scipy_stats(self):
+        # scipy.stats costs every process about 50 MB and most of a second
+        # to import; only scipy.sparse is needed
+        src = str(Path(cli.__file__).parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import prockt.cli; "
+                "sys.exit('scipy.stats' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 class TestExitCodes:
@@ -240,12 +254,21 @@ class TestExitCodes:
         lambda doc: json.dumps({**doc, "test_auc": "x"}),
         lambda doc: json.dumps({**doc, "test_acc": None}),
         lambda doc: json.dumps({k: v for k, v in doc.items() if k != "test_acc"}),
+        lambda doc: json.dumps({**doc, "backbone": ["x"]}),
+        lambda doc: json.dumps({**doc, "backbone": 1}),
+        lambda doc: json.dumps({**doc, "variant": None}),
     ], ids=["not-json", "not-an-object", "string-test-auc", "null-test-acc",
-            "missing-test-acc"])
+            "missing-test-acc", "list-backbone", "int-backbone-beside-a-string-one",
+            "null-variant"])
     def test_bad_run_metrics_names_the_file(self, workspace, tmp_path, capsys, edit):
+        good = (workspace / "run" / "metrics.json").read_text()
+        # a valid run beside the bad one, read first: an int backbone used
+        # to fail only when sorted against this string one
+        (tmp_path / "good").mkdir()
+        (tmp_path / "good" / "metrics.json").write_text(good)
         metrics = tmp_path / "run" / "metrics.json"
         metrics.parent.mkdir()
-        metrics.write_text(edit(json.loads((workspace / "run" / "metrics.json").read_text())))
+        metrics.write_text(edit(json.loads(good)))
         assert main(["report", "--runs", str(tmp_path)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert str(metrics) in err and "Traceback" not in err
@@ -352,7 +375,9 @@ class TestTrainEvalReport:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "train_loss", "val_auc", "val_acc"]
         assert len(rows) - 1 == metrics["epochs_trained"]
-        assert (run / "manifest.json").exists()
+        versions = json.loads((run / "manifest.json").read_text())["versions"]
+        assert versions == {"python": platform.python_version(),
+                            "numpy": numpy.__version__, "scipy": scipy.__version__}
 
     def test_grid_writes_one_row_per_cell(self, workspace, tmp_path, monkeypatch, capsys):
         # a 2 x 2 grid in place of the 16 default cells; the rows must be

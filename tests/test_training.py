@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -208,6 +209,25 @@ class TestAUC:
         scores = np.round(rng.random(n), 1)
         assert auc(labels, scores) == pytest.approx(
             auc_brute_force(labels, scores), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_scipy_rankdata(self, seed):
+        # ranks from rankdata(method="average") are the oracle; the AUC
+        # must equal the one built from them bit for bit
+        rng = np.random.default_rng(seed)
+        n = 2 if seed == 0 else int(rng.integers(2, 5001))
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = [0, 1]
+        scores = np.round(rng.random(n), seed % 4)  # at most 1,001 distinct values
+        cases = [scores, np.r_[scores, -0.0, 0.0]]
+        for s, y in zip(cases, [labels, np.r_[labels, 1, 0]]):
+            n_pos = int(y.sum())
+            ranks = scipy.stats.rankdata(s, method="average")
+            expect = (ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * (y.size - n_pos))
+            assert auc(y, s) == float(expect)
+
+    def test_nan_score_gives_nan(self):
+        assert math.isnan(auc([0, 1, 1, 0], [0.1, float("nan"), 0.8, 0.3]))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 1), st.floats(0, 1)),
