@@ -178,14 +178,23 @@ def cmd_extract_mp(args) -> int:
     return EXIT_OK
 
 
+def _require_targets(batches, what: str) -> None:
+    """Training and metrics need a next step to predict; a one-step window has none."""
+    if not any(b.target_mask.any() for b in batches):
+        raise ValidationError(f"{what} has no next step to predict: none of its students "
+                              "has two or more interactions")
+
+
 def _prepare_splits(data_dir, seed, test_frac, val_frac, max_len, batch_size):
     dataset = load_dataset(data_dir)
     dataset, _report = preprocess(dataset)
-    train_seqs, val_seqs, test_seqs = split(dataset.sequences, subseed(seed, "split"),
-                                            test_frac, val_frac)
+    folds = split(dataset.sequences, subseed(seed, "split"), test_frac, val_frac)
     vocab = Vocab.from_problems(dataset.problems)
-    mk = lambda seqs: make_batches(seqs, dataset.problems, vocab, max_len, batch_size)
-    return dataset, vocab, mk(train_seqs), mk(val_seqs), mk(test_seqs)
+    batches = []
+    for name, seqs in zip(("train", "val", "test"), folds):
+        batches.append(make_batches(seqs, dataset.problems, vocab, max_len, batch_size))
+        _require_targets(batches[-1], f"the {name} split")
+    return dataset, vocab, *batches
 
 
 def cmd_train(args) -> int:
@@ -259,6 +268,7 @@ def cmd_eval(args) -> int:
     dataset, _ = preprocess(dataset)
     batches = make_batches(dataset.sequences, dataset.problems, vocab,
                            model.config.max_len, args.batch_size)
+    _require_targets(batches, args.data)
     metrics = evaluate(model, batches)
     doc = metrics.to_json()
     if args.out:

@@ -7,11 +7,13 @@ more than a threshold is free, so the next step faults every page of its
 arrays in again. Raising both thresholds keeps most of those pages mapped.
 The trim threshold is the smallest of 64-128 MiB with which most warm
 trainings of a recurrent (dim 200) and an attention (dim 256) model
-faulted no pages at all. It does not hold every time: in ``getrusage``
-probes around each training of the benchmark, some warm attention
-trainings still faulted 27,800-36,900 pages, when the allocations left
-the heap top free; over a 12-round probe the guard cut minor faults from
-383k-447k to 64k-93k. Without glibc's ``mallopt`` this does nothing.
+faulted no pages at all. In ``getrusage`` probes around each training of
+40-second benchmark runs (seed 1, one step's graph alive at a time), every
+warm recurrent training faulted no page with the guard and 10,300-10,800
+without it; warm attention trainings faulted a median of 0 and at most
+955 pages with it (about 1,400 in 44-50 trainings), and a median of 954
+and up to 19,200 without it (303k in 47). Without glibc's ``mallopt``
+this does nothing.
 """
 
 from __future__ import annotations

@@ -58,6 +58,9 @@ class Tensor:
         each node's backward on the gradient it has gathered, and drops that
         gradient unless the node ``requires_grad``: each call adds one
         gradient into the parameters, and a second call starts again from 1.
+        The sweep frees no node: a graph lives as long as its output is
+        referenced, and ``train`` drops each step's graph before the next
+        forward, so a run's training peak is one graph.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar, got shape {self.shape}")

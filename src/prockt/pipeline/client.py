@@ -15,12 +15,14 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
-import requests
 
 from ..data.schema import DIMENSIONS
+
+if TYPE_CHECKING:
+    import requests
 
 ENDPOINT_ENV = "PROCKT_CHAT_ENDPOINT"
 API_KEY_ENV = "PROCKT_CHAT_API_KEY"
@@ -55,12 +57,15 @@ class HttpChatClient:
     responses and the 4xx statuses in ``RETRYABLE_CLIENT_ERRORS``; any other
     4xx is a request that a repeat cannot fix (RFC 9110 §15.5), so it raises
     at once. A 429 or 503 with a ``Retry-After`` header (RFC 9110 §10.2.3)
-    waits that long instead, up to ``MAX_RETRY_AFTER_S``.
+    waits that long instead, up to ``MAX_RETRY_AFTER_S``. ``requests`` is
+    imported here, so that only a process that makes this client loads it.
     """
 
     def __init__(self, endpoint: str | None = None, model: str | None = None,
                  api_key: str | None = None, session: requests.Session | None = None,
                  backoff: float = 0.5):
+        import requests
+
         self.endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
         self.model = model or os.environ.get(MODEL_ENV, "gpt-5")
         self.api_key = api_key or os.environ.get(API_KEY_ENV)
@@ -71,6 +76,8 @@ class HttpChatClient:
                 f"no chat endpoint configured (set {ENDPOINT_ENV} or pass endpoint=)")
 
     def complete(self, system_message: str, user_message: str, params: ChatParams) -> str:
+        import requests
+
         messages = []
         if system_message:
             messages.append({"role": "system", "content": system_message})

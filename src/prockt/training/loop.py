@@ -64,13 +64,34 @@ def _nan_dump(batch: Batch, p_correct: np.ndarray) -> str:
             f"P(correct) range [{p_correct.min():.3e}, {p_correct.max():.3e}]")
 
 
+def _step(model: KTModel, opt: nn.Adam, batch: Batch, rng: np.random.Generator,
+          alpha: float, where: str) -> float:
+    """One training step (forward, loss, backward, Adam); return the loss.
+
+    Only this frame references the step's graph, so the graph is freed when
+    the step returns, before the next forward builds one.
+    """
+    probs = model.forward(batch, training=True, rng=rng)
+    loss = composite_loss(batch.targets_correct, probs, batch.targets_mp,
+                          batch.target_mp_mask, batch.target_mask, alpha)
+    value = loss.item()
+    if not math.isfinite(value):
+        raise RuntimeError(f"non-finite loss at {where}: "
+                           + _nan_dump(batch, probs.data[..., 0]))
+    opt.zero_grad()
+    loss.backward()
+    opt.step()
+    return value
+
+
 def train(model: KTModel, train_batches: list[Batch], val_batches: list[Batch],
           config: TrainConfig) -> TrainResult:
     """Optimize the composite loss; return the best-validation-AUC checkpoint.
 
     Training halts when validation AUC has not improved for ``patience``
     consecutive epochs or ``max_epochs`` is reached. Fully deterministic
-    under ``config.seed``.
+    under ``config.seed``. At most one step's graph is alive at a time:
+    each is freed before the next forward and before validation.
     """
     opt = nn.Adam(model.parameters(), lr=config.lr)
     result = TrainResult(best_params={n: p.data.copy() for n, p in model.parameters().items()})
@@ -78,22 +99,8 @@ def train(model: KTModel, train_batches: list[Batch], val_batches: list[Batch],
     for epoch in range(1, config.max_epochs + 1):
         rng = nn.init.named_rng(config.seed, f"epoch-{epoch}")
         order = rng.permutation(len(train_batches))
-        losses = []
-        for bi in order:
-            batch = train_batches[bi]
-            probs = model.forward(batch, training=True, rng=rng)
-            loss = composite_loss(batch.targets_correct, probs, batch.targets_mp,
-                                  batch.target_mp_mask, batch.target_mask, config.alpha)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, batch {bi}: "
-                    + _nan_dump(batch, probs.data[..., 0]))
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(value)
-
+        losses = [_step(model, opt, train_batches[bi], rng, config.alpha,
+                        f"epoch {epoch}, batch {bi}") for bi in order]
         val = evaluate(model, val_batches)
         stats = EpochStats(epoch=epoch, train_loss=float(np.mean(losses)),
                            val_auc=val.auc, val_acc=val.acc)

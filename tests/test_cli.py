@@ -20,6 +20,7 @@ from prockt.cli import (
     read_config_file,
     subseed,
 )
+from prockt.data import load_dataset, split
 from prockt.pipeline import MockChatClient
 from prockt.training import grid_search
 
@@ -93,6 +94,14 @@ class TestHelpers:
                 "sys.exit('scipy.stats' in sys.modules)")
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
+    def test_import_loads_no_requests(self):
+        # only --client http sends requests; the mock and every other command
+        # do not need the 4-5 MB it costs
+        src = str(Path(cli.__file__).parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import prockt.cli; "
+                "sys.exit('requests' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
@@ -140,6 +149,44 @@ class TestExitCodes:
                      "--out", str(tmp_path / "d")]) == EXIT_OK
         assert main(["train", "--data", str(tmp_path / "d"),
                      "--out", str(tmp_path / "run")] + TRAIN_FLAGS) == EXIT_VALIDATION
+
+    def test_single_step_students_name_the_split(self, workspace, tmp_path, capsys):
+        # one-step students give no next step to predict, and so no metric
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(SIM.replace("steps_per_student = 8", "steps_per_student = 1"))
+        data = tmp_path / "data"
+        assert main(["synth", "--config", str(cfg), "--out", str(data)]) == EXIT_OK
+        assert main(["train", "--data", str(data),
+                     "--out", str(tmp_path / "run")] + TRAIN_FLAGS) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "the train split has no next step to predict" in err
+        assert "Traceback" not in err and not (tmp_path / "run").exists()
+        assert main(["eval", "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                     "--data", str(data)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{data} has no next step to predict" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fold, name", [(1, "val"), (2, "test")], ids=["val", "test"])
+    def test_a_split_of_single_step_students_is_named(self, workspace, tmp_path, capsys,
+                                                      fold, name):
+        # cut every student of one split to its first interaction
+        src = workspace / "data"
+        students = {seq.student_id for seq in
+                    split(load_dataset(src).sequences, subseed(42, "split"), 0.2, 0.1)[fold]}
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "problems.json").write_text((src / "problems.json").read_text())
+        kept, seen = [], set()
+        for line in (src / "interactions.jsonl").read_text().splitlines(keepends=True):
+            sid = json.loads(line)["student_id"]
+            if sid not in students or sid not in seen:
+                kept.append(line)
+                seen.add(sid)
+        (data / "interactions.jsonl").write_text("".join(kept))
+        assert main(["train", "--data", str(data),
+                     "--out", str(tmp_path / "run")] + TRAIN_FLAGS) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"the {name} split has no next step to predict" in err and "Traceback" not in err
 
     def test_corrupt_dataset_is_a_validation_error(self, workspace, tmp_path, capsys):
         data = tmp_path / "data"

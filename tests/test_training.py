@@ -1,5 +1,7 @@
 import contextlib
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import reference as ref
 from prockt import nn
 from prockt.models import ModelConfig, build_model
 from prockt.nn import composite_loss
+from prockt.training import loop
 from prockt.training import (
     GridCell,
     TrainConfig,
@@ -380,6 +383,41 @@ class TestTrainLoop:
         tb, vb = self.batches()
         result = train(small_model(), tb, vb, tiny_config(max_epochs=10, patience=10))
         assert result.history[-1].train_loss < result.history[0].train_loss
+
+    @pytest.mark.parametrize("backbone", ["recurrent", "attention"])
+    def test_each_step_graph_is_freed_before_the_next_forward(self, backbone, monkeypatch):
+        # A step's graph is what its output and loss reach. With the cyclic
+        # collector off, only dropped references free it, as they must.
+        graphs = []
+
+        def recording_loss(*args):
+            loss = composite_loss(*args)
+            graphs.append(weakref.ref(loss))
+            return loss
+
+        model = backbone_model(backbone, dropout=0.2, seed=1)
+        forward = model.forward
+        alive_at_forward = []
+
+        def recording_forward(batch, training, rng=None):
+            alive_at_forward.append(sum(g() is not None for g in graphs))
+            probs = forward(batch, training=training, rng=rng)
+            if training:
+                graphs.append(weakref.ref(probs))
+            return probs
+
+        model.forward = recording_forward
+        monkeypatch.setattr(loop, "composite_loss", recording_loss)
+        tb, vb = self.batches()
+        gc.disable()
+        try:
+            train(model, tb, vb, tiny_config(max_epochs=2, patience=2))
+        finally:
+            gc.enable()
+        # per epoch, three training forwards and two validation ones
+        assert alive_at_forward == [0] * 10
+        assert len(graphs) == 2 * 2 * 3
+        assert all(g() is None for g in graphs)
 
 
 class TestTrainConfig:
