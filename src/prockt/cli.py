@@ -24,6 +24,7 @@ import scipy
 
 from . import synth
 from .data import (
+    MIN_PROCESS_LINES,
     DatasetFormatError,
     SplitError,
     ValidationError,
@@ -185,9 +186,19 @@ def _require_targets(batches, what: str) -> None:
                               "has two or more interactions")
 
 
+def _load_filtered(data_dir):
+    """``data_dir`` loaded and filtered by ``preprocess``, warning with its counts."""
+    dataset, report = preprocess(load_dataset(data_dir))
+    if any(report.to_json().values()):
+        log.warning("%s: dropped %d interactions with fewer than %d non-blank process "
+                    "lines and %d whose problem has empty text; %d students had none left",
+                    data_dir, report.dropped_short_process, MIN_PROCESS_LINES,
+                    report.dropped_missing_problem_text, report.removed_empty_sequences)
+    return dataset
+
+
 def _prepare_splits(data_dir, seed, test_frac, val_frac, max_len, batch_size):
-    dataset = load_dataset(data_dir)
-    dataset, _report = preprocess(dataset)
+    dataset = _load_filtered(data_dir)
     folds = split(dataset.sequences, subseed(seed, "split"), test_frac, val_frac)
     vocab = Vocab.from_problems(dataset.problems)
     batches = []
@@ -264,8 +275,7 @@ def cmd_eval(args) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"{args.checkpoint}: not a usable checkpoint: "
                               f"{type(exc).__name__}: {exc}") from None
-    dataset = load_dataset(args.data)
-    dataset, _ = preprocess(dataset)
+    dataset = _load_filtered(args.data)
     batches = make_batches(dataset.sequences, dataset.problems, vocab,
                            model.config.max_len, args.batch_size)
     _require_targets(batches, args.data)

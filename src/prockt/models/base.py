@@ -72,39 +72,14 @@ class KTModel:
 
     def _dropout_mask(self, shape: tuple[int, ...], training: bool,
                       rng: np.random.Generator | None) -> np.ndarray | None:
-        """Inverted-dropout multiplier for an activation of ``shape``; None when
-        nothing is dropped (eval mode or a zero rate).
-
-        Time is axis 1 of a (B, T, d) activation and axes 2 and 3 of (B, h, T, T)
-        attention weights. The uniforms are those of a draw at the shape padded
-        to ``max_len`` (L), cut to the leading corner, and ``rng`` ends where
-        that draw leaves it, so training does not depend on how far
-        ``make_batches`` trimmed a batch. Only the real part is drawn: each
-        (T, d) block of an activation, or each (T, L) block of attention
-        weights (keeping its first T columns), is followed by
-        ``bit_generator.advance`` over the padded rows it skips, (L − T)·d or
-        (L − T)·L uniforms. This needs a PCG64 ``rng``, which ``named_rng`` and
-        ``np.random.default_rng`` return: one uniform is one step of it.
-        """
+        """Inverted-dropout multiplier drawn at the activation's own ``shape``;
+        None when nothing is dropped (eval mode or a zero rate)."""
         rate = self.config.dropout
         if not training or rate == 0.0:
             return None
         if rng is None:
             raise ValueError("dropout in training mode needs an rng")
-        L, T = self.config.max_len, shape[-2]
-        if T == L:
-            u = rng.random(shape)
-        else:
-            row = shape[-1] if len(shape) == 3 else L
-            u = np.empty((*shape[:-1], row))
-            bg = rng.bit_generator
-            buffered = bg.state  # advance() drops the spare 32 bits a uint32 draw keeps
-            for block in u.reshape(-1, T, row):
-                rng.random(out=block)
-                bg.advance((L - T) * row)
-            bg.state = {**bg.state, "has_uint32": buffered["has_uint32"],
-                        "uinteger": buffered["uinteger"]}
-            u = u[..., :shape[-1]]
+        u = rng.random(shape)
         np.greater_equal(u, rate, out=u)  # the mask is written over its uniforms
         u *= 1.0 / (1.0 - rate)
         return u

@@ -69,7 +69,8 @@ def _step(model: KTModel, opt: nn.Adam, batch: Batch, rng: np.random.Generator,
     """One training step (forward, loss, backward, Adam); return the loss.
 
     Only this frame references the step's graph, so the graph is freed when
-    the step returns, before the next forward builds one.
+    the step returns, before the next forward builds one; the gradients are
+    cleared as soon as Adam has used them.
     """
     probs = model.forward(batch, training=True, rng=rng)
     loss = composite_loss(batch.targets_correct, probs, batch.targets_mp,
@@ -78,9 +79,9 @@ def _step(model: KTModel, opt: nn.Adam, batch: Batch, rng: np.random.Generator,
     if not math.isfinite(value):
         raise RuntimeError(f"non-finite loss at {where}: "
                            + _nan_dump(batch, probs.data[..., 0]))
-    opt.zero_grad()
     loss.backward()
     opt.step()
+    opt.zero_grad()
     return value
 
 
@@ -91,9 +92,11 @@ def train(model: KTModel, train_batches: list[Batch], val_batches: list[Batch],
     Training halts when validation AUC has not improved for ``patience``
     consecutive epochs or ``max_epochs`` is reached. Fully deterministic
     under ``config.seed``. At most one step's graph is alive at a time:
-    each is freed before the next forward and before validation.
+    each is freed before the next forward and before validation. No
+    parameter holds a gradient between steps or after training.
     """
     opt = nn.Adam(model.parameters(), lr=config.lr)
+    opt.zero_grad()  # a caller's stale gradients must not reach the first step
     result = TrainResult(best_params={n: p.data.copy() for n, p in model.parameters().items()})
     epochs_since_best = 0
     for epoch in range(1, config.max_epochs + 1):

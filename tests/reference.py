@@ -21,8 +21,8 @@ attention block node by node, as ``AttentionKT.forward`` did before
 ``layer_norm_closed_form`` is ``nn.layer_norm`` computing every
 intermediate into a new array, the bit-for-bit oracle of its gradients.
 ``unrolled_lstm`` and ``unrolled_recurrent_forward`` build the LSTM step
-by step, as ``RecurrentKT.forward`` did before ``nn.lstm``. Dropout masks
-are drawn at the shape padded to ``max_len`` with one plain draw each.
+by step, as ``RecurrentKT.forward`` did before ``nn.lstm``. Each dropout
+mask is one plain draw at its activation's shape.
 
 The ``render_*`` functions are the pipeline's prompt renderers as a chain
 of ``str.replace`` calls with one ``json.dumps`` per JSON piece, the way
@@ -235,19 +235,13 @@ def feed_forward(x, w1, b1, w2, b2) -> nn.Tensor:
     return nn.add(nn.matmul(relu(nn.add(nn.matmul(x, w1), b1)), w2), b2)
 
 
-def dropout(a, rate: float, rng: np.random.Generator | None = None, training: bool = True,
-            draw_shape: tuple[int, ...] | None = None) -> nn.Tensor:
-    """Inverted dropout: kept activations scaled by 1/(1-rate); identity in eval.
-
-    With ``draw_shape`` the uniform draws are made at that shape and their
-    leading corner masks ``a``.
-    """
+def dropout(a, rate: float, rng: np.random.Generator | None = None,
+            training: bool = True) -> nn.Tensor:
+    """Inverted dropout: kept activations scaled by 1/(1-rate); identity in eval."""
     a = as_tensor(a)
     if not training or rate == 0.0:
         return a
-    draw_shape = a.shape if draw_shape is None else tuple(draw_shape)
-    corner = tuple(slice(m) for m in a.shape)
-    keep = (rng.random(draw_shape)[corner] >= rate).astype(a.data.dtype)
+    keep = (rng.random(a.shape) >= rate).astype(a.data.dtype)
     scale = 1.0 / (1.0 - rate)
     mask = keep * scale
     out_data = a.data * mask
@@ -429,16 +423,6 @@ def attention(q, k, v, bias, heads, mask) -> nn.Tensor:
     return reshape(transpose(stacked_matmul(weights, split(v)), (0, 2, 1, 3)), (B, T, d))
 
 
-def model_dropout(model, x, training, rng) -> nn.Tensor:
-    """Dropout with the mask drawn at the shape padded to ``max_len``."""
-    L = model.config.max_len
-    if x.data.ndim == 3:
-        draw_shape = (x.shape[0], L, x.shape[2])
-    else:
-        draw_shape = (*x.shape[:2], L, L)
-    return dropout(x, model.config.dropout, rng=rng, training=training, draw_shape=draw_shape)
-
-
 def unfused_attention_forward(model, batch, training=False, rng=None):
     """``AttentionKT.forward`` built node by node."""
     cfg = model.config
@@ -447,7 +431,7 @@ def unfused_attention_forward(model, batch, training=False, rng=None):
 
     pos = embedding_lookup(params["embed.position"], np.broadcast_to(np.arange(T), (B, T)))
     x = nn.add(interaction_embedding(model, batch), pos)
-    x = model_dropout(model, x, training, rng)
+    x = dropout(x, cfg.dropout, rng, training)
     next_q = next_question_embedding(model, batch)
 
     q = nn.matmul(next_q, params["attn.wq"])
@@ -459,15 +443,14 @@ def unfused_attention_forward(model, batch, training=False, rng=None):
     bias = np.where(allowed, 0.0, MASK_FILL)
     weight_mask = None
     if training and cfg.dropout:  # drawn as ``dropout`` draws it
-        L = cfg.max_len
-        keep = rng.random((B, cfg.attention_heads, L, L))[:, :, :T, :T] >= cfg.dropout
+        keep = rng.random((B, cfg.attention_heads, T, T)) >= cfg.dropout
         weight_mask = keep * (1.0 / (1.0 - cfg.dropout))
     ctx = attention(q, k, v, bias, cfg.attention_heads, weight_mask)
     ctx = nn.matmul(ctx, params["attn.wo"])
 
     h1 = layer_norm(nn.add(ctx, next_q), params["ln1.gain"], params["ln1.bias"])
     f = feed_forward(h1, params["ffn.w1"], params["ffn.b1"], params["ffn.w2"], params["ffn.b2"])
-    f = model_dropout(model, f, training, rng)
+    f = dropout(f, cfg.dropout, rng, training)
     state = layer_norm(nn.add(f, h1), params["ln2.gain"], params["ln2.bias"])
     return model.readout(state, next_q)
 
@@ -494,10 +477,11 @@ def unrolled_lstm(xw, wh, b) -> nn.Tensor:
 def unrolled_recurrent_forward(model, batch, training=False, rng=None):
     """``RecurrentKT.forward`` with the LSTM unrolled into per-step graph nodes."""
     params = model.params
-    x = model_dropout(model, interaction_embedding(model, batch), training, rng)
+    rate = model.config.dropout
+    x = dropout(interaction_embedding(model, batch), rate, rng, training)
     xw = nn.matmul(x, params["rnn.wx"])
     state = unrolled_lstm(xw, params["rnn.wh"], params["rnn.b"])
-    state = model_dropout(model, state, training, rng)
+    state = dropout(state, rate, rng, training)
     return model.readout(state, next_question_embedding(model, batch))
 
 

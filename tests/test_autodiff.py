@@ -69,27 +69,6 @@ class TestForwardValues:
         out = ref.embedding_lookup(Tensor(table), idx)
         np.testing.assert_array_equal(out.data, table[idx])
 
-    def test_dropout_draw_shape_keeps_the_leading_corner(self):
-        # oracle: uniforms drawn at the max_len-padded shape, cut to the leading
-        # corner; the masks and the generator state after them must be identical.
-        # Two masks come from one generator, which holds 32 spare bits from a
-        # float32 draw, so the skip-ahead must also keep that buffer.
-        L = 5
-        model = build_model(ModelConfig("attention", "original", 5, 5, max_len=L,
-                                        embed_dim=6, attention_heads=3, dropout=0.5))
-        for T in (1, 3, L):
-            shapes = [(3, T, 4), (2, 3, T, T)]
-            padded = [(3, L, 4), (2, 3, L, L)]
-            rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-            for g in (rng, ref_rng):
-                g.random(dtype=np.float32)
-            for shape, draw_shape in zip(shapes, padded):
-                mask = model._dropout_mask(shape, True, rng)
-                corner = tuple(slice(n) for n in shape)
-                keep = ref_rng.random(draw_shape)[corner] >= 0.5
-                np.testing.assert_array_equal(mask, keep * 2.0)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state, T
-
 
 class TestBackwardValues:
     def test_square_gradient(self):

@@ -459,6 +459,51 @@ class TestTrainEvalReport:
         first = json.loads((workspace / "run" / "metrics.json").read_text())
         assert again == first
 
+    @pytest.mark.parametrize("backbone", ("recurrent", "attention"))
+    def test_training_does_not_depend_on_max_len(self, workspace, tmp_path, backbone, capsys):
+        # 8-step students fit whole in windows of 8 and of 10: every batch,
+        # dropout draw and metric is the same, whatever --max-len is
+        flags = TRAIN_FLAGS + ["--backbone", backbone, "--dropout", "0.3"]
+        for max_len in ("8", "10"):
+            run = tmp_path / max_len
+            assert main(["train", "--data", str(workspace / "annotated"), "--out", str(run)]
+                        + flags + ["--max-len", max_len]) == EXIT_OK
+            assert main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+                         "--data", str(workspace / "annotated"),
+                         "--out", str(run / "eval.json")]) == EXIT_OK
+        for name in ("history.csv", "metrics.json", "eval.json"):
+            assert (tmp_path / "8" / name).read_bytes() == (tmp_path / "10" / name).read_bytes()
+
+    def test_filtered_interactions_are_reported(self, workspace, tmp_path, caplog, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        problems = json.loads((workspace / "annotated" / "problems.json").read_text())
+        records = [json.loads(line) for line in
+                   (workspace / "annotated" / "interactions.jsonl").read_text().splitlines()]
+        textless = records[0]["problem_id"]
+        next(p for p in problems if p["problem_id"] == textless)["text"] = " "
+        short = next(r for r in records if r["problem_id"] != textless)
+        short["process_text"] = "one\n\ntwo\nthree\nfour"
+        (data / "problems.json").write_text(json.dumps(problems))
+        (data / "interactions.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        dropped = sum(r["problem_id"] == textless for r in records)
+        expect = (f"{data}: dropped 1 interactions with fewer than 5 non-blank process lines "
+                  f"and {dropped} whose problem has empty text; 0 students had none left")
+        commands = {"train": ["train", "--data", str(data), "--out", str(tmp_path / "run")]
+                    + TRAIN_FLAGS,
+                    "eval": ["eval", "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                             "--data", str(data)]}
+        for name, args in commands.items():
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="prockt.cli"):
+                assert main(args) == EXIT_OK, name
+            assert [r.getMessage() for r in caplog.records] == [expect], name
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="prockt.cli"):
+                assert main([a.replace(str(data), str(workspace / "annotated"))
+                             for a in args]) == EXIT_OK, name
+            assert caplog.records == [], name
+
     def test_eval_checkpoint(self, workspace, tmp_path, capsys):
         out = tmp_path / "eval.json"
         assert main(["eval", "--checkpoint", str(workspace / "run" / "checkpoint.json"),

@@ -218,20 +218,19 @@ class TestForward:
 class TestDropoutMask:
     """The mask is written over its uniforms in place: it must be the plain
     threshold-and-scale of the uniforms a clone of the generator draws at the
-    max_len-padded shape, bit for bit, and leave the generator where that
-    clone is left."""
+    activation's shape, bit for bit, and leave the generator where that clone
+    is left."""
 
-    @pytest.mark.parametrize("T", (8, 5))  # T == L: one plain draw; T < L: blocks and skips
+    @pytest.mark.parametrize("T", (8, 5))  # a full window (T == max_len) and a trimmed one
     @pytest.mark.parametrize("attention_weights", (False, True))
     def test_equals_thresholded_uniforms(self, T, attention_weights):
         L, rate = 8, 0.3
         model = build_model(small_config("attention", max_len=L, dropout=rate))
-        shape, padded = ((3, 2, T, T), (3, 2, L, L)) if attention_weights else ((3, T, 8),
-                                                                                 (3, L, 8))
+        shape = (3, 2, T, T) if attention_weights else (3, T, 8)
         rng = np.random.default_rng(9)
         clone = copy.deepcopy(rng)
         mask = model._dropout_mask(shape, True, rng)
-        u = clone.random(padded)[tuple(slice(n) for n in shape)]
+        u = clone.random(shape)
         expect = (u >= rate).astype(np.float64) * (1.0 / (1.0 - rate))
         assert mask.shape == shape and mask.dtype == np.float64
         assert np.array_equal(mask, expect)
@@ -680,7 +679,7 @@ class TestFusedLSTM:
 
 class TestFusedAttention:
     """Oracle: the attention block built node by node from the unfused ops, on
-    a batch with padded keys and dropout masks cut from the max_len draw."""
+    a batch with padded keys and dropout masks drawn at each activation's shape."""
 
     @pytest.mark.parametrize("variant", ("original", "statuskt"))
     @pytest.mark.parametrize("training", (True, False))
@@ -764,54 +763,53 @@ def loss_of(batch, probs):
 
 
 class TestTrimmedBatches:
-    """Batches cut to their longest window against the same batches padded to
-    max_len: causal ops and dropout masks drawn at the padded shape make the
-    real positions agree; sums over more (zero) terms may round differently."""
+    """A batch cut to its longest window. In eval it gives the real positions
+    of the same batch padded to max_len; sums over more (zero) terms may round
+    differently. Training draws each dropout mask at the batch's own width,
+    so its oracle is the same batches under a max_len that just fits them."""
 
     MAX_LEN = 11
 
     @pytest.mark.parametrize("backbone", BACKBONES)
     @pytest.mark.parametrize("training", (True, False))
     def test_step_matches_padded_batch(self, backbone, training):
-        model = build_model(small_config(backbone, max_len=self.MAX_LEN, dropout=0.2, seed=3))
-
-        def run(batch):
+        def run(batch, max_len):
+            model = build_model(small_config(backbone, max_len=max_len, dropout=0.2, seed=3))
             rng = np.random.default_rng(12) if training else None
             probs = model.forward(batch, training=training, rng=rng)
             loss = loss_of(batch, probs)
-            for p in model.parameters().values():
-                p.grad = None
             loss.backward()
             grads = {n: p.grad.copy() for n, p in model.parameters().items()}
             state = rng.bit_generator.state if training else None
             return probs.data[:, :6], loss.item(), grads, state
 
         trimmed = trimmed_batch(6, (6, 3))
-        probs_trim, loss_trim, g_trim, rng_trim = run(trimmed)
-        probs_pad, loss_pad, g_pad, rng_pad = run(padded_to(trimmed, self.MAX_LEN))
-        np.testing.assert_allclose(probs_trim, probs_pad, rtol=0, atol=1e-12)
-        assert abs(loss_trim - loss_pad) <= 1e-12
-        for name, ref in g_pad.items():
-            err = np.abs(g_trim[name] - ref).max() / np.abs(ref).max()
+        probs_trim, loss_trim, g_trim, rng_trim = run(trimmed, self.MAX_LEN)
+        oracle = (trimmed, 6) if training else (padded_to(trimmed, self.MAX_LEN), self.MAX_LEN)
+        probs_ref, loss_ref, g_ref, rng_ref = run(*oracle)
+        np.testing.assert_allclose(probs_trim, probs_ref, rtol=0, atol=1e-12)
+        assert abs(loss_trim - loss_ref) <= 1e-12
+        for name, ref in g_ref.items():
+            assert not g_trim[name][len(ref):].any(), name  # position rows past the width
+            err = np.abs(g_trim[name][:len(ref)] - ref).max() / np.abs(ref).max()
             assert err <= 1e-12, (name, err)
-        assert rng_trim == rng_pad  # the dropout draws consumed the same stream
+        assert rng_trim == rng_ref  # the dropout draws consumed the same stream
 
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_training_matches_padded_batches(self, backbone):
-        trimmed = [trimmed_batch(7, (6, 3)), trimmed_batch(8, (2, 5)), trimmed_batch(9, (8, 8))]
-        padded = [padded_to(b, self.MAX_LEN) for b in trimmed]
+        batches = [trimmed_batch(7, (6, 3)), trimmed_batch(8, (2, 5)), trimmed_batch(9, (8, 8))]
         runs = []
-        for batches in (trimmed, padded):
-            model = build_model(small_config(backbone, max_len=self.MAX_LEN,
-                                             dropout=0.2, seed=5))
+        for max_len in (self.MAX_LEN, 8):
+            model = build_model(small_config(backbone, max_len=max_len, dropout=0.2, seed=5))
             result = train(model, batches, batches,
                            TrainConfig(lr=1e-2, max_epochs=3, patience=3, seed=2))
             runs.append((result.history, model.parameters()))
-        (hist_trim, params_trim), (hist_pad, params_pad) = runs
-        assert len(hist_trim) == len(hist_pad) == 3
-        for a, b in zip(hist_trim, hist_pad):
-            assert abs(a.train_loss - b.train_loss) <= 1e-12
-            assert abs(a.val_auc - b.val_auc) <= 1e-12
-        for name, ref in params_pad.items():
-            err = np.abs(params_trim[name].data - ref.data).max() / np.abs(ref.data).max()
-            assert err <= 1e-12, (name, err)
+        (hist_long, params_long), (hist_fit, params_fit) = runs
+        assert len(hist_long) == 3
+        assert [s.__dict__ for s in hist_long] == [s.__dict__ for s in hist_fit]
+        init = build_model(small_config(backbone, max_len=self.MAX_LEN, seed=5)).parameters()
+        for name, ref in params_fit.items():
+            # position rows past the longest window get no gradient: Adam leaves them be
+            n = len(ref.data)
+            np.testing.assert_array_equal(params_long[name].data[:n], ref.data)
+            np.testing.assert_array_equal(params_long[name].data[n:], init[name].data[n:])

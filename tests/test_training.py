@@ -419,6 +419,27 @@ class TestTrainLoop:
         assert len(graphs) == 2 * 2 * 3
         assert all(g() is None for g in graphs)
 
+    @pytest.mark.parametrize("backbone", ["recurrent", "attention"])
+    def test_no_gradient_outlives_its_step(self, backbone, monkeypatch):
+        # gradients a caller left behind must not reach the first step either
+        model = backbone_model(backbone, dropout=0.2, seed=1)
+        for p in model.parameters().values():
+            p.grad = np.ones_like(p.data)
+        held = []
+
+        def recording_evaluate(m, batches):
+            held.append(sorted(n for n, p in m.parameters().items() if p.grad is not None))
+            return evaluate(m, batches)
+
+        monkeypatch.setattr(loop, "evaluate", recording_evaluate)
+        tb, vb = self.batches()
+        result = train(model, tb, vb, tiny_config(max_epochs=2, patience=2))
+        assert held == [[], []]
+        assert all(p.grad is None for p in model.parameters().values())
+        fresh = backbone_model(backbone, dropout=0.2, seed=1)
+        expect = train(fresh, tb, vb, tiny_config(max_epochs=2, patience=2))
+        assert [s.__dict__ for s in result.history] == [s.__dict__ for s in expect.history]
+
 
 class TestTrainConfig:
     def test_default_grid_is_sixteen_cells(self):
