@@ -16,7 +16,6 @@ import os
 import platform
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy
@@ -38,7 +37,7 @@ from .data import (
 from .models import ConfigError, ModelConfig, build_model
 from .nn import load_checkpoint, save_checkpoint
 from .pipeline import ChatParams, HttpChatClient, MockChatClient, run_pipeline
-from .training import TrainConfig, evaluate, grid_search, train
+from .training import GRID, TrainConfig, evaluate, grid_search
 from .verify import run_suite
 
 log = logging.getLogger(__name__)
@@ -210,7 +209,7 @@ def _prepare_splits(data_dir, seed, test_frac, val_frac, max_len, batch_size):
 
 def cmd_train(args) -> int:
     started = time.time()
-    tc = TrainConfig(alpha=args.alpha, lr=args.lr, batch_size=args.batch_size,
+    tc = TrainConfig(alpha=args.alpha, batch_size=args.batch_size,
                      patience=args.patience, max_epochs=args.epochs, seed=args.seed)
     dataset, vocab, train_b, val_b, test_b = _prepare_splits(
         args.data, args.seed, args.test_frac, args.val_frac, args.max_len, tc.batch_size)
@@ -223,20 +222,15 @@ def cmd_train(args) -> int:
                          dropout=dropout, seed=subseed(args.seed, "init"))
         return build_model(mc)
 
-    if args.grid:
-        gr = grid_search(make, train_b, val_b, tc)
-        model, result = gr.best_model, gr.best_result
-        lr, dropout = gr.best_lr, gr.best_dropout
-    else:
-        model = make(args.dropout)
-        result = train(model, train_b, val_b, tc)
-        lr, dropout = args.lr, args.dropout
+    # a plain run is the one-cell grid of its --lr and --dropout
+    gr = grid_search(make, train_b, val_b, tc, GRID if args.grid else [(args.lr, args.dropout)])
+    model, result = gr.best_model, gr.best_result
 
     val = evaluate(model, val_b)
     test = evaluate(model, test_b)
     metrics = {
         "variant": args.variant, "backbone": args.backbone,
-        "lr": lr, "dropout": dropout, "alpha": args.alpha,
+        "lr": gr.best_lr, "dropout": gr.best_dropout, "alpha": args.alpha,
         "val_auc": val.auc, "val_acc": val.acc,
         "test_auc": test.auc, "test_acc": test.acc,
         "epochs_trained": result.epochs_trained,

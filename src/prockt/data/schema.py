@@ -41,7 +41,10 @@ class Problem:
         _require_strings("", self, ("problem_id",))
         if not self.problem_id:
             raise ValidationError("problem_id must be non-empty")
-        _require_strings(f"problem {self.problem_id}: ", self, ("text",))
+        _require_strings(f"problem {self.problem_id}: ", self, ("text", "answer"))
+        if self.solution_text is not None and type(self.solution_text) is not str:
+            raise ValidationError(f"problem {self.problem_id}: solution_text must be a string "
+                                  f"or null, got {self.solution_text!r}")
         for name in ("kc_ids", "options"):
             if type(getattr(self, name)) is not list:
                 raise ValidationError(f"problem {self.problem_id}: {name} must be a list, "

@@ -263,7 +263,11 @@ def lstm(xw, wh, b) -> Tensor:
     tcs = np.empty((B, T, d))
     hs = np.empty((B, T, d))
     zeros = np.zeros((B, d))
-    pre = np.empty((B, four_d))
+    # h_{t-1} @ wh runs on at least two rows: a one-row GEMM rounds otherwise,
+    # so a window would be predicted with other bits alone than in a batch
+    h_prev = np.zeros((max(B, 2), d))
+    pre_rows = np.empty((max(B, 2), four_d))
+    pre = pre_rows[:B]
     ig = np.empty((B, d))
     cell = slice(2 * d, 3 * d)
 
@@ -272,8 +276,10 @@ def lstm(xw, wh, b) -> Tensor:
         return a[:, :d], a[:, d:2 * d], a[:, cell], a[:, 3 * d:]
 
     for t in range(T):
+        if t:
+            h_prev[:B] = hs[:, t - 1]
         # (h @ wh + xw_t) + b has the bits of (xw_t + h @ wh) + b
-        np.matmul(hs[:, t - 1] if t else zeros, wh.data, out=pre)
+        np.matmul(h_prev, wh.data, out=pre_rows)
         pre += xw.data[:, t]
         pre += b.data
         a = acts[t]

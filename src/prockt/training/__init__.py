@@ -1,9 +1,9 @@
 from .metrics import Metrics, acc, auc, evaluate, gather_predictions
 from .loop import EpochStats, TrainConfig, TrainResult, train
-from .grid import GridCell, GridResult, grid_search
+from .grid import GRID, GridCell, GridResult, grid_search
 
 __all__ = [
-    "EpochStats", "GridCell", "GridResult", "Metrics", "TrainConfig",
+    "EpochStats", "GRID", "GridCell", "GridResult", "Metrics", "TrainConfig",
     "TrainResult", "acc", "auc", "evaluate",
     "gather_predictions", "grid_search", "train",
 ]

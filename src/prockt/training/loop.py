@@ -21,16 +21,12 @@ log = logging.getLogger(__name__)
 class TrainConfig:
     alpha: float = 0.5
     lr: float = 1e-3
-    lr_grid: tuple[float, ...] = (5e-3, 1e-3, 5e-4, 1e-4)
-    dropout_grid: tuple[float, ...] = (0.5, 0.3, 0.1, 0.05)
     batch_size: int = 16
     patience: int = 10
     max_epochs: int = 200
     seed: int = 42
 
     def __post_init__(self):
-        if not self.lr_grid or not self.dropout_grid:
-            raise ValueError("hyperparameter grids must be non-empty")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.alpha < 0:

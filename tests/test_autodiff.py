@@ -376,10 +376,10 @@ class TestAdam:
         assert abs(p.data[0] - 2.0) < 1e-3
 
     def test_matches_whole_array_oracle(self):
-        # the chunked in-place step against the whole-array expressions it
-        # replaced: m, v and every parameter bit for bit over 5 steps
+        # the in-place step against the whole-array expressions of
+        # tests/reference.py: m, v and every parameter bit for bit over 5 steps
         rng = np.random.default_rng(3)
-        shapes = {"big": (3, nn.optim.CHUNK + 5), "chunk": (nn.optim.CHUNK,), "scalar": ()}
+        shapes = {"matrix": (3, 1001), "vector": (4096,), "scalar": ()}
         init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
         params = {name: Tensor(x.copy(), requires_grad=True) for name, x in init.items()}
         oracle_params = {name: Tensor(x.copy(), requires_grad=True) for name, x in init.items()}
@@ -396,12 +396,21 @@ class TestAdam:
                 assert np.array_equal(params[name].data, oracle_params[name].data)
                 assert params[name].data.shape == shapes[name]
 
-    def test_non_contiguous_parameter_rejected(self):
-        p = Tensor(np.ones((3, 4)), requires_grad=True)
-        opt = Adam({"p": p})
-        p.data, p.grad = np.ones((4, 3)).T, np.ones((3, 4))
-        with pytest.raises(ValueError, match="p is not C-contiguous"):
+    def test_transposed_parameter_updated_like_a_contiguous_copy(self):
+        rng = np.random.default_rng(4)
+        view = rng.normal(size=(40, 30)).T
+        p = Tensor(view, requires_grad=True)
+        oracle_p = Tensor(view.copy(), requires_grad=True)
+        assert not view.flags.c_contiguous and oracle_p.data.flags.c_contiguous
+        opt, oracle = Adam({"p": p}, lr=0.01), ref.Adam({"p": oracle_p}, lr=0.01)
+        for _ in range(5):
+            g = rng.normal(size=(30, 40))
+            p.grad, oracle_p.grad = g, g.copy()
             opt.step()
+            oracle.step()
+            assert np.array_equal(opt.m["p"], oracle.m["p"])
+            assert np.array_equal(opt.v["p"], oracle.v["p"])
+            assert np.array_equal(p.data, oracle_p.data)
 
 
 class TestInit:

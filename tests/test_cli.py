@@ -3,7 +3,6 @@ import json
 import platform
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy
@@ -264,11 +263,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("file, edit", [
         ("interactions.jsonl", _every_record("selected_answer", 2)),
         ("problems.json", _every_problem("text", 5)),
-    ], ids=["int-selected-answer", "int-problem-text"])
+        ("problems.json", _every_problem("answer", None)),
+        ("problems.json", _every_problem("answer", 1.5)),
+        ("problems.json", _every_problem("solution_text", [1])),
+    ], ids=["int-selected-answer", "int-problem-text", "null-answer", "float-answer",
+            "list-solution-text"])
     def test_extract_mp_rejects_a_non_string_field(self, workspace, tmp_path, capsys, file,
                                                    edit):
         # the first ended with a TypeError traceback, the second failed every
-        # interaction without a word
+        # interaction without a word, and the last three were annotated and
+        # written back with exit 0
         data = tmp_path / "data"
         data.mkdir()
         for name in ("problems.json", "interactions.jsonl"):
@@ -431,13 +435,13 @@ class TestTrainEvalReport:
         # grid_search's own table, in its order, and a second run the same bytes
         tables = []
 
-        def small_grid(factory, train_b, val_b, config):
-            result = grid_search(factory, train_b, val_b,
-                                 replace(config, lr_grid=(5e-3, 1e-3), dropout_grid=(0.0, 0.2)))
+        def recording_grid_search(*args):
+            result = grid_search(*args)
             tables.append(result.table)
             return result
 
-        monkeypatch.setattr(cli, "grid_search", small_grid)
+        monkeypatch.setattr(cli, "GRID", ((5e-3, 0.0), (5e-3, 0.2), (1e-3, 0.0), (1e-3, 0.2)))
+        monkeypatch.setattr(cli, "grid_search", recording_grid_search)
         for run in ("grid", "grid2"):
             assert main(["train", "--data", str(workspace / "annotated"), "--grid",
                          "--out", str(tmp_path / run)] + TRAIN_FLAGS) == EXIT_OK
@@ -451,6 +455,17 @@ class TestTrainEvalReport:
         assert (tmp_path / "grid" / "grid.csv").read_bytes() == \
             (tmp_path / "grid2" / "grid.csv").read_bytes()
         assert not (workspace / "run" / "grid.csv").exists()  # only a grid run writes it
+
+    def test_plain_run_is_the_one_cell_grid(self, workspace, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "GRID", ((5e-3, 0.3),))
+        assert main(["train", "--data", str(workspace / "annotated"), "--dropout", "0.3",
+                     "--out", str(tmp_path / "plain")] + TRAIN_FLAGS) == EXIT_OK
+        assert main(["train", "--data", str(workspace / "annotated"), "--grid",
+                     "--out", str(tmp_path / "grid")] + TRAIN_FLAGS) == EXIT_OK
+        for name in ("checkpoint.json", "metrics.json", "history.csv"):
+            assert (tmp_path / "plain" / name).read_bytes() == \
+                (tmp_path / "grid" / name).read_bytes(), name
+        assert not (tmp_path / "plain" / "grid.csv").exists()
 
     def test_train_is_deterministic(self, workspace, tmp_path, capsys):
         assert main(["train", "--data", str(workspace / "annotated"),

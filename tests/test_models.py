@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import reference as ref
-from prockt import nn
+from prockt import nn, synth
+from prockt.data import Vocab, make_batches
 from prockt.models import ConfigError, ModelConfig, build_model
 from prockt.nn import composite_loss
-from prockt.training import TrainConfig, train
+from prockt.training import TrainConfig, gather_predictions, train
 from prockt.verify import op_cases, toy_batch
 
 BACKBONES = ("recurrent", "attention")
@@ -813,3 +814,29 @@ class TestTrimmedBatches:
             n = len(ref.data)
             np.testing.assert_array_equal(params_long[name].data[:n], ref.data)
             np.testing.assert_array_equal(params_long[name].data[n:], init[name].data[n:])
+
+
+class TestBatchSizeInvariance:
+    """A window is predicted with the same bits whatever windows share its
+    batch: the LSTM's per-step GEMM runs on at least two rows, as a one-row
+    GEMM rounds differently. Gradients still depend on the batch (the
+    backward's transposed GEMMs), so this is a claim about predictions only."""
+
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    @pytest.mark.parametrize("variant", ("original", "statuskt"))
+    def test_predictions_do_not_depend_on_batch_size(self, backbone, variant):
+        data = synth.generate(synth.SimConfig(num_students=20, num_problems=30,
+                                              steps_per_student=12, seed=3))
+        vocab = Vocab.from_problems(data.problems)
+        model = build_model(small_config(backbone, variant, num_questions=vocab.num_questions,
+                                         num_concepts=vocab.num_concepts, max_len=12,
+                                         embed_dim=40, seed=3))
+        runs = []
+        for batch_size in (1, 2, 3, 16):
+            batches = make_batches(data.sequences, data.problems, vocab, 12, batch_size)
+            _, scores, _, mp_preds, _ = gather_predictions(model, batches)
+            runs.append((scores, mp_preds))
+        assert runs[0][0].size == 20 * 11
+        for scores, mp_preds in runs[1:]:
+            assert np.array_equal(scores, runs[0][0])
+            assert np.array_equal(mp_preds, runs[0][1])

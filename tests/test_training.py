@@ -15,6 +15,7 @@ from prockt.models import ModelConfig, build_model
 from prockt.nn import composite_loss
 from prockt.training import loop
 from prockt.training import (
+    GRID,
     GridCell,
     TrainConfig,
     acc,
@@ -444,7 +445,8 @@ class TestTrainLoop:
 class TestTrainConfig:
     def test_default_grid_is_sixteen_cells(self):
         cfg = TrainConfig()
-        assert len(cfg.lr_grid) * len(cfg.dropout_grid) == 16
+        assert len(set(GRID)) == len(GRID) == 16
+        assert GRID == tuple(sorted(GRID, key=lambda c: -c[0]))  # lr-major, largest first
         assert cfg.patience == 10 and cfg.batch_size == 16
 
     def test_invalid_values_rejected(self):
@@ -453,7 +455,7 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(alpha=-1.0)
         with pytest.raises(ValueError):
-            TrainConfig(lr_grid=())
+            grid_search(small_model, [toy_batch(0)], [toy_batch(10)], tiny_config(), cells=())
 
 
 class TestGridSearch:
@@ -467,9 +469,9 @@ class TestGridSearch:
             built.append(dropout)
             return model
 
-        config = tiny_config(lr_grid=(5e-3, 1e-3), dropout_grid=(0.2, 0.0),
-                             patience=2, max_epochs=3)
-        result = grid_search(factory, tb, vb, config)
+        config = tiny_config(patience=2, max_epochs=3)
+        cells = [(5e-3, 0.2), (5e-3, 0.0), (1e-3, 0.2), (1e-3, 0.0)]
+        result = grid_search(factory, tb, vb, config, cells)
         assert len(result.table) == 4
         assert built == [0.2, 0.0, 0.2, 0.0]
         best = max(result.table, key=lambda c: c.val_auc)
@@ -480,9 +482,9 @@ class TestGridSearch:
     def test_cells_record_their_hyperparameters(self):
         tb = [toy_batch(0)]
         vb = [toy_batch(10)]
-        config = tiny_config(lr_grid=(1e-3,), dropout_grid=(0.0, 0.1),
-                             patience=1, max_epochs=2)
-        result = grid_search(lambda d: small_model(dropout=d), tb, vb, config)
+        config = tiny_config(patience=1, max_epochs=2)
+        result = grid_search(lambda d: small_model(dropout=d), tb, vb, config,
+                             [(1e-3, 0.0), (1e-3, 0.1)])
         assert [(c.lr, c.dropout) for c in result.table] == [(1e-3, 0.0), (1e-3, 0.1)]
         for cell in result.table:
             assert isinstance(cell, GridCell)
