@@ -168,11 +168,13 @@ def cmd_extract_mp(args) -> int:
                                      concurrency=args.concurrency,
                                      params=ChatParams(max_retries=args.max_retries))
     save_dataset(args.out, annotated)
-    with open(Path(args.out) / "pipeline_report.json", "w") as fh:
+    out = Path(args.out)
+    with open(out / "pipeline_report.json", "w") as fh:
         json.dump(report.to_json(), fh, indent=1)
     write_manifest(args.out, "extract-mp",
                    {**vars(args), "func": None, "model": getattr(client, "model", None)}, 0,
-                   [args.data], [Path(args.out) / "interactions.jsonl"], started)
+                   [args.data], [out / "problems.json", out / "interactions.jsonl",
+                                 out / "pipeline_report.json"], started)
     print(f"annotated {report.annotated}, failed {report.failed} "
           f"({100 * report.failure_rate:.1f}%), cached {report.cached}")
     return EXIT_OK
@@ -248,14 +250,16 @@ def cmd_train(args) -> int:
         writer.writerow(["epoch", "train_loss", "val_auc", "val_acc"])
         for st in result.history:
             writer.writerow([st.epoch, st.train_loss, st.val_auc, st.val_acc])
+    outputs = [out / "checkpoint.json", out / "metrics.json", out / "history.csv"]
     if args.grid:  # one row per cell, in grid order; no wall time, so a seed fixes its bytes
-        with open(out / "grid.csv", "w", newline="") as fh:
+        outputs.append(out / "grid.csv")
+        with open(outputs[-1], "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["lr", "dropout", "val_auc", "val_acc", "epochs_trained"])
             for c in gr.table:
                 writer.writerow([c.lr, c.dropout, c.val_auc, c.val_acc, c.epochs_trained])
     write_manifest(args.out, "train", {**vars(args), "func": None}, args.seed,
-                   [args.data], [out / "checkpoint.json", out / "metrics.json"], started)
+                   [args.data], outputs, started)
     print(json.dumps(metrics))
     return EXIT_OK
 

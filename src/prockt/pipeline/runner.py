@@ -29,13 +29,16 @@ lines:
 
 Completions are keyed on (stage, model, temperature, prompt). An
 interaction has one key, used by its result, its audit and the report's
-failure list: a digest of the record's ids, timestamp, trace and answer,
-the problem, the three prompt templates, the model and the temperature,
-so a change to any of them is a miss. Deleting ``ratios.jsonl``
-re-annotates every interaction from the cached completions: it retries
-the failed ones, and it is how a cache written before the result log
-existed is read (once, with no client calls for what was annotated
-before).
+failure list: one SHA-256 over its problem's digest and the record's
+student id, timestamp, trace and selected answer, with the lengths that
+keep those fields apart. Each problem a run
+meets is digested once, from a JSON array of its fields, with the three
+prompt templates, the model and the temperature. A change to any of
+these is a miss; correctness and duration are not in the key. Deleting
+``ratios.jsonl`` re-annotates every interaction from the cached
+completions: it retries the failed ones, and it is how a cache written
+before the result log existed, or under an earlier key, is read (once,
+with no client calls for what was annotated before).
 """
 
 from __future__ import annotations
@@ -84,20 +87,73 @@ class PipelineReport:
 
 
 _decode = json.JSONDecoder().decode
+_encode = json.JSONEncoder(check_circular=False).encode
 
 
 def _digest(*parts: str) -> str:
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
 
 
+def _pairs(values) -> dict:
+    """The ``[str, value]`` entries of ``values`` as a dict; the last of a key wins."""
+    return {v[0]: v[1] for v in values if type(v) is list and len(v) == 2 and type(v[0]) is str}
+
+
+def _read_lines(data: bytes) -> dict:
+    """The entries of ``data`` decoded line by line: a line that is not one
+    JSON value in strict UTF-8 is skipped."""
+    values = []
+    for line in data.splitlines():
+        try:
+            values.append(_decode(line.decode()))
+        except ValueError:
+            continue
+    return _pairs(values)
+
+
+def _read_log(fh) -> dict:
+    """The entries of the log file ``fh``, read from its start.
+
+    The lines, each newline made a comma, are decoded as one JSON array,
+    taken when it holds one value per line. Any other file (a torn, blank
+    or garbled line, two values on a line, a byte that is not strict UTF-8,
+    a carriage return) is read again for ``_read_lines``. The two differ
+    only where a line holding two values is paired with one that runs on
+    into the next, which no writer of these logs makes, whole or torn. At
+    most one copy of the file is held beside its text.
+    """
+    data = fh.read()
+    if data.endswith(b"\n") and b"\r" not in data:
+        lines = data.count(b"\n")
+        try:
+            text = data.decode()
+        except UnicodeDecodeError:
+            pass
+        else:
+            del data
+            text = text.replace("\n", ",")
+            text = "[%s0]" % text  # the 0 follows the last line's comma
+            try:
+                values = _decode(text)
+            except ValueError:
+                values = []
+            del text
+            if len(values) == lines + 1:
+                values.pop()
+                return _pairs(values)
+            fh.seek(0)
+            data = fh.read()
+    return _read_lines(data)
+
+
 class JsonLog:
     """An append-only file of ``[key, value]`` JSON lines.
 
-    With ``read``, the file is parsed once into ``entries``, which appends
-    keep up to date; a line that is not ``[str, value]`` in strict UTF-8
-    (torn by a crash, empty or garbled) is skipped. Without it the file is
-    only appended to: its last byte is all that is read, and ``entries``
-    is None.
+    With ``read``, the file is parsed once into ``entries`` (see
+    ``_read_log``), which appends keep up to date; a line that is not
+    ``[str, value]`` in strict UTF-8 (torn by a crash, empty or garbled) is
+    skipped. Without it the file is only appended to: its last byte is all
+    that is read, and ``entries`` is None.
 
     A record is appended as one ``os.write`` on an ``O_APPEND`` descriptor,
     so processes sharing the file never interleave lines. If the file ends
@@ -114,15 +170,7 @@ class JsonLog:
         if not read:
             return
         with open(self._fd, "rb", closefd=False) as fh:
-            data = fh.read()
-        self.entries = {}
-        for line in data.splitlines():
-            try:
-                entry = _decode(line.decode())
-            except ValueError:
-                continue
-            if type(entry) is list and len(entry) == 2 and type(entry[0]) is str:
-                self.entries[entry[0]] = entry[1]
+            self.entries = _read_log(fh)
 
     def get(self, key: str):
         return self.entries.get(key)
@@ -144,15 +192,20 @@ class JsonLog:
         os.close(self._fd)
 
 
+_DIMENSION_SET = frozenset(DIMENSIONS)
+
+
 def _result(value) -> tuple[bool, MPRatios] | None:
     """Whether a ``ratios.jsonl`` value records a success, and its ratios
     (all absent for a failure); None if it is not a well-formed result."""
-    if value == {"status": "failed"}:
-        return False, MPRatios.absent()
-    if type(value) is not dict or value.keys() != {"status", "counts"} or value["status"] != "ok":
+    if type(value) is not dict:
         return None
-    counts = value["counts"]
-    if type(counts) is not dict or counts.keys() != set(DIMENSIONS):
+    status = value.get("status")
+    if len(value) == 1:
+        return (False, MPRatios.absent()) if status == "failed" else None
+    counts = value.get("counts")
+    if len(value) != 2 or status != "ok" or type(counts) is not dict \
+            or counts.keys() != _DIMENSION_SET:
         return None
     try:
         return True, MPRatios.from_counts(counts)
@@ -232,7 +285,9 @@ def _annotate(jobs: list[_Job], client: ChatClient, params: ChatParams, setting:
             while True:
                 name, prompt = chains[job.key].send(completion)
                 key = _digest(name, *setting, prompt)
-                completion = completions.get(key)
+                # a call in ``waiting`` is pending even once its worker has logged the
+                # completion, so the order of calls depends on the ended calls alone
+                completion = None if key in waiting else completions.get(key)
                 if completion is None:
                     if key not in waiting:
                         send(key, prompt, [])
@@ -274,21 +329,21 @@ def run_pipeline(dataset: Dataset, client: ChatClient, cache_dir,
     cache_dir = Path(cache_dir)
     os.makedirs(cache_dir, exist_ok=True)
     setting = (str(getattr(client, "model", "")), repr(params.temperature))
-    templates = _digest(prompts.INDICATOR_TEMPLATE, prompts.STUDENT_TEMPLATE,
-                        prompts.EVAL_TEMPLATE)
-    problem_keys: dict[str, str] = {}
-
-    def key(problem: Problem, record: InteractionRecord) -> str:
-        problem_key = problem_keys.get(problem.problem_id)
-        if problem_key is None:
-            problem_key = problem_keys[problem.problem_id] = _digest(
-                json.dumps(problem.to_json(), sort_keys=True), templates, *setting)
-        record_key = _digest(record.student_id, record.problem_id, str(record.timestamp),
-                             record.process_text, record.selected_answer)[:24]
-        return _digest(record_key, problem_key)[:32]
-
+    context = _digest(prompts.INDICATOR_TEMPLATE, prompts.STUDENT_TEMPLATE,
+                      prompts.EVAL_TEMPLATE, *setting)
     records = [rec for seq in dataset.sequences for rec in seq.steps]
-    keys = [key(dataset.problems[rec.problem_id], rec) for rec in records]
+    problem_digests: dict[str, str] = {}  # of each problem a record names
+    for pid in {rec.problem_id for rec in records}:
+        p = dataset.problems[pid]
+        problem_digests[pid] = _digest(_encode([
+            p.problem_id, p.kc_ids, p.text, p.solution_text, p.answer, p.question_type,
+            p.difficulty, p.options]), context)
+    # the id's and answer's lengths keep a field holding the separator from running
+    # into the next; the trace comes last
+    keys = [_digest(problem_digests[rec.problem_id], str(rec.timestamp),
+                    f"{len(rec.student_id)} {len(rec.selected_answer)}", rec.student_id,
+                    rec.selected_answer, rec.process_text)[:32]
+            for rec in records]
     with closing(JsonLog(cache_dir / "ratios.jsonl")) as results:
         # hits are read here; only the first record of each missed key is
         # annotated, and a later copy of it counts as cached

@@ -39,10 +39,17 @@ filled a window's row with one list assignment per array. ``Adam`` is the
 optimizer step as whole-array expressions, each allocating a new
 parameter-sized array, as ``nn.Adam`` was before it worked in place in
 chunks.
+
+``read_log_lines`` is a cache log read one line at a time, as
+``JsonLog`` read every file before it decoded a whole log as one JSON
+array. ``old_interaction_key`` is an interaction's result-log key as it
+was before each problem was digested from a JSON array of its fields:
+a record digest and a problem digest, joined by a third.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 
@@ -644,3 +651,29 @@ class Adam(nn.Adam):
             m_hat = m / bc1
             v_hat = v / bc2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+def read_log_lines(data: bytes) -> dict:
+    entries = {}
+    for line in data.splitlines():
+        try:
+            entry = json.loads(line.decode())
+        except ValueError:
+            continue
+        if type(entry) is list and len(entry) == 2 and type(entry[0]) is str:
+            entries[entry[0]] = entry[1]
+    return entries
+
+
+def _digest(*parts: str) -> str:
+    return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
+
+
+def old_interaction_key(problem, record, model: str = "", temperature: float = 0.0) -> str:
+    setting = (model, repr(temperature))
+    templates = _digest(prompts.INDICATOR_TEMPLATE, prompts.STUDENT_TEMPLATE,
+                        prompts.EVAL_TEMPLATE)
+    problem_key = _digest(json.dumps(problem.to_json(), sort_keys=True), templates, *setting)
+    record_key = _digest(record.student_id, record.problem_id, str(record.timestamp),
+                         record.process_text, record.selected_answer)[:24]
+    return _digest(record_key, problem_key)[:32]

@@ -551,6 +551,27 @@ class TestTrainEvalReport:
         assert "| recurrent |" in table
 
 
+def _listed_and_written(out: Path) -> tuple[list[str], list[str]]:
+    """A run's manifest outputs, and the files in its ``--out`` but the manifest."""
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    return sorted(outputs), sorted(str(p) for p in out.iterdir() if p.name != "manifest.json")
+
+
+class TestManifest:
+    @pytest.mark.parametrize("run", ["data", "annotated", "run"])  # synth, extract-mp, train
+    def test_outputs_are_the_files_written(self, workspace, run):
+        listed, written = _listed_and_written(workspace / run)
+        assert listed == written
+
+    def test_grid_run_lists_its_grid(self, workspace, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "GRID", ((5e-3, 0.0), (1e-3, 0.2)))
+        out = tmp_path / "grid"
+        assert main(["train", "--data", str(workspace / "annotated"), "--grid",
+                     "--out", str(out)] + TRAIN_FLAGS) == EXIT_OK
+        listed, written = _listed_and_written(out)
+        assert listed == written and str(out / "grid.csv") in listed
+
+
 class TestGradcheck:
     def test_passes_with_exit_zero(self, capsys):
         assert main(["gradcheck", "--seeds", "2"]) == EXIT_OK

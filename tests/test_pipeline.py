@@ -491,6 +491,28 @@ def distinct_students(num_students, steps):
     return data
 
 
+_WHOLE = b'["a", 1]\n["b", {"x": [1, 2.5]}]\n["c", "say \\"\\u00e9\\""]\n'
+# logs as JsonLog might find them: whole, torn, garbled or hand-edited
+LOG_FILES = {
+    "whole": _WHOLE,
+    "empty": b"",
+    "torn-last-line": _WHOLE + b'["d", {"x": 1',
+    "torn-line-then-append": _WHOLE + b'["d", {"x"\n["e", 2]\n',
+    "no-final-newline": b'["a", 1]\n["b", 2]',
+    "blank-lines": b'["a", 1]\n\n["b", 2]\n\n',
+    "byte-order-mark": b'\xef\xbb\xbf["a", 1]\n["b", 2]\n',
+    "invalid-utf8": b'["a", 1]\n["\xff", 2]\n["b", 3]\n',
+    "utf8-surrogate": b'["a", "\xed\xa0\x80"]\n["b", 1]\n',
+    "two-values-on-a-line": b'["a",1],["b",2]\n["c", 3]\n',
+    "two-lines-join-into-one-value": b'[["a", 1]\n["b", 2]]\n',
+    "a-value-over-two-lines": b'["a",\n 1]\n["b", 2]\n',
+    "carriage-returns": b'["a",\r1]\n["b", 2]\r\n',
+    "non-pairs": b'[["a"], 1]\n[1, 2]\n["a", 1, 2]\n["a"]\n{"a": 1, "b": 2}\n"ab"\nnull\n["k", 1]\n',
+    "duplicate-keys": b'["a", 1]\n["b", 2]\n["a", 3]\n',
+    "blanks-around-values": b' ["a", 1] \n\t["b", 2]\t\n',
+}
+
+
 class TestCacheLog:
     def test_cache_is_three_logs(self, tmp_path):
         run_pipeline(make_dataset(), MockChatClient(), tmp_path)
@@ -604,6 +626,25 @@ class TestCacheLog:
         log = JsonLog(path)
         log.close()
         assert log.entries == {"k": {"x": 1}}
+
+    @pytest.mark.parametrize("name", sorted(LOG_FILES))
+    def test_one_decode_read_equals_the_per_line_read(self, tmp_path, name):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(LOG_FILES[name])
+        log = JsonLog(path)
+        log.close()
+        assert log.entries == ref.read_log_lines(LOG_FILES[name])
+
+    def test_whole_log_is_one_decode(self, tmp_path, monkeypatch):
+        def per_line(data):
+            raise AssertionError("a whole log was read line by line")
+
+        monkeypatch.setattr(runner_module, "_read_lines", per_line)
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(LOG_FILES["whole"])
+        log = JsonLog(path)
+        log.close()
+        assert log.entries == {"a": 1, "b": {"x": [1, 2.5]}, "c": 'say "\u00e9"'}
 
     def test_bad_lines_do_not_stop_later_runs(self, tmp_path):
         data = make_dataset()
@@ -808,6 +849,17 @@ class TestPipelinedStages:
         # the 8 interactions of p1 and p2 are judged while p0's rubric call is out
         assert [stage_of(p) for p in client.returned[:rubric]].count("verdicts") == 8
 
+    def test_serial_runs_write_the_same_completions_log(self, tmp_path):
+        # a job that reaches a prompt whose call has ended, but whose end the
+        # calling thread has not handled yet, waits for it like any other job
+        data = synth.generate(synth.SimConfig(num_students=12, num_problems=10,
+                                              steps_per_student=8))
+        logs = set()
+        for run in range(3):
+            run_pipeline(data, MockChatClient(), tmp_path / str(run), concurrency=1)
+            logs.add((tmp_path / str(run) / "completions.jsonl").read_bytes())
+        assert len(logs) == 1
+
     @pytest.mark.parametrize("concurrency", (1, 4))
     def test_interrupt_in_stage_three_resumes_with_the_unanswered_prompts(self, tmp_path,
                                                                           concurrency):
@@ -864,6 +916,89 @@ class TestCacheKeys:
         changed = 1 + sum(rec.problem_id == "p1" for seq in data.sequences
                           for rec in seq.steps)
         assert report.cached == 12 - changed
+
+    @pytest.mark.parametrize("field, value", [
+        ("student_id", "s9"), ("timestamp", 1005), ("process_text", "line 0: other"),
+        ("selected_answer", "3")])
+    def test_each_keyed_record_field_misses(self, tmp_path, field, value):
+        data = make_dataset()
+        run_pipeline(data, MockChatClient(), tmp_path)
+        setattr(data.sequences[0].steps[0], field, value)
+        _, report = run_pipeline(data, MockChatClient(), tmp_path)
+        assert (report.cached, report.annotated) == (11, 12)
+
+    @pytest.mark.parametrize("field, value", [
+        ("problem_id", "p1x"), ("kc_ids", ["kcB", "kcA"]), ("text", "Problem 1: solve for y."),
+        ("solution_text", ""), ("answer", "3"), ("question_type", "short_answer"),
+        ("difficulty", 4), ("options", ["1", "2", "3", "5", "4"])])
+    def test_each_keyed_problem_field_misses(self, tmp_path, field, value):
+        data = make_dataset()
+        p1 = data.problems["p1"]
+        p1.kc_ids, p1.solution_text = ["kcA", "kcB"], None
+        run_pipeline(data, MockChatClient(), tmp_path)
+        setattr(p1, field, value)
+        if field == "problem_id":
+            data.problems = {p.problem_id: p for p in data.problems.values()}
+            for seq in data.sequences:
+                for rec in seq.steps:
+                    rec.problem_id = "p1x" if rec.problem_id == "p1" else rec.problem_id
+        _, report = run_pipeline(data, MockChatClient(), tmp_path)
+        # p1 is the problem of one record per student
+        assert (report.cached, report.annotated) == (9, 12)
+
+    @pytest.mark.parametrize("before, after", [
+        (("s0", "x\x1fy", "z"), ("s0", "x", "y\x1fz")),
+        (("s0\x1fa", "t", "b"), ("s0", "t", "a\x1fb")),
+    ])
+    def test_fields_that_join_alike_miss(self, tmp_path, before, after):
+        # (student id, trace, answer) pairs whose fields joined by the key's
+        # separator are the same text
+        data = make_dataset(num_students=1, steps=1)
+        rec = data.sequences[0].steps[0]
+        rec.student_id, rec.process_text, rec.selected_answer = before
+        run_pipeline(data, MockChatClient(), tmp_path)
+        rec.student_id, rec.process_text, rec.selected_answer = after
+        _, report = run_pipeline(data, MockChatClient(), tmp_path)
+        assert report.cached == 0
+
+    @pytest.mark.parametrize("field, value", [("correct", 1), ("duration", 7.0)])
+    def test_fields_outside_the_key_hit(self, tmp_path, field, value):
+        data = make_dataset()
+        run_pipeline(data, MockChatClient(), tmp_path)
+        for seq in data.sequences:
+            for rec in seq.steps:
+                setattr(rec, field, value)
+        client = CountingClient(delay=0)
+        _, report = run_pipeline(data, client, tmp_path)
+        assert client.prompts == [] and report.cached == 12
+
+    def test_cache_under_the_old_keys_is_reannotated_once_without_calls(self, tmp_path):
+        # results and audits keyed as before each problem was digested from
+        # an array of its fields; the completions' keys did not change
+        data = make_dataset()
+        cold, _ = run_pipeline(data, MockChatClient(), tmp_path)
+        old = [ref.old_interaction_key(data.problems[rec.problem_id], rec)
+               for seq in data.sequences for rec in seq.steps]
+        for name in ("ratios.jsonl", "audit.jsonl"):
+            path = tmp_path / name
+            lines = [json.loads(line) for line in path.read_text().splitlines()]
+            assert len(lines) == len(set(old)) == 12
+            assert set(old).isdisjoint(key for key, _ in lines)
+            path.write_text("".join(json.dumps([key, value]) + "\n"
+                                    for key, (_, value) in zip(old, lines)))
+        old_results = (tmp_path / "ratios.jsonl").read_text()
+        client = CountingClient(delay=0)
+        out, report = run_pipeline(data, client, tmp_path)
+        assert client.prompts == [] and (report.annotated, report.cached) == (12, 0)
+        assert [r.to_json() for s in out.sequences for r in s.steps] == \
+            [r.to_json() for s in cold.sequences for r in s.steps]
+        results = (tmp_path / "ratios.jsonl").read_text()
+        assert results.startswith(old_results)
+        assert [v for _, v in map(json.loads, results.splitlines())] == \
+            [v for _, v in map(json.loads, old_results.splitlines())] * 2
+        warm = CountingClient(delay=0)
+        _, report = run_pipeline(data, warm, tmp_path)
+        assert warm.prompts == [] and report.cached == 12
 
 
 class GarbledRubricClient:
