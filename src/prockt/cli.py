@@ -258,8 +258,9 @@ def cmd_train(args) -> int:
             writer.writerow(["lr", "dropout", "val_auc", "val_acc", "epochs_trained"])
             for c in gr.table:
                 writer.writerow([c.lr, c.dropout, c.val_auc, c.val_acc, c.epochs_trained])
-    write_manifest(args.out, "train", {**vars(args), "func": None}, args.seed,
-                   [args.data], outputs, started)
+    # the cell trained, which a --grid run chose in place of the --lr and --dropout flags
+    config = {**vars(args), "func": None, "lr": gr.best_lr, "dropout": gr.best_dropout}
+    write_manifest(args.out, "train", config, args.seed, [args.data], outputs, started)
     print(json.dumps(metrics))
     return EXIT_OK
 

@@ -7,8 +7,10 @@ grouped by student and time-sorted on load.
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +20,11 @@ PROBLEMS_FILE = "problems.json"
 INTERACTIONS_FILE = "interactions.jsonl"
 
 _decode = json.JSONDecoder().decode
+# the JSON escape of a UTF-16 surrogate: only a file holding one can decode to a
+# string that UTF-8 cannot encode (a raw surrogate is no valid UTF-8)
+_SURROGATE_ESCAPE = r"\\u[dD][89a-fA-F]"
+_SURROGATE_TEXT = re.compile(_SURROGATE_ESCAPE)
+_SURROGATE_BYTES = re.compile(_SURROGATE_ESCAPE.encode())
 
 
 class DatasetFormatError(ValueError):
@@ -33,11 +40,24 @@ class Dataset:
         return sum(len(s) for s in self.sequences)
 
 
+def _require_encodable(doc) -> None:
+    """Raise ValueError if a string in ``doc`` holds a lone surrogate, which
+    cannot be written as UTF-8 (a surrogate pair decodes to one character)."""
+    try:
+        json.dumps(doc, ensure_ascii=False).encode()
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"a string holds the lone surrogate "
+                         f"{exc.object[exc.start:exc.end]!r}") from None
+
+
 def load_problems(path) -> dict[str, Problem]:
     problems: dict[str, Problem] = {}
     try:
         with open(path) as fh:
-            docs = json.load(fh)
+            text = fh.read()
+        docs = json.loads(text)
+        if _SURROGATE_TEXT.search(text):
+            _require_encodable(docs)
         for doc in docs:
             p = Problem.from_json(doc)
             if p.problem_id in problems:
@@ -61,20 +81,24 @@ def load_dataset(path) -> Dataset:
     by_student: dict[str, list[InteractionRecord]] = {}
     order: list[str] = []
     with open(root / INTERACTIONS_FILE, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = _decode(line.decode())
-                rec = InteractionRecord.from_json(doc)
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                raise DatasetFormatError(f"{root / INTERACTIONS_FILE}: malformed record at "
-                                         f"line {lineno}: {type(exc).__name__}: {exc}") from None
-            if rec.student_id not in by_student:
-                by_student[rec.student_id] = []
-                order.append(rec.student_id)
-            by_student[rec.student_id].append(rec)
+        data = fh.read()
+    surrogates = _SURROGATE_BYTES.search(data) is not None
+    for lineno, line in enumerate(io.BytesIO(data), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = _decode(line.decode())
+            if surrogates:
+                _require_encodable(doc)
+            rec = InteractionRecord.from_json(doc)
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise DatasetFormatError(f"{root / INTERACTIONS_FILE}: malformed record at "
+                                     f"line {lineno}: {type(exc).__name__}: {exc}") from None
+        if rec.student_id not in by_student:
+            by_student[rec.student_id] = []
+            order.append(rec.student_id)
+        by_student[rec.student_id].append(rec)
 
     dangling = sorted({r.problem_id for recs in by_student.values() for r in recs
                        if r.problem_id not in problems})

@@ -110,8 +110,11 @@ class MPRatios:
     @classmethod
     def _checked(cls, counts, doc: dict | None) -> "MPRatios":
         """One pass over the dimensions: checks each pair of ``counts`` and,
-        given the ``doc`` they came from, that the value and presence bit they
-        give equal the document's. Without a ``doc`` a missing pair is (0, 0)."""
+        given the ``doc`` they came from, that the document's presence bit (a
+        bool) and value (a number, not a bool) equal the ones they give.
+        Without a ``doc`` a missing pair is (0, 0)."""
+        if doc is not None:
+            present, values = doc["present"], doc["values"]
         full = {}
         for d in DIMENSIONS:
             pair = counts.get(d, (0, 0)) if doc is None else counts[d]
@@ -121,11 +124,14 @@ class MPRatios:
             satisfied, total = pair
             if not 0 <= satisfied <= total:
                 raise ValidationError(f"dimension {d}: bad counts ({satisfied}, {total})")
-            if doc is not None and (
-                    bool(doc["present"][d]) != (total > 0)
-                    or float(doc["values"][d]) != (satisfied / total if total else 0.0)):
-                raise ValidationError(f"dimension {d}: value or presence disagrees with "
-                                      f"counts {[satisfied, total]}")
+            if doc is not None:
+                value = values[d]
+                # ``is`` rejects a presence bit that is no bool; the type test keeps
+                # float() from reading a value that is a str or a bool
+                if present[d] is not (total > 0) or type(value) not in (float, int) \
+                        or float(value) != (satisfied / total if total else 0.0):
+                    raise ValidationError(f"dimension {d}: value or presence is not the number "
+                                          f"and bool that counts {[satisfied, total]} give")
             full[d] = (satisfied, total)
         return cls(counts=full)
 

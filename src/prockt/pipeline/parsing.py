@@ -21,6 +21,7 @@ from .types import (
 log = logging.getLogger(__name__)
 
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\n(.*?)```", re.DOTALL)
+_raw_decode = json.JSONDecoder().raw_decode
 
 UNANSWERED = "I don't know"
 
@@ -28,19 +29,27 @@ UNANSWERED = "I don't know"
 def extract_json_object(raw: str) -> dict:
     """Return the first decodable JSON object in ``raw``.
 
-    Tries fenced code blocks first, then every '{' in the text.
+    Tries fenced code blocks first, then every '{' in the text. A completion
+    that starts with '{' and holds no fence is first decoded whole, which
+    finds what that scan would find first.
     """
+    if raw.startswith("{") and "```" not in raw:
+        try:
+            return _raw_decode(raw)[0]
+        except json.JSONDecodeError:
+            pass
     candidates = _FENCE_RE.findall(raw)
     candidates.append(raw)
-    decoder = json.JSONDecoder()
     for text in candidates:
-        for pos in (m.start() for m in re.finditer(r"\{", text)):
+        pos = text.find("{")
+        while pos >= 0:
             try:
-                obj, _ = decoder.raw_decode(text[pos:])
+                obj, _ = _raw_decode(text, pos)
             except json.JSONDecodeError:
-                continue
+                obj = None
             if isinstance(obj, dict):
                 return obj
+            pos = text.find("{", pos + 1)
     raise ParseError(f"no JSON object found in completion: {raw[:200]!r}")
 
 

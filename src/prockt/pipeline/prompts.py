@@ -231,6 +231,15 @@ Answer Indicate: {answer_indicator_text}
 """
 
 
+# The text every prompt of a stage starts with: its template up to the first
+# placeholder. Keyed by the stage names that the runner keys completions under.
+STAGE_HEADS = {
+    "indicators": INDICATOR_TEMPLATE[:INDICATOR_TEMPLATE.index("{Problem_text}")],
+    "responses": STUDENT_TEMPLATE[:STUDENT_TEMPLATE.index("{indicator_text}")],
+    "verdicts": EVAL_TEMPLATE[:EVAL_TEMPLATE.index("{problem}")],
+}
+
+
 @functools.lru_cache(maxsize=16)
 def _pieces(template: str, names: tuple[str, ...]) -> tuple[str, ...]:
     """``template`` split at its ``{name}`` tokens: text, name, text, ..., text."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..data.schema import MPRatios
+from ..data.schema import DIMENSIONS, MPRatios
 from .types import IncompleteVerdictError, IndicatorSet
 
 
@@ -15,5 +15,9 @@ def compute_mp_ratios(indicators: IndicatorSet, verdicts: dict[str, int]) -> MPR
     missing = [c for c in indicators.codes() if c not in verdicts]
     if missing:
         raise IncompleteVerdictError(missing)
-    return MPRatios.from_counts({d: (sum(verdicts[ind.code] for ind in inds), len(inds))
-                                 for d, inds in indicators.by_category().items()})
+    counts = {d: [0, 0] for d in DIMENSIONS}
+    for ind in indicators.indicators:
+        pair = counts[ind.category]
+        pair[0] += verdicts[ind.code]
+        pair[1] += 1
+    return MPRatios.from_counts(counts)

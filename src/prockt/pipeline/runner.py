@@ -4,10 +4,14 @@ The interactions that miss in the result log go through the paper's three
 stages: a teacher writes each problem's rubric, the student answers it, and
 a teacher judges the answers. The calling thread renders every prompt (a
 rubric prompt once per problem) and parses every reply (a rubric that
-parses, once per problem); a pool of ``concurrency`` threads sends each
-distinct uncached prompt to the client once. An interaction goes on to its
+parses, once per problem). It puts each distinct uncached prompt once on a
+queue, which ``concurrency`` worker threads read: each worker sends the
+prompt to the client, appends the completion and puts the call's end on a
+second queue, which the calling thread reads. An interaction goes on to its
 next stage as soon as its reply is in, so a slow call holds up only the
-interactions that need it.
+interactions that need it. However the run ends, even by an interrupt, the
+prompts no worker has taken are dropped, the calls in flight finish and
+log their completions, and every worker has stopped before it returns.
 
 A failed client call fails the interaction that asked for it first, and is
 sent again for the rest. An interaction that fails at any step (rendering,
@@ -27,7 +31,10 @@ lines:
   and never read.
 - ``completions.jsonl``: client completions, read only by a run that misses.
 
-Completions are keyed on (stage, model, temperature, prompt). An
+Completions are keyed on (stage, model, temperature, prompt). Each key is
+hashed on from a copy of a SHA-256 already fed with the stage, the model,
+the temperature and the template text before the stage's first
+placeholder, which every prompt of the stage starts with. An
 interaction has one key, used by its result, its audit and the report's
 failure list: one SHA-256 over its problem's digest and the record's
 student id, timestamp, trace and selected answer, with the lengths that
@@ -51,7 +58,6 @@ import os
 import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -176,7 +182,7 @@ class JsonLog:
         return self.entries.get(key)
 
     def put(self, key: str, value) -> None:
-        line = json.dumps([key, value]).encode() + b"\n"
+        line = _encode([key, value]).encode() + b"\n"
         with self._lock:
             if self._torn:
                 line = b"\n" + line
@@ -222,6 +228,7 @@ class _Job:
     indicators: IndicatorSet | None = None
     responses: dict[str, str] | None = None
     verdicts: dict[str, int] | None = None
+    ratios: MPRatios | None = None
     error: Exception | None = None
 
     def audit(self) -> dict:
@@ -232,28 +239,65 @@ class _Job:
         if self.error is None:
             doc.update(indicators=[{i.code: i.text} for i in self.indicators.indicators],
                        responses=self.responses, verdicts=self.verdicts,
-                       ratios=compute_mp_ratios(self.indicators, self.verdicts).to_json())
+                       ratios=self.ratios.to_json())
         else:
             doc["error"] = f"{type(self.error).__name__}: {self.error}"
         doc["annotated_at"] = time.time()
         return doc
 
 
+def _prompt_keys(setting: tuple):
+    """The function that keys a stage's prompt: ``_digest(name, *setting, prompt)``.
+
+    It hashes from a copy of a SHA-256 already fed with what comes before the
+    prompt and, for a prompt that starts with its stage's fixed head (as every
+    rendered one does), with that head too.
+    """
+    states = {}
+    for name, head in prompts.STAGE_HEADS.items():
+        before = hashlib.sha256("\x1f".join((name, *setting, "")).encode())
+        after = before.copy()
+        after.update(head.encode())
+        states[name] = head, before, after
+
+    def key(name: str, prompt: str) -> str:
+        head, before, after = states[name]
+        if prompt.startswith(head):
+            digest = after.copy()
+            digest.update(prompt[len(head):].encode())
+        else:
+            digest = before.copy()
+            digest.update(prompt.encode())
+        return digest.hexdigest()
+    return key
+
+
 def _annotate(jobs: list[_Job], client: ChatClient, params: ChatParams, setting: tuple,
               completions: JsonLog, concurrency: int) -> None:
-    """Takes ``jobs`` through the three stages; each ends with ``verdicts`` or ``error`` set.
+    """Takes ``jobs`` through the three stages; each ends with ``ratios`` or ``error`` set.
 
-    Only the calling thread renders, parses and touches ``waiting``; the pool
-    threads make the client calls and append the completions.
+    Only the calling thread renders, parses and touches ``waiting``. It puts
+    each call to send on ``todo``; ``concurrency`` worker threads take them,
+    make the client call, append the completion and put the call's end on
+    ``done``. On any exit the calls not yet taken are dropped and the calls
+    in flight finish (their completions are logged) before this returns.
     """
-    def call(key: str, prompt: str) -> Exception | None:
-        try:
-            completions.put(key, client.complete("", prompt, params))
-        except Exception as exc:
-            return exc
+    todo: queue.SimpleQueue = queue.SimpleQueue()  # (key, prompt) of each call; None stops
+    done: queue.SimpleQueue = queue.SimpleQueue()  # (key, prompt, error) of each ended call
+
+    def work() -> None:
+        while (call := todo.get()) is not None:
+            key, prompt = call
+            try:
+                completions.put(key, client.complete("", prompt, params))
+                error = None
+            except BaseException as exc:  # the calling thread re-raises what is no Exception
+                error = exc
+            done.put((key, prompt, error))
 
     rubric_prompts: dict[str, str] = {}  # rendered once per problem
     rubric = functools.cache(parse_indicators)  # a rubric that parses is parsed once
+    prompt_key = _prompt_keys(setting)
 
     def stages(job: _Job):
         """The job's three stages: yields each (stage, prompt) and is sent its completion."""
@@ -268,15 +312,14 @@ def _annotate(jobs: list[_Job], client: ChatClient, params: ChatParams, setting:
         completion = yield "verdicts", prompts.render_eval_prompt(
             problem, job.indicators, job.responses)
         job.verdicts = parse_verdicts(completion, job.indicators)
+        job.ratios = compute_mp_ratios(job.indicators, job.verdicts)
 
     chains = {job.key: stages(job) for job in jobs}
     waiting: dict[str, list[_Job]] = {}  # the jobs that need each prompt sent, by its key
-    done: queue.SimpleQueue = queue.SimpleQueue()  # (key, prompt, future) of each ended call
 
     def send(key: str, prompt: str, needs: list[_Job]) -> None:
         waiting[key] = needs
-        pool.submit(call, key, prompt).add_done_callback(
-            lambda ended: done.put((key, prompt, ended)))
+        todo.put((key, prompt))
 
     def advance(job: _Job, completion: str | None = None) -> None:
         """Sends ``completion`` into the job's stages, then the cached ones that
@@ -284,7 +327,7 @@ def _annotate(jobs: list[_Job], client: ChatClient, params: ChatParams, setting:
         try:
             while True:
                 name, prompt = chains[job.key].send(completion)
-                key = _digest(name, *setting, prompt)
+                key = prompt_key(name, prompt)
                 # a call in ``waiting`` is pending even once its worker has logged the
                 # completion, so the order of calls depends on the ended calls alone
                 completion = None if key in waiting else completions.get(key)
@@ -298,13 +341,17 @@ def _annotate(jobs: list[_Job], client: ChatClient, params: ChatParams, setting:
         except Exception as exc:
             job.error = exc
 
-    pool = ThreadPoolExecutor(max_workers=concurrency)
+    workers = [threading.Thread(target=work, name=f"prockt-call-{i}")
+               for i in range(concurrency)]
+    for worker in workers:
+        worker.start()
     try:
         for job in jobs:
             advance(job)
         while waiting:
-            key, prompt, ended = done.get()
-            error = ended.result()  # raises what the client raised that is no Exception
+            key, prompt, error = done.get()
+            if error is not None and not isinstance(error, Exception):
+                raise error
             needs = waiting.pop(key)
             if error is None:
                 for job in needs:
@@ -314,7 +361,15 @@ def _annotate(jobs: list[_Job], client: ChatClient, params: ChatParams, setting:
                 if needs:
                     send(key, prompt, needs)
     finally:
-        pool.shutdown(cancel_futures=True)
+        try:  # drop the calls no worker has taken
+            while True:
+                todo.get_nowait()
+        except queue.Empty:
+            pass
+        for _ in workers:
+            todo.put(None)
+        for worker in workers:
+            worker.join()
 
 
 def run_pipeline(dataset: Dataset, client: ChatClient, cache_dir,
@@ -362,13 +417,13 @@ def run_pipeline(dataset: Dataset, client: ChatClient, cache_dir,
                     audit = job.audit()
                     audits.put(job.key, audit)
                     if job.error is None:
-                        value = {"status": "ok", "counts": audit["ratios"]["counts"]}
+                        results.put(job.key, {"status": "ok", "counts": audit["ratios"]["counts"]})
+                        outs[job.key] = True, job.ratios
                     else:
                         log.warning("pipeline failed for student %s problem %s: %s",
                                     job.record.student_id, job.record.problem_id, job.error)
-                        value = {"status": "failed"}
-                    results.put(job.key, value)
-                    outs[job.key] = _result(value)
+                        results.put(job.key, {"status": "failed"})
+                        outs[job.key] = False, MPRatios.absent()
 
     report = PipelineReport(cached=len(records) - len(misses))
     for k in keys:

@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring
 
-from ..data.schema import DIMENSIONS
-
 CODE_PATTERN = re.compile(r"(CU|SC|PF|AR)([0-9]+)")
 
 
@@ -66,9 +64,3 @@ class IndicatorSet:
 
     def codes(self) -> list[str]:
         return [ind.code for ind in self.indicators]
-
-    def by_category(self) -> dict[str, list[Indicator]]:
-        out: dict[str, list[Indicator]] = {d: [] for d in DIMENSIONS}
-        for ind in self.indicators:
-            out[ind.category].append(ind)
-        return out

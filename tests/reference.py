@@ -45,12 +45,18 @@ chunks.
 array. ``old_interaction_key`` is an interaction's result-log key as it
 was before each problem was digested from a JSON array of its fields:
 a record digest and a problem digest, joined by a third.
+
+``extract_json_object`` is the completion parser's fence-first scan as it
+was before it decoded a completion that starts with '{' and holds no
+fence whole: it decodes a slice of the text at every '{' that a regex
+finds, fenced blocks first.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -677,3 +683,21 @@ def old_interaction_key(problem, record, model: str = "", temperature: float = 0
     record_key = _digest(record.student_id, record.problem_id, str(record.timestamp),
                          record.process_text, record.selected_answer)[:24]
     return _digest(record_key, problem_key)[:32]
+
+
+_FENCE_RE = re.compile(r"```[a-zA-Z]*\n(.*?)```", re.DOTALL)
+
+
+def extract_json_object(raw: str) -> dict:
+    candidates = _FENCE_RE.findall(raw)
+    candidates.append(raw)
+    decoder = json.JSONDecoder()
+    for text in candidates:
+        for pos in (m.start() for m in re.finditer(r"\{", text)):
+            try:
+                obj, _ = decoder.raw_decode(text[pos:])
+            except json.JSONDecodeError:
+                continue
+            if isinstance(obj, dict):
+                return obj
+    raise ValueError(f"no JSON object found in completion: {raw[:200]!r}")

@@ -260,6 +260,36 @@ class TestExitCodes:
         assert f"{data / 'interactions.jsonl'}: malformed record at line 2" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["train", "extract-mp"])
+    @pytest.mark.parametrize("file", ["interactions.jsonl", "problems.json"])
+    def test_lone_surrogate_names_the_file_and_line(self, workspace, tmp_path, capsys,
+                                                    command, file):
+        # extract-mp ended with exit 3 and a UnicodeEncodeError traceback, and train
+        # exited 0: such a string can be neither keyed nor sent as UTF-8
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("problems.json", "interactions.jsonl"):
+            (data / name).write_text((workspace / "data" / name).read_text())
+        if file == "interactions.jsonl":
+            lines = (data / file).read_text().splitlines(keepends=True)
+            doc = json.loads(lines[1])
+            lines[1] = json.dumps({**doc, "process_text": doc["process_text"] + "\ud800"}) + "\n"
+            (data / file).write_text("".join(lines))
+            where = f"{data / file}: malformed record at line 2: "
+        else:
+            docs = json.loads((data / file).read_text())
+            docs[3]["text"] = "\udc00" + docs[3]["text"]
+            (data / file).write_text(json.dumps(docs))
+            where = f"{data / file}: malformed problems: "
+        out = str(tmp_path / "out")
+        args = {"train": ["--out", out] + TRAIN_FLAGS,
+                "extract-mp": ["--out", out, "--cache", str(tmp_path / "cache"),
+                               "--client", "mock"]}
+        assert main([command, "--data", str(data)] + args[command]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert where + "ValueError: a string holds the lone surrogate" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("file, edit", [
         ("interactions.jsonl", _every_record("selected_answer", 2)),
         ("problems.json", _every_problem("text", 5)),
@@ -570,6 +600,11 @@ class TestManifest:
                      "--out", str(out)] + TRAIN_FLAGS) == EXIT_OK
         listed, written = _listed_and_written(out)
         assert listed == written and str(out / "grid.csv") in listed
+        # the config records the cell the grid chose, not the --lr and --dropout flags
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert (config["lr"], config["dropout"]) == (metrics["lr"], metrics["dropout"])
+        assert (config["lr"], config["dropout"]) in cli.GRID  # the flags' (5e-3, 0.1) is not
 
 
 class TestGradcheck:

@@ -137,12 +137,18 @@ class TestLoadSave:
         ({"counts": {"AR": [2, 0]}, "present": {"AR": False}, "values": {"AR": 0.0}},
          "ValidationError"),
         ({"values": {"CU": 10 ** 400}}, "OverflowError"),
+        ({"present": {"CU": "x"}}, "ValidationError"),
+        ({"present": {"CU": 1}}, "ValidationError"),
+        ({"values": {"CU": "0.5"}}, "ValidationError"),
+        ({"values": {"AR": False}}, "ValidationError"),
     ], ids=["float-count", "string-count", "bool-count", "value-on-absent-dimension",
-            "count-on-absent-dimension", "value-beyond-float"])
+            "count-on-absent-dimension", "value-beyond-float", "string-presence",
+            "int-presence", "string-value", "bool-value"])
     def test_mp_that_is_not_its_counts_names_the_file_and_line(self, tmp_path, dataset,
                                                                 edit, error):
-        # the three-field record loaded the first five: it truncated counts with int()
-        # and read no value or satisfied count of an absent dimension
+        # the three-field record loaded the first five and the last four: it truncated
+        # counts with int(), read no value or satisfied count of an absent dimension,
+        # and read presence through bool() and values through float()
         save_dataset(tmp_path, dataset)
         path = tmp_path / "interactions.jsonl"
         lines = path.read_text().splitlines()
@@ -153,6 +159,46 @@ class TestLoadSave:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError,
                            match=f"{path}: malformed record at line 5: {error}"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("text, loads", [
+        ('"work\\ud800"', False),          # a high surrogate at the end
+        ('"\\udc00work"', False),          # a low surrogate at the start
+        ('"a\\uDC00\\uD83Db"', False),    # a pair in the wrong order
+        ('"a\\ud83d\\ude00b"', True),     # a pair: one character, U+1F600
+        ('"a\\uD83D\\uDE00b"', True),     # the same pair in upper case
+        ('"a\\\\ud800b"', True),          # an escaped backslash, then text
+    ], ids=["high-at-end", "low-at-start", "reversed-pair", "pair", "upper-case-pair",
+            "escaped-backslash"])
+    def test_lone_surrogate_names_the_file_and_line(self, tmp_path, dataset, text, loads):
+        # a lone surrogate loaded, and extract-mp then ended with a UnicodeEncodeError
+        save_dataset(tmp_path, dataset)
+        path = tmp_path / "interactions.jsonl"
+        lines = path.read_text().splitlines()
+        lines[4] = lines[4].replace('"process_text": ', f'"process_text": {text}, "_": ', 1)
+        path.write_text("\n".join(lines) + "\n")
+        if loads:
+            loaded = load_dataset(tmp_path)
+            texts = [rec.process_text for seq in loaded.sequences for rec in seq.steps]
+            assert json.loads(text) in texts
+        else:
+            with pytest.raises(DatasetFormatError,
+                               match=f"{path}: malformed record at line 5: ValueError: "
+                                     "a string holds the lone surrogate"):
+                load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("field", ["key", "kc_ids", "options"])
+    def test_lone_surrogate_in_problems_names_the_file(self, tmp_path, dataset, field):
+        save_dataset(tmp_path, dataset)
+        path = tmp_path / "problems.json"
+        docs = json.loads(path.read_text())
+        if field == "key":
+            docs[1]["x\ud800"] = 1
+        else:
+            docs[1][field] = ["a\udfff"]
+        path.write_text(json.dumps(docs))
+        with pytest.raises(DatasetFormatError, match=f"{path}: malformed problems: ValueError: "
+                                                     "a string holds the lone surrogate"):
             load_dataset(tmp_path)
 
     @pytest.mark.parametrize("key, value", [
@@ -222,9 +268,12 @@ def _two_ints(pair) -> bool:
 
 def _newly_rejected(doc) -> bool:
     """Whether a document the three-field oracle accepts is one the counts-only
-    record rejects: a count that is not an int, or an absent dimension with a
-    value other than 0.0 or a satisfied count other than 0."""
+    record rejects: a count that is not an int, an absent dimension with a
+    value other than 0.0 or a satisfied count other than 0, or a presence bit
+    that is not a bool or a value that is not a number (a bool is none)."""
     return any(not _two_ints(doc["counts"][d])
+               or type(doc["present"][d]) is not bool
+               or type(doc["values"][d]) not in (int, float)
                or not doc["present"][d] and (float(doc["values"][d]) != 0.0
                                              or doc["counts"][d][0] != 0)
                for d in DIMENSIONS)

@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -185,6 +186,14 @@ def indicator_completion(pairs):
     return json.dumps(body, indent=2)
 
 
+def outcome(parse, raw):
+    """What ``parse`` makes of ``raw``: the repr of its object, or that it raised."""
+    try:
+        return repr(parse(raw))
+    except ValueError:
+        return "no object"
+
+
 class TestExtractJsonObject:
     def test_bare_object(self):
         assert extract_json_object('{"a": 1}') == {"a": 1}
@@ -201,12 +210,43 @@ class TestExtractJsonObject:
         with pytest.raises(ParseError):
             extract_json_object("no json here [1, 2, 3]")
 
+    def test_fast_path_equals_the_fence_first_scan(self):
+        problem = make_problem()
+        mock = MockChatClient()
+        corpus = [mock.complete("", render_indicator_prompt(make_problem(text=f"Solve {i}.")),
+                                ChatParams()) for i in range(8)]  # fenced and bare
+        corpus += [
+            mock.complete("", render_student_prompt(problem, fixed_indicators(),
+                                                    FIXED_PROCESS, "2"), ChatParams()),
+            mock.complete("", render_eval_prompt(problem, fixed_indicators(), FIXED_RESPONSES),
+                          ChatParams()),
+            '{"a": 1}', '{"a": 1} and more', "{}", "{", "", " {\"a\": 1}", '{"a": NaN}',
+            '{"a": 1, "a": 2}', 'Sure:\n```json\n{"a": 1}\n```\nThanks.', '```\n{"a": 1}\n```',
+            '{"a": 1}\n```json\n{"b": 2}\n```', '```json\n{bad\n```\n{"b": 2}',
+            'The rubric {which follows} is: {"CU1": "x"} as requested.',
+            '{"a": "{not an object"}', '{"a": "x"} {"b": "{"}', 'a "{" then {"c": 1}',
+            '{"a": "```"}', '{"a": 1,, "b": 2} {"c": 3}', '{bad} {"ok": true}',
+            '{"x": {"y": 1}', '{"a": [1, 2} {"b": 1}',
+            '{"mathematical_proficiency_indicators": [{"CU1": "a"}, {"PF1": "b"}]}',
+            '[{"a": 1}, {"b": 2}]', '["{", {"a": 1}]', "no json here [1, 2, 3]",
+        ]
+        for raw in corpus:
+            assert outcome(extract_json_object, raw) == outcome(ref.extract_json_object, raw), raw
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(['{', '}', '"', ':', ',', '1', 'a', '[', ']', ' ', '\n',
+                                     '```', 'json\n', '"k": ', '{"k": 1}', '\\"']),
+                    max_size=14))
+    def test_fast_path_equals_the_fence_first_scan_on_any_text(self, pieces):
+        raw = "".join(pieces)
+        assert outcome(extract_json_object, raw) == outcome(ref.extract_json_object, raw)
+
 
 class TestParseIndicators:
     def test_full_rubric(self):
         got = parse_indicators(indicator_completion(FOURTEEN), "p1")
         assert got.codes() == [c for c, _ in FOURTEEN]
-        sizes = {cat: len(inds) for cat, inds in got.by_category().items()}
+        sizes = Counter(ind.category for ind in got.indicators)
         assert sizes == {"CU": 5, "SC": 3, "PF": 3, "AR": 3}
         assert got.indicators[0].text == FOURTEEN[0][1]
 
@@ -659,6 +699,17 @@ class TestCacheLog:
         _, report = run_pipeline(data, client, tmp_path)
         assert report.cached == 11 and report.annotated == 12
 
+    def test_put_writes_the_bytes_json_dumps_writes(self, tmp_path):
+        values = [{"status": "ok", "counts": {"CU": [1, 2], "SC": [0, 0]}}, "é 😀 \ud800 \x1f",
+                  [1.5, -0.0, 1e300, float("nan"), float("inf"), 10 ** 30], None, True,
+                  {1: "int key", None: "null key", True: "bool key", 2.5: "float key"}]
+        log = JsonLog(tmp_path / "log.jsonl")
+        for i, value in enumerate(values):
+            log.put(f"k{i}", value)
+        log.close()
+        assert (tmp_path / "log.jsonl").read_bytes() == b"".join(
+            json.dumps([f"k{i}", value]).encode() + b"\n" for i, value in enumerate(values))
+
     def test_short_write_is_torn_and_next_append_survives(self, tmp_path, monkeypatch):
         log = JsonLog(tmp_path / "log.jsonl")
         write = os.write
@@ -881,7 +932,78 @@ class TestPipelinedStages:
         assert "verdicts" in map(stage_of, rerun.prompts)
 
 
+class RaisingClient(CountingClient):
+    """Raises ``error`` on call number ``on``; counts every call in ``calls``."""
+
+    def __init__(self, error, on=3, delay=0.002):
+        super().__init__(delay=delay)
+        self.error = error
+        self.on = on
+        self.calls = 0
+
+    def complete(self, system_message, user_message, params):
+        with self._lock:
+            self.calls += 1
+            raise_now = self.calls == self.on
+        if raise_now:
+            raise self.error
+        return super().complete(system_message, user_message, params)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("concurrency", (1, 4))
+    @pytest.mark.parametrize("error", [None, ChatClientError("injected"), KeyboardInterrupt(),
+                                       SystemExit(5)],
+                             ids=["normal", "exception", "interrupt", "exit"])
+    def test_no_worker_outlives_a_run(self, tmp_path, concurrency, error):
+        data = distinct_students(num_students=4, steps=3)
+        before = set(threading.enumerate())
+        client = CountingClient() if error is None else RaisingClient(error)
+        if isinstance(error, Exception) or error is None:
+            _, report = run_pipeline(data, client, tmp_path, concurrency=concurrency)
+            assert report.failed == (error is not None)
+        else:  # what is no Exception reaches the caller as it was raised
+            with pytest.raises(type(error)) as raised:
+                run_pipeline(data, client, tmp_path, concurrency=concurrency)
+            assert raised.value is error
+        assert set(threading.enumerate()) == before
+
+    def test_calls_not_taken_are_dropped_on_an_interrupt(self, tmp_path):
+        # the five rubric calls are queued at once; the first raises, and the one
+        # worker takes at most one more (50 ms each) before the rest are dropped
+        data = make_dataset(num_students=3, steps=5)
+        client = RaisingClient(KeyboardInterrupt(), on=1, delay=0.05)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(data, client, tmp_path, concurrency=1)
+        assert client.calls <= 2
+        assert len((tmp_path / "completions.jsonl").read_text().splitlines()) == client.calls - 1
+
+
 class TestCacheKeys:
+    @pytest.mark.parametrize("setting", [("", "0.0"), ("model-é", "0.7")])
+    def test_prompt_keys_equal_the_joined_digest(self, setting):
+        key = runner_module._prompt_keys(setting)
+        for name, head in prompts.STAGE_HEADS.items():
+            for prompt in ("", "plain ASCII", "é 😀 ✓ 한국어", "x" * 3000, "é" * 1500, head,
+                           head + "a trace", head + "é" * 2000, head[:-1], "a" + head,
+                           head[:-1] + "Z" + "a trace"):
+                assert key(name, prompt) == ref._digest(name, *setting, prompt)
+
+    def test_each_stage_head_is_its_prompts_start(self):
+        problem = make_problem()
+        rendered = {
+            "indicators": (INDICATOR_TEMPLATE, render_indicator_prompt(problem)),
+            "responses": (STUDENT_TEMPLATE, render_student_prompt(
+                problem, fixed_indicators(), FIXED_PROCESS, "2")),
+            "verdicts": (EVAL_TEMPLATE, render_eval_prompt(problem, fixed_indicators(),
+                                                           FIXED_RESPONSES)),
+        }
+        for name, (template, prompt) in rendered.items():
+            head = prompts.STAGE_HEADS[name]
+            assert prompt.startswith(head) and template.startswith(head)
+            # it ends at the first placeholder: the rendered text differs right after it
+            assert template[len(head)] == "{" and prompt[len(head)] != "{"
+
     def test_warm_rerun_with_same_setting_hits(self, tmp_path):
         data = make_dataset()
         run_pipeline(data, CountingClient(model="m1"), tmp_path)
@@ -1085,9 +1207,9 @@ class TestHitsAndRubrics:
 
         class NoPool:
             def __init__(self, *args, **kwargs):
-                raise AssertionError("a warm run made a thread pool")
+                raise AssertionError("a warm run started a worker thread")
 
-        monkeypatch.setattr(runner_module, "ThreadPoolExecutor", NoPool)
+        monkeypatch.setattr(runner_module.threading, "Thread", NoPool)
         client = CountingClient(delay=0)
         out, report = run_pipeline(data, client, tmp_path, concurrency=4)
         assert len(client.prompts) == 0 and report.cached == report.annotated == 12
@@ -1284,7 +1406,7 @@ class TestMockChatClient:
         raw = client.complete("", render_indicator_prompt(problem), ChatParams())
         rubric = parse_indicators(raw, problem.problem_id)
         assert 8 <= len(rubric.indicators) <= 15
-        assert all(rubric.by_category()[d] for d in ("CU", "SC", "PF", "AR"))
+        assert {ind.category for ind in rubric.indicators} == {"CU", "SC", "PF", "AR"}
 
     def test_outputs_are_pure_functions_of_the_prompt(self, problem):
         prompt = render_indicator_prompt(problem)
