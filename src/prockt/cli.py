@@ -36,7 +36,7 @@ from .data import (
 )
 from .models import ConfigError, ModelConfig, build_model
 from .nn import load_checkpoint, save_checkpoint
-from .pipeline import ChatParams, HttpChatClient, MockChatClient, run_pipeline
+from .pipeline import ChatClientError, ChatParams, HttpChatClient, MockChatClient, run_pipeline
 from .training import GRID, TrainConfig, evaluate, grid_search
 from .verify import run_suite
 
@@ -52,6 +52,8 @@ FLAG_MINIMUMS = {"batch_size": 1, "epochs": 1, "patience": 1, "concurrency": 1,
                  "max_retries": 1, "max_len": 2, "embed_dim": 1, "alpha": 0.0, "seeds": 1}
 # open interval that each of these float flags must lie in, checked likewise
 FLAG_INTERVALS = {"test_frac": (0.0, 1.0), "val_frac": (0.0, 1.0), "lr": (0.0, float("inf"))}
+# the directory flags of each command that writes one, checked before any input is read
+OUT_DIR_FLAGS = {"synth": ("out",), "extract-mp": ("out", "cache"), "train": ("out",)}
 
 
 class UsageError(Exception):
@@ -107,8 +109,16 @@ def _hash_inputs(paths) -> dict[str, str]:
     return hashes
 
 
+def _check_out_dir(flag: str, path) -> None:
+    """A usage error unless the nearest of ``path`` and its parents that exists is a directory."""
+    p = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not p.is_dir():
+        raise UsageError(f"{flag} {path}: {p} is not a directory")
+
+
 def write_manifest(out_dir, command: str, config: dict, seed: int,
                    inputs, outputs, started_at: float) -> None:
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": command,
         "config": config,
@@ -119,7 +129,7 @@ def write_manifest(out_dir, command: str, config: dict, seed: int,
         "outputs": [str(p) for p in outputs],
         # these libraries decide the bits of a run
         "versions": {"python": platform.python_version(), "numpy": numpy.__version__,
-                     "scipy": scipy.__version__},
+                     "scipy": scipy.__version__, "blas": f"{blas['name']} {blas['version']}"},
     }
     os.makedirs(out_dir, exist_ok=True)
     with open(Path(out_dir) / "manifest.json", "w") as fh:
@@ -147,10 +157,8 @@ def cmd_synth(args) -> int:
     except ValueError as exc:
         raise ValidationError(f"simulator config: {exc}") from None
     dataset = synth.generate(config)
-    save_dataset(args.out, dataset)
     write_manifest(args.out, "synth", config.__dict__, config.seed,
-                   [args.config] if args.config else [],
-                   [Path(args.out) / "problems.json", Path(args.out) / "interactions.jsonl"],
+                   [args.config] if args.config else [], save_dataset(args.out, dataset),
                    started)
     print(f"wrote {dataset.num_interactions()} interactions for "
           f"{len(dataset.sequences)} students to {args.out}")
@@ -159,22 +167,20 @@ def cmd_synth(args) -> int:
 
 def cmd_extract_mp(args) -> int:
     started = time.time()
+    try:
+        client = MockChatClient() if args.client == "mock" else HttpChatClient()
+    except ChatClientError as exc:  # the HTTP client has no endpoint to call
+        raise ValidationError(f"--client {args.client}: {exc}") from None
     dataset = load_dataset(args.data)
-    if args.client == "mock":
-        client = MockChatClient()
-    else:
-        client = HttpChatClient()
     annotated, report = run_pipeline(dataset, client, args.cache,
                                      concurrency=args.concurrency,
                                      params=ChatParams(max_retries=args.max_retries))
-    save_dataset(args.out, annotated)
-    out = Path(args.out)
-    with open(out / "pipeline_report.json", "w") as fh:
+    outputs = [*save_dataset(args.out, annotated), Path(args.out) / "pipeline_report.json"]
+    with open(outputs[-1], "w") as fh:
         json.dump(report.to_json(), fh, indent=1)
     write_manifest(args.out, "extract-mp",
                    {**vars(args), "func": None, "model": getattr(client, "model", None)}, 0,
-                   [args.data], [out / "problems.json", out / "interactions.jsonl",
-                                 out / "pipeline_report.json"], started)
+                   [args.data], outputs, started)
     print(f"annotated {report.annotated}, failed {report.failed} "
           f"({100 * report.failure_rate:.1f}%), cached {report.cached}")
     return EXIT_OK
@@ -408,6 +414,8 @@ def main(argv=None) -> int:
             if value is not None and not low < value < high:
                 raise ValidationError(f"--{name.replace('_', '-')} must be in ({low}, {high}), "
                                       f"got {value}")
+        for name in OUT_DIR_FLAGS.get(args.command, ()):
+            _check_out_dir(f"--{name}", getattr(args, name))
         return args.func(args)
     except (UsageError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -114,7 +114,8 @@ def load_dataset(path) -> Dataset:
     return Dataset(problems=problems, sequences=sequences)
 
 
-def save_dataset(path, dataset: Dataset) -> None:
+def save_dataset(path, dataset: Dataset) -> tuple[Path, Path]:
+    """Write ``dataset`` under ``path``; returns the two files written."""
     root = Path(path)
     os.makedirs(root, exist_ok=True)
     with open(root / PROBLEMS_FILE, "w") as fh:
@@ -123,3 +124,4 @@ def save_dataset(path, dataset: Dataset) -> None:
         for seq in dataset.sequences:
             for rec in seq.steps:
                 fh.write(json.dumps(rec.to_json()) + "\n")
+    return root / PROBLEMS_FILE, root / INTERACTIONS_FILE

@@ -30,14 +30,17 @@ class KTModel:
         self._add("embed.question", (config.num_questions + 1, d), fan_in=d)
         self._add("embed.concept", (config.num_concepts + 1, d), fan_in=d)
         self._add("embed.response", (2, d), fan_in=d)
-        self._add("head.correct.weight", (2 * d, 1))
-        self._add_zeros("head.correct.bias", (1,))
+        heads = ["head.correct"]
         if config.variant == "statuskt":
             self._add("mp.proj.weight", (8, d))
             self._add_zeros("mp.proj.bias", (d,))
-            for dim in DIMENSIONS:
-                self._add(f"head.mp.{dim}.weight", (2 * d, 1))
-                self._add_zeros(f"head.mp.{dim}.bias", (1,))
+            heads += [f"head.mp.{dim}" for dim in DIMENSIONS]
+        # column j is head j, drawn from the rng named after the weight it had
+        # when each head was a parameter of its own, so its values are unchanged
+        columns = [nn.init.uniform_fan_in(config.seed, f"{h}.weight", (2 * d, 1)).data
+                   for h in heads]
+        self.params["head.weight"] = nn.Tensor(np.hstack(columns), requires_grad=True)
+        self._add_zeros("head.bias", (len(heads),))
 
     def _add(self, name: str, shape: tuple[int, ...], fan_in: int | None = None) -> None:
         self.params[name] = nn.init.uniform_fan_in(self.config.seed, name, shape, fan_in)
@@ -100,12 +103,8 @@ class KTModel:
                          (self.params["embed.concept"], shift_left(batch.concept_ids))])
 
     def readout(self, state: nn.Tensor, next_q: nn.Tensor) -> nn.Tensor:
-        """All heads as one fused readout on their weights and biases side by side."""
-        heads = ["head.correct"]
-        if self.config.variant == "statuskt":
-            heads += [f"head.mp.{dim}" for dim in DIMENSIONS]
-        return nn.readout(state, next_q, [self.params[f"{h}.weight"] for h in heads],
-                          [self.params[f"{h}.bias"] for h in heads], LOGIT_CLAMP)
+        return nn.readout(state, next_q, self.params["head.weight"], self.params["head.bias"],
+                          LOGIT_CLAMP)
 
     def forward(self, batch: Batch, training: bool = False,
                 rng: np.random.Generator | None = None) -> nn.Tensor:

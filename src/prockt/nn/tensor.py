@@ -449,37 +449,32 @@ def attention(q, k, v, bias: np.ndarray, heads: int, mask: np.ndarray | None) ->
     return _make(merge(np.matmul(weights, vh)), (q, k, v), backward_fn, "attention")
 
 
-def readout(state, next_q, weights, biases, limit: float) -> Tensor:
+def readout(state, next_q, w, b, limit: float) -> Tensor:
     """Linear heads on ``[state | next_q]``: sigmoid of the logits clipped to ±``limit``.
 
-    Head i has a (n, k_i) weight and a (k_i,) bias, where n is the width of
-    ``state`` plus that of ``next_q``; the output holds the (..., Σk_i)
-    probabilities of all heads side by side. Forward and backward do the
-    float operations of the ``concat``/``matmul``/``add``/``clamp``/``sigmoid``
-    graph in ``tests/reference.py`` in the same order, so both match that
-    graph bit for bit.
+    ``w`` is (n, k), n the width of ``state`` plus that of ``next_q``, and ``b``
+    is (k,); head j is column j of ``w``, of ``b`` and of the output. Forward and
+    backward do the float operations of the ``concat``/``matmul``/``add``/
+    ``clamp``/``sigmoid`` graph in ``tests/reference.py`` in the same order, so
+    both match that graph bit for bit.
     """
-    state, next_q = as_tensor(state), as_tensor(next_q)
-    weights, biases = [as_tensor(w) for w in weights], [as_tensor(b) for b in biases]
+    state, next_q, w, b = as_tensor(state), as_tensor(next_q), as_tensor(w), as_tensor(b)
     z = np.concatenate([state.data, next_q.data], axis=-1)
-    w = np.concatenate([t.data for t in weights], axis=-1)
-    b = np.concatenate([t.data for t in biases], axis=-1)
-    if w.ndim != 2 or w.shape[0] != z.shape[-1] or b.shape != w.shape[1:]:
+    if w.data.ndim != 2 or w.shape[0] != z.shape[-1] or b.shape != w.shape[1:]:
         raise ShapeError(f"readout: incompatible shapes {z.shape}, {w.shape}, {b.shape}")
     n, k = w.shape
     z2 = z.reshape(-1, n)
-    logits = (z2 @ w).reshape(*z.shape[:-1], k) + b
+    logits = (z2 @ w.data).reshape(*z.shape[:-1], k) + b.data
     inside = (logits >= -limit) & (logits <= limit)
     probs = 1.0 / (1.0 + np.exp(-np.clip(logits, -limit, limit)))
 
     def backward_fn(g):
         g = g * probs * (1.0 - probs) * inside
         g2 = g.reshape(-1, k)
-        head_splits = np.cumsum([t.shape[-1] for t in weights])[:-1]
-        pieces = (np.split((g2 @ w.T).reshape(z.shape), [state.shape[-1]], axis=-1)
-                  + np.split(z2.T @ g2, head_splits, axis=-1)
-                  + np.split(_unbroadcast(g, (k,)), head_splits, axis=-1))
-        for t, piece in zip((state, next_q, *weights, *biases), pieces):
-            t._accumulate(piece)
+        dz = (g2 @ w.data.T).reshape(z.shape)
+        state._accumulate(dz[..., :state.shape[-1]])
+        next_q._accumulate(dz[..., state.shape[-1]:])
+        w._accumulate(z2.T @ g2)
+        b._accumulate(_unbroadcast(g, (k,)))
 
-    return _make(probs, (state, next_q, *weights, *biases), backward_fn, "readout")
+    return _make(probs, (state, next_q, w, b), backward_fn, "readout")

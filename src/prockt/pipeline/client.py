@@ -20,6 +20,8 @@ from typing import TYPE_CHECKING, Protocol
 import numpy as np
 
 from ..data.schema import DIMENSIONS
+from . import prompts
+from .parsing import UNANSWERED
 
 if TYPE_CHECKING:
     import requests
@@ -137,7 +139,7 @@ def _retry_after(header: str | None, default: float) -> float:
 # -- deterministic mock ---------------------------------------------------
 
 SATISFY_PROB = 0.7     # P(verdict 1) for an answered indicator
-UNANSWERED_PROB = 0.2  # P(the mock student answers "I don't know")
+UNANSWERED_PROB = 0.2  # P(the mock student answers UNANSWERED)
 _CODE_KEY_RE = re.compile(r'"((?:CU|SC|PF|AR)[0-9]+)"\s*:')
 _ANSWER_RE = re.compile(r'\{\s*"((?:CU|SC|PF|AR)[0-9]+)"\s*:\s*"((?:[^"\\]|\\.)*)"\s*\}')
 
@@ -167,12 +169,9 @@ class MockChatClient:
     """
 
     def complete(self, system_message: str, user_message: str, params: ChatParams) -> str:
-        if user_message.startswith("You are Teacher GPT.\nYour task is to analyze"):
-            return self._indicators(user_message)
-        if user_message.startswith("You are Student GPT"):
-            return self._responses(user_message)
-        if "evaluate a student's responses" in user_message[:200]:
-            return self._verdicts(user_message)
+        for stage, head in prompts.STAGE_HEADS.items():
+            if user_message.startswith(head):  # each stage's reply is the method named after it
+                return getattr(self, f"_{stage}")(user_message)
         raise ChatClientError("mock client: unrecognized prompt")
 
     def _indicators(self, prompt: str) -> str:
@@ -208,7 +207,7 @@ class MockChatClient:
             rng = np.random.default_rng(_seed_from("response", prompt, code))
             roll = rng.random()
             if roll < UNANSWERED_PROB:
-                out[code] = "I don't know"
+                out[code] = UNANSWERED
             elif roll < UNANSWERED_PROB + 0.2:
                 out[code] = f"Not written, but likely the step for {code} was done mentally."
             else:
@@ -221,7 +220,7 @@ class MockChatClient:
         for code, answer in _ANSWER_RE.findall(section):
             if code in verdicts:
                 continue
-            if answer.startswith("I don't know"):
+            if answer.startswith(UNANSWERED):
                 verdicts[code] = 0
             else:
                 rng = np.random.default_rng(_seed_from("verdict", prompt, code))

@@ -49,8 +49,7 @@ def op_cases(seed: int):
     mp_mask = (rng.random((2, 3, 4)) < 0.7).astype(float)
     state, next_q = _rand(rng, 2, 3, 2), _rand(rng, 2, 3, 2)
     # the statuskt heads: correctness, then the four proficiency ratios
-    head_w = [_rand(rng, 4, 1) for _ in range(5)]
-    head_b = [_rand(rng, 1) for _ in range(5)]
+    head_w, head_b = _rand(rng, 4, 5), _rand(rng, 5)
     b3 = _rand(rng, 3)
 
     def reduce(x):
@@ -82,8 +81,8 @@ def op_cases(seed: int):
         ("layer_norm", lambda: reduce(nn.layer_norm(ln_x, gain, shift, 1e-5)),
          [ln_x, gain, shift]),
         ("attention", lambda: reduce(nn.attention(q, k, v, attn_bias, 2, attn_mask)), [q, k, v]),
-        ("readout", lambda: reduce(head()), [state, next_q, *head_w, *head_b]),
-        ("composite_loss", loss, [state, next_q, *head_w, *head_b]),
+        ("readout", lambda: reduce(head()), [state, next_q, head_w, head_b]),
+        ("composite_loss", loss, [state, next_q, head_w, head_b]),
     ]
 
 
@@ -129,16 +128,9 @@ def check_model_loss(backbone: str) -> float:
 
 def run_suite(op_seeds=range(20)) -> tuple[bool, list[str]]:
     """Run the whole suite; returns (passed, report lines)."""
-    lines = []
-    ok = True
-    for name, err in check_ops(op_seeds).items():
-        passed = err < REL_TOL
-        ok &= passed
-        lines.append(f"op {name}: max rel err {err:.2e} [{'ok' if passed else 'FAIL'}]")
+    errors = {f"op {name}": err for name, err in check_ops(op_seeds).items()}
     for backbone in ("recurrent", "attention"):
-        err = check_model_loss(backbone)
-        passed = err < REL_TOL
-        ok &= passed
-        lines.append(f"model {backbone} composite loss: max rel err {err:.2e} "
-                     f"[{'ok' if passed else 'FAIL'}]")
-    return ok, lines
+        errors[f"model {backbone} composite loss"] = check_model_loss(backbone)
+    lines = [f"{name}: max rel err {err:.2e} [{'ok' if err < REL_TOL else 'FAIL'}]"
+             for name, err in errors.items()]
+    return all(err < REL_TOL for err in errors.values()), lines

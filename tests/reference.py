@@ -366,10 +366,10 @@ def composite_loss(r_gt, probs, mp_gt, mp_mask, valid_mask, alpha) -> nn.Tensor:
     return nn.add(loss, mul(mp_total, alpha))
 
 
-def readout(state, next_q, weights, biases, limit) -> nn.Tensor:
-    """``nn.readout`` as a graph: the heads' weights and biases concatenated
-    side by side, one matmul on ``[state | next_q]``, then clamp and sigmoid."""
-    logits = nn.add(nn.matmul(concat([state, next_q]), concat(weights)), concat(biases))
+def readout(state, next_q, w, b, limit) -> nn.Tensor:
+    """``nn.readout`` as a graph: one matmul of ``[state | next_q]`` by the
+    heads' weight, plus their bias, then clamp and sigmoid."""
+    logits = nn.add(nn.matmul(concat([state, next_q]), w), b)
     return sigmoid(clamp(logits, -limit, limit))
 
 

@@ -254,7 +254,7 @@ class TestShapeErrors:
         with pytest.raises(ShapeError):
             nn.attention(x, x, Tensor(np.ones((2, 3, 2))), 0.0, 2, None)
         with pytest.raises(ShapeError):  # 4 + 4 inputs, a weight for 7
-            nn.readout(x, x, [Tensor(np.ones((7, 1)))], [Tensor(np.zeros(1))], 15.0)
+            nn.readout(x, x, Tensor(np.ones((7, 1))), Tensor(np.zeros(1)), 15.0)
 
     def test_masked_mean_mask_mismatch(self):
         with pytest.raises(ShapeError):

@@ -19,7 +19,7 @@ from prockt.cli import (
     read_config_file,
     subseed,
 )
-from prockt.data import load_dataset, split
+from prockt.data import DIMENSIONS, load_dataset, split
 from prockt.pipeline import MockChatClient
 from prockt.training import grid_search
 
@@ -367,6 +367,60 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("synth", "--out"), ("extract-mp", "--out"), ("extract-mp", "--cache"),
+        ("train", "--out")])
+    @pytest.mark.parametrize("where", ["itself", "parent"])
+    def test_a_file_in_place_of_a_directory_is_a_usage_error(self, workspace, tmp_path,
+                                                             capsys, command, flag, where):
+        # rejected before any input is read, so nothing is written anywhere
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        bad = afile if where == "itself" else afile / "sub" / "dir"
+        paths = {"--out": str(tmp_path / "out"), "--cache": str(tmp_path / "cache"),
+                 flag: str(bad)}
+        args = {"synth": ["--out", paths["--out"]],
+                "extract-mp": ["--data", str(workspace / "data"), "--out", paths["--out"],
+                               "--cache", paths["--cache"]],
+                "train": ["--data", str(workspace / "annotated"),
+                          "--out", paths["--out"]] + TRAIN_FLAGS}
+        assert main([command] + args[command]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage error: {flag} {bad}: {afile} is not a directory")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert sorted(tmp_path.iterdir()) == [afile] and afile.read_text() == "kept\n"
+
+    def test_http_client_without_endpoint_is_a_validation_error(self, workspace, tmp_path,
+                                                                capsys, monkeypatch):
+        monkeypatch.delenv("PROCKT_CHAT_ENDPOINT", raising=False)
+        # a missing --data would be a usage error: the client is built first
+        assert main(["extract-mp", "--data", str(tmp_path / "missing"), "--client", "http",
+                     "--out", str(tmp_path / "out"),
+                     "--cache", str(tmp_path / "cache")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: --client http:")
+        assert "PROCKT_CHAT_ENDPOINT" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_checkpoint_with_a_parameter_per_head_names_the_fused_ones(self, workspace,
+                                                                      tmp_path, capsys):
+        # the layout before the heads were one weight and one bias: a (2d, 1)
+        # weight and a (1,) bias for each of them
+        doc = json.loads((workspace / "run" / "checkpoint.json").read_text())
+        w, b = doc["params"].pop("head.weight"), doc["params"].pop("head.bias")
+        columns = numpy.reshape(w["data"], w["shape"]).T
+        for j, name in enumerate(["correct"] + [f"mp.{d}" for d in DIMENSIONS]):
+            doc["params"][f"head.{name}.weight"] = {"shape": [w["shape"][0], 1],
+                                                    "data": columns[j].tolist()}
+            doc["params"][f"head.{name}.bias"] = {"shape": [1], "data": [b["data"][j]]}
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(doc))
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--data", str(workspace / "annotated")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "Traceback" not in err
+        assert "checkpoint missing parameters: ['head.bias', 'head.weight']" in err
+
     @pytest.mark.parametrize("kind", ["missing", "file"])
     def test_report_runs_not_a_directory_is_a_usage_error(self, workspace, tmp_path, capsys,
                                                           kind):
@@ -457,8 +511,11 @@ class TestTrainEvalReport:
         assert rows[0] == ["epoch", "train_loss", "val_auc", "val_acc"]
         assert len(rows) - 1 == metrics["epochs_trained"]
         versions = json.loads((run / "manifest.json").read_text())["versions"]
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert versions == {"python": platform.python_version(),
-                            "numpy": numpy.__version__, "scipy": scipy.__version__}
+                            "numpy": numpy.__version__, "scipy": scipy.__version__,
+                            "blas": f"{blas['name']} {blas['version']}"}
+        assert blas["name"] and blas["version"]  # the BLAS build numpy links
 
     def test_grid_writes_one_row_per_cell(self, workspace, tmp_path, monkeypatch, capsys):
         # a 2 x 2 grid in place of the 16 default cells; the rows must be

@@ -8,7 +8,7 @@ import pytest
 
 import reference as ref
 from prockt import nn, synth
-from prockt.data import Vocab, make_batches
+from prockt.data import DIMENSIONS, Vocab, make_batches
 from prockt.models import ConfigError, ModelConfig, build_model
 from prockt.nn import composite_loss
 from prockt.training import TrainConfig, gather_predictions, train
@@ -63,15 +63,14 @@ def expected_shapes(cfg):
         "embed.question": (cfg.num_questions + 1, d),
         "embed.concept": (cfg.num_concepts + 1, d),
         "embed.response": (2, d),
-        "head.correct.weight": (2 * d, 1),
-        "head.correct.bias": (1,),
+        "head.weight": (2 * d, 1),
+        "head.bias": (1,),
     }
     if cfg.variant == "statuskt":
         shapes["mp.proj.weight"] = (8, d)
         shapes["mp.proj.bias"] = (d,)
-        for dim in ("CU", "SC", "PF", "AR"):
-            shapes[f"head.mp.{dim}.weight"] = (2 * d, 1)
-            shapes[f"head.mp.{dim}.bias"] = (1,)
+        shapes["head.weight"] = (2 * d, 5)
+        shapes["head.bias"] = (5,)
     if cfg.backbone == "recurrent":
         shapes.update({"rnn.wx": (d, 4 * d), "rnn.wh": (d, 4 * d), "rnn.b": (4 * d,)})
     else:
@@ -114,7 +113,10 @@ class TestParameters:
         orig = build_model(small_config(backbone, "original", seed=3))
         fused = build_model(small_config(backbone, "statuskt", seed=3))
         for name, p in orig.parameters().items():
-            np.testing.assert_array_equal(p.data, fused.parameters()[name].data)
+            shared = fused.parameters()[name].data
+            if name.startswith("head."):  # original's one head is statuskt's column 0
+                shared = shared[..., :1]
+            np.testing.assert_array_equal(p.data, shared)
 
     def test_load_params_missing_key(self):
         model = build_model(small_config("recurrent"))
@@ -240,7 +242,8 @@ class TestDropoutMask:
 
 
 class TestFusedReadout:
-    """Oracle: each head as its own numpy matmul, as before the heads were fused."""
+    """Oracle: each head's column as its own numpy matmul, as before the heads
+    were fused."""
 
     @pytest.mark.parametrize("variant", ("original", "statuskt"))
     def test_heads_match_separate_matmuls(self, rng, variant):
@@ -251,25 +254,39 @@ class TestFusedReadout:
         next_q = nn.Tensor(rng.normal(size=(2, 8, 8)))
         probs = model.readout(state, next_q)
         z = np.concatenate([state.data, next_q.data], axis=-1)
-
-        def head(name):
-            logit = z @ model.params[f"{name}.weight"].data + model.params[f"{name}.bias"].data
-            return 1.0 / (1.0 + np.exp(-np.clip(logit, -15.0, 15.0)))
-
-        np.testing.assert_allclose(probs.data[..., :1], head("head.correct"), rtol=1e-12)
+        w, b = model.params["head.weight"], model.params["head.bias"]
+        k = 5 if variant == "statuskt" else 1
+        assert probs.shape[-1] == k
+        for j in range(k):
+            logit = z @ w.data[:, j:j + 1] + b.data[j]
+            np.testing.assert_allclose(probs.data[..., j:j + 1],
+                                       1.0 / (1.0 + np.exp(-np.clip(logit, -15.0, 15.0))),
+                                       rtol=1e-12)
         if variant == "original":
-            assert probs.shape[-1] == 1
             return
-        mp = np.concatenate([head(f"head.mp.{d}") for d in ("CU", "SC", "PF", "AR")], axis=-1)
-        np.testing.assert_allclose(probs.data[..., 1:], mp, rtol=1e-12)
-        # each head's parameters get the gradient of their own column only
-        ref.sum_(ref.slice_(probs, np.s_[..., 3])).backward()  # PF
-        assert model.params["head.mp.PF.weight"].grad is not None
-        for other in ("head.correct.weight", "head.mp.CU.bias"):
-            grad = model.params[other].grad
-            assert grad is None or not grad.any()
-        np.testing.assert_allclose(model.params["head.mp.PF.bias"].grad,
-                                   [(mp[..., 2] * (1 - mp[..., 2])).sum()], rtol=1e-12)
+        # the column of one head (PF) gets the gradient of its own output only
+        pf = 1 + DIMENSIONS.index("PF")
+        ref.sum_(ref.slice_(probs, np.s_[..., pf])).backward()
+        others = [j for j in range(k) if j != pf]
+        assert w.grad[:, pf].any() and not w.grad[:, others].any()
+        assert not b.grad[others].any()
+        p = probs.data[..., pf]
+        np.testing.assert_allclose(b.grad[pf], (p * (1 - p)).sum(), rtol=1e-12)
+
+    @pytest.mark.parametrize("variant", ("original", "statuskt"))
+    def test_columns_keep_their_initial_values(self, variant):
+        # column j draws from the rng named after the weight head j had as a
+        # parameter of its own: correctness, then the DIMENSIONS in order
+        cfg = small_config("attention", variant)
+        model = build_model(cfg)
+        names = ["head.correct"] + ([f"head.mp.{d}" for d in DIMENSIONS]
+                                    if variant == "statuskt" else [])
+        d2 = 2 * cfg.embed_dim
+        for j, name in enumerate(names):
+            col = nn.init.uniform_fan_in(cfg.seed, f"{name}.weight", (d2, 1)).data
+            assert np.array_equal(model.params["head.weight"].data[:, j:j + 1], col)
+        assert model.params["head.weight"].shape == (d2, len(names))
+        assert np.array_equal(model.params["head.bias"].data, np.zeros(len(names)))
 
 
 class TestReadoutOp:
@@ -282,10 +299,8 @@ class TestReadoutOp:
                                           "a_negative_logit"))
     def test_matches_graph(self, rng, k, limit_at):
         state, next_q = rng.normal(size=(3, 4, 3)), rng.normal(size=(3, 4, 2))
-        weights = [rng.normal(size=(5, 1)) for _ in range(k)]
-        biases = [rng.normal(size=1) for _ in range(k)]
-        logits = ((np.concatenate([state, next_q], -1).reshape(-1, 5)
-                   @ np.concatenate(weights, -1)).reshape(3, 4, k) + np.concatenate(biases))
+        w, b = rng.normal(size=(5, k)), rng.normal(size=k)
+        logits = (np.concatenate([state, next_q], -1).reshape(-1, 5) @ w).reshape(3, 4, k) + b
         positive, negative = np.sort(logits[logits > 0]), np.sort(-logits[logits < 0])
         limit = {"above_every_logit": 2.0 * np.abs(logits).max(),
                  "a_positive_logit": positive[len(positive) // 2],
@@ -297,8 +312,8 @@ class TestReadoutOp:
         g.flat[::2] = -0.0
         results = []
         for fn in (nn.readout, ref.readout):
-            leaves = [nn.Tensor(a, requires_grad=True) for a in (state, next_q, *weights, *biases)]
-            out = fn(leaves[0], leaves[1], leaves[2:2 + k], leaves[2 + k:], limit)
+            leaves = [nn.Tensor(a, requires_grad=True) for a in (state, next_q, w, b)]
+            out = fn(*leaves, limit)
             nn.Tensor((out.data * g).sum(), parents=(out,),
                       backward_fn=lambda grad, out=out: out._accumulate(grad * g)).backward()
             results.append([out.data] + [t.grad for t in leaves])
@@ -308,8 +323,8 @@ class TestReadoutOp:
 
     def test_one_call_is_one_node(self, rng):
         leaves = [nn.Tensor(rng.normal(size=shape), requires_grad=True)
-                  for shape in ((2, 3, 4), (2, 3, 4), (8, 1), (8, 1), (1,), (1,))]
-        ops = graph_ops(nn.readout(leaves[0], leaves[1], leaves[2:4], leaves[4:], 15.0))
+                  for shape in ((2, 3, 4), (2, 3, 4), (8, 2), (2,))]
+        ops = graph_ops(nn.readout(*leaves, 15.0))
         assert ops.count("readout") == 1 and len(ops) - ops.count("") == 1
 
 
@@ -725,7 +740,7 @@ class TestGraphSize:
         # the loss is one node on the readout's output, where the graph in
         # tests/reference.py slices the columns out and has 32 nodes
         # (statuskt) or 11 (original). The heads are one readout node,
-        # where the reference graph has 7 nodes. Each embedding is one
+        # where the reference graph has 5 nodes. Each embedding is one
         # embed node (3 to 11 lookup, matmul and add nodes in the reference
         # graph), and the feed-forward block one node (5).
         model = build_model(small_config(backbone, variant, dropout=0.2))
