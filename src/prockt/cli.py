@@ -54,6 +54,8 @@ FLAG_MINIMUMS = {"batch_size": 1, "epochs": 1, "patience": 1, "concurrency": 1,
 FLAG_INTERVALS = {"test_frac": (0.0, 1.0), "val_frac": (0.0, 1.0), "lr": (0.0, float("inf"))}
 # the directory flags of each command that writes one, checked before any input is read
 OUT_DIR_FLAGS = {"synth": ("out",), "extract-mp": ("out", "cache"), "train": ("out",)}
+# the optional file flags of each command that writes one, checked likewise
+OUT_FILE_FLAGS = {"eval": ("out",), "report": ("out",)}
 
 
 class UsageError(Exception):
@@ -109,9 +111,17 @@ def _hash_inputs(paths) -> dict[str, str]:
     return hashes
 
 
-def _check_out_dir(flag: str, path) -> None:
-    """A usage error unless the nearest of ``path`` and its parents that exists is a directory."""
-    p = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+def _check_out_path(flag: str, path, is_file: bool = False) -> None:
+    """A usage error unless ``path`` can be written as a directory, or as a file if ``is_file``.
+
+    The command makes missing directories, so the nearest existing one of ``path`` (a file's
+    path not counting) and its parents must be a directory, and a file's path must not be one.
+    """
+    target = Path(path)
+    if is_file and target.is_dir():
+        raise UsageError(f"{flag} {path}: is a directory")
+    parents = target.parents if is_file else (target, *target.parents)
+    p = next(p for p in parents if p.exists())
     if not p.is_dir():
         raise UsageError(f"{flag} {path}: {p} is not a directory")
 
@@ -287,6 +297,7 @@ def cmd_eval(args) -> int:
     metrics = evaluate(model, batches)
     doc = metrics.to_json()
     if args.out:
+        os.makedirs(Path(args.out).parent, exist_ok=True)
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1)
     print(json.dumps(doc))
@@ -327,6 +338,7 @@ def cmd_report(args) -> int:
                      f"| {fmt(orig, 'test_acc')} | {fmt(stat, 'test_acc')} |")
     table = "\n".join(lines)
     if args.out:
+        os.makedirs(Path(args.out).parent, exist_ok=True)
         Path(args.out).write_text(table + "\n")
     print(table)
     return EXIT_OK
@@ -415,7 +427,10 @@ def main(argv=None) -> int:
                 raise ValidationError(f"--{name.replace('_', '-')} must be in ({low}, {high}), "
                                       f"got {value}")
         for name in OUT_DIR_FLAGS.get(args.command, ()):
-            _check_out_dir(f"--{name}", getattr(args, name))
+            _check_out_path(f"--{name}", getattr(args, name))
+        for name in OUT_FILE_FLAGS.get(args.command, ()):
+            if getattr(args, name):  # unset or empty, nothing is written
+                _check_out_path(f"--{name}", getattr(args, name), is_file=True)
         return args.func(args)
     except (UsageError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

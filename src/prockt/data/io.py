@@ -105,12 +105,9 @@ def load_dataset(path) -> Dataset:
     if dangling:
         raise ValidationError(f"interactions reference unknown problem ids: {dangling}")
 
-    sequences = []
-    for sid in order:
-        steps = sorted(by_student[sid], key=lambda r: r.timestamp)
-        seq = StudentSequence(student_id=sid, steps=steps)
-        seq.validate()
-        sequences.append(seq)
+    sequences = [StudentSequence(student_id=sid,
+                                 steps=sorted(by_student[sid], key=lambda r: r.timestamp))
+                 for sid in order]
     return Dataset(problems=problems, sequences=sequences)
 
 

@@ -226,16 +226,5 @@ class StudentSequence:
     student_id: str
     steps: list[InteractionRecord]
 
-    def validate(self) -> None:
-        if not self.steps:
-            raise ValidationError(f"student {self.student_id}: empty sequence")
-        for rec in self.steps:
-            if rec.student_id != self.student_id:
-                raise ValidationError(
-                    f"sequence {self.student_id} contains record for {rec.student_id}")
-        ts = [rec.timestamp for rec in self.steps]
-        if ts != sorted(ts):
-            raise ValidationError(f"student {self.student_id}: timestamps not sorted")
-
     def __len__(self) -> int:
         return len(self.steps)

@@ -13,12 +13,15 @@ warm recurrent training faulted no page with the guard and 10,300-10,800
 without it; warm attention trainings faulted a median of 0 and at most
 955 pages with it (about 1,400 in 44-50 trainings), and a median of 954
 and up to 19,200 without it (303k in 47). The guard also shows end to
-end: on a 2-core host (seed 1, 30-second benchmark runs, guard on and off
-alternating), ``train-lstm-padded`` trained 195.0, 201.3 and 198.7
-windows/s with it and 165.4 and 160.5 without; ``annotate`` read 174.5
-and 179.5 with it and 184.3 and 180.3 without, inside its spread; peak
-RSS moved by under 5 MB on both. Without glibc's ``mallopt`` this does
-nothing.
+end. On a 2-core host (seed 1, 30-second benchmark runs, guard on and off
+alternating, three each), the fastest tenth of a training's raw time was
+76-79 ms with it and 97-100 ms without on ``train-lstm-padded`` (16
+windows), and 165-171 ms with it and 202-211 ms without on ``annotate``
+(32 windows), where raising only the mmap threshold gave 217-237 ms. Peak
+RSS moved by under 7 MB on both. The benchmark's host-scaled windows/s
+hide the gain on ``annotate`` (162-174 with it, 143-186 without): its
+host-speed kernel allocates 5 MB arrays, which the guard also speeds up.
+Without glibc's ``mallopt`` this does nothing.
 """
 
 from __future__ import annotations

@@ -1,10 +1,4 @@
-from .types import (
-    EmptyRubricError,
-    IncompleteVerdictError,
-    Indicator,
-    IndicatorSet,
-    ParseError,
-)
+from .types import EmptyRubricError, IncompleteVerdictError, IndicatorSet, ParseError
 from .prompts import render_eval_prompt, render_indicator_prompt, render_student_prompt
 from .parsing import extract_json_object, parse_indicators, parse_responses, parse_verdicts
 from .ratios import compute_mp_ratios
@@ -19,7 +13,7 @@ from .runner import PipelineReport, run_pipeline
 
 __all__ = [
     "ChatClient", "ChatClientError", "ChatParams", "EmptyRubricError",
-    "HttpChatClient", "IncompleteVerdictError", "Indicator", "IndicatorSet",
+    "HttpChatClient", "IncompleteVerdictError", "IndicatorSet",
     "MockChatClient", "ParseError", "PipelineReport",
     "compute_mp_ratios", "extract_json_object",
     "parse_indicators", "parse_responses", "parse_verdicts",

@@ -10,13 +10,8 @@ import json
 import logging
 import re
 
-from .types import (
-    EmptyRubricError,
-    IncompleteVerdictError,
-    Indicator,
-    IndicatorSet,
-    ParseError,
-)
+from .types import (CODE_PATTERN, EmptyRubricError, IncompleteVerdictError, IndicatorSet,
+                    ParseError)
 
 log = logging.getLogger(__name__)
 
@@ -29,16 +24,10 @@ UNANSWERED = "I don't know"
 def extract_json_object(raw: str) -> dict:
     """Return the first decodable JSON object in ``raw``.
 
-    Tries fenced code blocks first, then every '{' in the text. A completion
-    that starts with '{' and holds no fence is first decoded whole, which
-    finds what that scan would find first.
+    Tries fenced code blocks first, then every '{' in the text. The fence
+    regex runs only on a completion that holds a fence.
     """
-    if raw.startswith("{") and "```" not in raw:
-        try:
-            return _raw_decode(raw)[0]
-        except json.JSONDecodeError:
-            pass
-    candidates = _FENCE_RE.findall(raw)
+    candidates = _FENCE_RE.findall(raw) if "```" in raw else []
     candidates.append(raw)
     for text in candidates:
         pos = text.find("{")
@@ -73,19 +62,14 @@ def parse_indicators(raw: str, problem_id: str) -> IndicatorSet:
     """
     obj = extract_json_object(raw)
     listing = obj.get("mathematical_proficiency_indicators", obj)
-    indicators: list[Indicator] = []
-    seen: set[str] = set()
+    indicators: dict[str, str] = {}
     for code, text in _entries(listing):
-        try:
-            indicator = Indicator.from_code(code, str(text))
-        except ValueError:
+        if CODE_PATTERN.fullmatch(code) is None:
             log.warning("problem %s: dropping indicator with unknown code %r", problem_id, code)
-            continue
-        if code in seen:
+        elif code in indicators:
             log.warning("problem %s: dropping duplicate indicator %r", problem_id, code)
-            continue
-        seen.add(code)
-        indicators.append(indicator)
+        else:
+            indicators[code] = str(text)
     if not indicators:
         raise EmptyRubricError(f"problem {problem_id}: no valid indicators in completion")
     return IndicatorSet(problem_id=problem_id, indicators=indicators)
@@ -98,15 +82,14 @@ def parse_responses(raw: str, indicators: IndicatorSet) -> dict[str, str]:
     outside the rubric are dropped with a warning.
     """
     obj = extract_json_object(raw)
-    known = set(indicators.codes())
     responses: dict[str, str] = {}
     for code, text in _entries(obj):
-        if code not in known:
+        if code not in indicators.indicators:
             log.warning("problem %s: dropping response for unknown indicator %r",
                         indicators.problem_id, code)
             continue
         responses[code] = str(text)
-    for code in indicators.codes():
+    for code in indicators.indicators:
         responses.setdefault(code, UNANSWERED)
     return responses
 
@@ -114,10 +97,9 @@ def parse_responses(raw: str, indicators: IndicatorSet) -> dict[str, str]:
 def parse_verdicts(raw: str, indicators: IndicatorSet) -> dict[str, int]:
     """Parse the evaluation completion into a complete code -> {0, 1} map."""
     obj = extract_json_object(raw)
-    known = set(indicators.codes())
     verdicts: dict[str, int] = {}
     for code, value in _entries(obj):
-        if code not in known:
+        if code not in indicators.indicators:
             log.warning("problem %s: dropping verdict for unknown indicator %r",
                         indicators.problem_id, code)
             continue
@@ -126,7 +108,7 @@ def parse_verdicts(raw: str, indicators: IndicatorSet) -> dict[str, int]:
                 f"problem {indicators.problem_id}: verdict for {code} must be 0 or 1, "
                 f"got {value!r}")
         verdicts[code] = value
-    missing = [c for c in indicators.codes() if c not in verdicts]
+    missing = [c for c in indicators.indicators if c not in verdicts]
     if missing:
         raise IncompleteVerdictError(missing)
     return verdicts

@@ -262,8 +262,8 @@ def _option_string(problem: Problem) -> str:
 
 
 def _response_text(indicators: IndicatorSet, responses: dict[str, str]) -> str:
-    return json_listing((ind.code, responses.get(ind.code, UNANSWERED))
-                        for ind in indicators.indicators)
+    return json_listing((code, responses.get(code, UNANSWERED))
+                        for code in indicators.indicators)
 
 
 def render_indicator_prompt(problem: Problem) -> str:

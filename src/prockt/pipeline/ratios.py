@@ -12,12 +12,12 @@ def compute_mp_ratios(indicators: IndicatorSet, verdicts: dict[str, int]) -> MPR
     Dimensions with no indicators are marked absent. Requires a complete
     verdict map over the indicator set.
     """
-    missing = [c for c in indicators.codes() if c not in verdicts]
+    missing = [c for c in indicators.indicators if c not in verdicts]
     if missing:
         raise IncompleteVerdictError(missing)
     counts = {d: [0, 0] for d in DIMENSIONS}
-    for ind in indicators.indicators:
-        pair = counts[ind.category]
-        pair[0] += verdicts[ind.code]
+    for code in indicators.indicators:
+        pair = counts[code[:2]]
+        pair[0] += verdicts[code]
         pair[1] += 1
     return MPRatios.from_counts(counts)

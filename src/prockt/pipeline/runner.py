@@ -237,7 +237,8 @@ class _Job:
                "student_id": rec.student_id, "problem_id": rec.problem_id,
                "timestamp": rec.timestamp}
         if self.error is None:
-            doc.update(indicators=[{i.code: i.text} for i in self.indicators.indicators],
+            rubric = self.indicators.indicators
+            doc.update(indicators=[{code: text} for code, text in rubric.items()],
                        responses=self.responses, verdicts=self.verdicts,
                        ratios=self.ratios.to_json())
         else:

@@ -33,34 +33,17 @@ class IncompleteVerdictError(ValueError):
         super().__init__(f"missing verdicts for: {', '.join(self.missing)}")
 
 
-@dataclass(frozen=True)
-class Indicator:
-    code: str
-    text: str
-
-    @classmethod
-    def from_code(cls, code: str, text: str) -> "Indicator":
-        if CODE_PATTERN.fullmatch(code) is None:
-            raise ValueError(f"invalid indicator code {code!r}")
-        return cls(code=code, text=text)
-
-    @property
-    def category(self) -> str:
-        return self.code[:2]
-
-
 @dataclass
 class IndicatorSet:
+    """A problem's rubric: each indicator code maps to its text, in rubric order."""
+
     problem_id: str
-    indicators: list[Indicator] = field(default_factory=list)
+    indicators: dict[str, str] = field(default_factory=dict)
 
     @cached_property
     def prompt_text(self) -> str:
         """The indicators as the JSON list the student and eval prompts show.
 
-        Rendered at first use and kept, so the list is not to change after.
+        Rendered at first use and kept, so the map is not to change after.
         """
-        return json_listing((ind.code, ind.text) for ind in self.indicators)
-
-    def codes(self) -> list[str]:
-        return [ind.code for ind in self.indicators]
+        return json_listing(self.indicators.items())

@@ -47,9 +47,9 @@ was before each problem was digested from a JSON array of its fields:
 a record digest and a problem digest, joined by a third.
 
 ``extract_json_object`` is the completion parser's fence-first scan as it
-was before it decoded a completion that starts with '{' and holds no
-fence whole: it decodes a slice of the text at every '{' that a regex
-finds, fenced blocks first.
+was before it skipped the fence regex on a completion without a fence and
+decoded in place: it decodes a slice of the text at every '{' that a
+regex finds, fenced blocks first.
 """
 
 from __future__ import annotations
@@ -510,17 +510,16 @@ def _option_string(problem) -> str:
 
 def _indicator_text(indicators) -> str:
     lines = ",\n".join(
-        "    " + json.dumps({ind.code: ind.text}, ensure_ascii=False)
-        for ind in indicators.indicators
+        "    " + json.dumps({code: text}, ensure_ascii=False)
+        for code, text in indicators.indicators.items()
     )
     return "[\n" + lines + "\n]"
 
 
 def _response_text(indicators, responses) -> str:
     lines = ",\n".join(
-        "    " + json.dumps({ind.code: responses.get(ind.code, "I don't know")},
-                          ensure_ascii=False)
-        for ind in indicators.indicators
+        "    " + json.dumps({code: responses.get(code, "I don't know")}, ensure_ascii=False)
+        for code in indicators.indicators
     )
     return "[\n" + lines + "\n]"
 

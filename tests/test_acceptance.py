@@ -27,7 +27,6 @@ from prockt.data import (
 from prockt.models import ModelConfig, build_model
 from prockt.pipeline import (
     ChatClientError,
-    Indicator,
     IndicatorSet,
     MockChatClient,
     compute_mp_ratios,
@@ -96,8 +95,7 @@ def test_criterion_3_reference_verdicts_give_exact_ratios():
     verdicts = {"CU1": 1, "CU2": 0, "SC1": 1, "PF1": 1, "SC2": 1, "AR1": 0,
                 "PF2": 1, "PF3": 1, "PF4": 1, "PF5": 0, "AR2": 0, "SC3": 0,
                 "CU3": 1}
-    rubric = IndicatorSet(problem_id="p", indicators=[
-        Indicator.from_code(c, f"step {c}") for c in verdicts])
+    rubric = IndicatorSet(problem_id="p", indicators={c: f"step {c}" for c in verdicts})
     mp = compute_mp_ratios(rubric, verdicts)
     expect = {"CU": Fraction(2, 3), "SC": Fraction(2, 3),
               "PF": Fraction(4, 5), "AR": Fraction(0, 2)}

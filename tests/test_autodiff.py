@@ -255,6 +255,13 @@ class TestShapeErrors:
             nn.attention(x, x, Tensor(np.ones((2, 3, 2))), 0.0, 2, None)
         with pytest.raises(ShapeError):  # 4 + 4 inputs, a weight for 7
             nn.readout(x, x, Tensor(np.ones((7, 1))), Tensor(np.zeros(1)), 15.0)
+        with pytest.raises(ShapeError, match="embed: a table must be 2-d"):
+            nn.embed([(x, np.array([[0, 1]]))])
+        with pytest.raises(ShapeError, match="lstm"):  # d = 1 of 4 gates, a (4, 4) wh
+            nn.lstm(x, Tensor(np.ones((4, 4))), Tensor(np.zeros(4)))
+        with pytest.raises(ShapeError, match="feed_forward"):  # 4 features, a (3, 8) w1
+            nn.feed_forward(x, Tensor(np.ones((3, 8))), Tensor(np.zeros(8)),
+                            Tensor(np.ones((8, 4))), Tensor(np.zeros(4)))
 
     def test_masked_mean_mask_mismatch(self):
         with pytest.raises(ShapeError):

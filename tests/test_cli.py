@@ -20,6 +20,7 @@ from prockt.cli import (
     subseed,
 )
 from prockt.data import DIMENSIONS, load_dataset, split
+from prockt.models import build_model
 from prockt.pipeline import MockChatClient
 from prockt.training import grid_search
 
@@ -390,6 +391,43 @@ class TestExitCodes:
         assert "Traceback" not in captured.err and captured.out == ""
         assert sorted(tmp_path.iterdir()) == [afile] and afile.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    @pytest.mark.parametrize("where", ["itself", "parent"])
+    def test_an_out_file_that_cannot_be_written_is_a_usage_error(self, workspace, tmp_path,
+                                                                capsys, monkeypatch,
+                                                                command, where):
+        # a directory given as the file, or a file where a parent directory should
+        # be, is rejected before any input is read: nothing is evaluated
+        evaluated = []
+        monkeypatch.setattr(cli, "evaluate", lambda *args: evaluated.append(args))
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        bad = workspace if where == "itself" else afile / "sub" / "out.json"
+        args = {"eval": ["--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                         "--data", str(workspace / "annotated")],
+                "report": ["--runs", str(workspace / "run")]}
+        assert main([command, *args[command], "--out", str(bad)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        reason = "is a directory" if where == "itself" else f"{afile} is not a directory"
+        assert captured.err.startswith(f"usage error: --out {bad}: {reason}")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert evaluated == [] and afile.read_text() == "kept\n"
+
+    def test_non_finite_loss_is_a_runtime_error(self, workspace, tmp_path, capsys,
+                                                monkeypatch):
+        def poisoned(config):
+            model = build_model(config)
+            model.params["head.bias"].data[:] = numpy.nan
+            return model
+
+        monkeypatch.setattr(cli, "build_model", poisoned)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(workspace / "annotated"),
+                     "--out", str(out)] + TRAIN_FLAGS) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert "error: non-finite loss at epoch 1, batch " in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_http_client_without_endpoint_is_a_validation_error(self, workspace, tmp_path,
                                                                 capsys, monkeypatch):
         monkeypatch.delenv("PROCKT_CHAT_ENDPOINT", raising=False)
@@ -607,7 +645,7 @@ class TestTrainEvalReport:
             assert caplog.records == [], name
 
     def test_eval_checkpoint(self, workspace, tmp_path, capsys):
-        out = tmp_path / "eval.json"
+        out = tmp_path / "new" / "eval.json"  # a missing directory is made
         assert main(["eval", "--checkpoint", str(workspace / "run" / "checkpoint.json"),
                      "--data", str(workspace / "annotated"),
                      "--out", str(out)]) == EXIT_OK
@@ -630,7 +668,7 @@ class TestTrainEvalReport:
         assert "'kd0" in err
 
     def test_report_table(self, workspace, tmp_path, capsys):
-        out = tmp_path / "report.md"
+        out = tmp_path / "new" / "report.md"  # a missing directory is made
         assert main(["report", "--runs", str(workspace / "run"),
                      "--out", str(out)]) == EXIT_OK
         table = out.read_text()

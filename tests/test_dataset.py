@@ -60,11 +60,6 @@ class TestSchema:
         got = type(rec).from_json(json.loads(json.dumps(rec.to_json())))
         assert got == rec
 
-    def test_sequence_rejects_unsorted_timestamps(self):
-        steps = [make_record(timestamp=2000), make_record(timestamp=1000)]
-        with pytest.raises(ValidationError):
-            StudentSequence(student_id="s1", steps=steps).validate()
-
     def test_mp_ratios_from_counts(self):
         mp = MPRatios.from_counts({"CU": (2, 3), "AR": (0, 2)})
         assert mp.values["CU"] == 2 / 3

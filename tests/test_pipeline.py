@@ -24,7 +24,6 @@ from prockt.pipeline import (
     EmptyRubricError,
     HttpChatClient,
     IncompleteVerdictError,
-    Indicator,
     IndicatorSet,
     MockChatClient,
     ParseError,
@@ -48,12 +47,12 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def fixed_indicators():
-    return IndicatorSet(problem_id="prob-1", indicators=[
-        Indicator.from_code("CU1", "Recognize this as a quadratic equation"),
-        Indicator.from_code("SC1", "Choose factoring as the solution strategy"),
-        Indicator.from_code("PF1", "Factor the quadratic into two binomials"),
-        Indicator.from_code("AR1", "Justify why each root satisfies the equation"),
-    ])
+    return IndicatorSet(problem_id="prob-1", indicators={
+        "CU1": "Recognize this as a quadratic equation",
+        "SC1": "Choose factoring as the solution strategy",
+        "PF1": "Factor the quadratic into two binomials",
+        "AR1": "Justify why each root satisfies the equation",
+    })
 
 
 FIXED_PROCESS = "x^2 - 5x + 6 = 0\n(x-2)(x-3) = 0\nx = 2 or x = 3"
@@ -126,8 +125,8 @@ class TestPrompts:
 
     def test_inserted_text_is_kept_verbatim(self, problem):
         # a placeholder token inside a value is text, not a placeholder
-        indicators = IndicatorSet(problem_id="prob-1", indicators=[
-            Indicator.from_code("CU1", "Restate {problem} in your own words")])
+        indicators = IndicatorSet(problem_id="prob-1", indicators={
+            "CU1": "Restate {problem} in your own words"})
         responses = {"CU1": "I copied {problem} and {indicator_text}"}
         student = render_student_prompt(problem, indicators,
                                         "line1 {solution_answer_sets}", "42")
@@ -245,33 +244,33 @@ class TestExtractJsonObject:
 class TestParseIndicators:
     def test_full_rubric(self):
         got = parse_indicators(indicator_completion(FOURTEEN), "p1")
-        assert got.codes() == [c for c, _ in FOURTEEN]
-        sizes = Counter(ind.category for ind in got.indicators)
+        assert list(got.indicators) == [c for c, _ in FOURTEEN]
+        sizes = Counter(code[:2] for code in got.indicators)
         assert sizes == {"CU": 5, "SC": 3, "PF": 3, "AR": 3}
-        assert got.indicators[0].text == FOURTEEN[0][1]
+        assert got.indicators["CU1"] == FOURTEEN[0][1]
 
     def test_unknown_code_dropped(self):
         pairs = [("CU1", "a"), ("AD1", "not a real category"), ("PF1", "b")]
         got = parse_indicators(indicator_completion(pairs), "p1")
-        assert got.codes() == ["CU1", "PF1"]
+        assert list(got.indicators) == ["CU1", "PF1"]
 
     def test_code_with_a_trailing_newline_dropped(self, caplog):
         pairs = [("CU1\n", "a"), ("CU1", "b"), ("SC1", "s")]
         with caplog.at_level("WARNING", logger="prockt.pipeline.parsing"):
             got = parse_indicators(indicator_completion(pairs), "p1")
-        assert got.codes() == ["CU1", "SC1"] and got.indicators[0].text == "b"
+        assert list(got.indicators) == ["CU1", "SC1"] and got.indicators["CU1"] == "b"
         assert [r.getMessage() for r in caplog.records] == [
             "problem p1: dropping indicator with unknown code 'CU1\\n'"]
 
     def test_duplicate_keeps_first(self):
         pairs = [("CU1", "first"), ("CU1", "second"), ("SC1", "s")]
         got = parse_indicators(indicator_completion(pairs), "p1")
-        assert got.codes() == ["CU1", "SC1"]
-        assert got.indicators[0].text == "first"
+        assert list(got.indicators) == ["CU1", "SC1"]
+        assert got.indicators["CU1"] == "first"
 
     def test_plain_dict_listing(self):
         raw = json.dumps({"mathematical_proficiency_indicators": {"CU1": "a", "PF1": "b"}})
-        assert parse_indicators(raw, "p1").codes() == ["CU1", "PF1"]
+        assert list(parse_indicators(raw, "p1").indicators) == ["CU1", "PF1"]
 
     def test_all_invalid_raises(self):
         raw = indicator_completion([("AD1", "x"), ("XY2", "y")])
@@ -313,8 +312,7 @@ class TestParseVerdicts:
     def rubric():
         codes = ["CU1", "CU2", "SC1", "PF1", "SC2", "AR1", "PF2", "PF3",
                  "PF4", "PF5", "AR2", "SC3", "CU3"]
-        return IndicatorSet(problem_id="p1", indicators=[
-            Indicator.from_code(c, f"step {c}") for c in codes])
+        return IndicatorSet(problem_id="p1", indicators={c: f"step {c}" for c in codes})
 
     def test_full_verdict_map(self):
         got = parse_verdicts(self.RAW, self.rubric())
@@ -323,12 +321,12 @@ class TestParseVerdicts:
         assert got["PF5"] == 0 and got["CU1"] == 1
 
     def test_fractional_verdict_rejected(self):
-        raw = json.dumps({c: (0.5 if c == "SC1" else 1) for c in self.rubric().codes()})
+        raw = json.dumps({c: (0.5 if c == "SC1" else 1) for c in self.rubric().indicators})
         with pytest.raises(ValueError, match="0 or 1"):
             parse_verdicts(raw, self.rubric())
 
     def test_bool_verdict_rejected(self):
-        raw = json.dumps({c: (True if c == "SC1" else 1) for c in self.rubric().codes()})
+        raw = json.dumps({c: (True if c == "SC1" else 1) for c in self.rubric().indicators})
         with pytest.raises(ValueError):
             parse_verdicts(raw, self.rubric())
 
@@ -354,8 +352,7 @@ class TestComputeMPRatios:
             assert mp.values[d] == frac.numerator / frac.denominator
 
     def test_dimension_without_indicators_is_absent(self):
-        rubric = IndicatorSet(problem_id="p", indicators=[
-            Indicator.from_code("CU1", "a"), Indicator.from_code("PF1", "b")])
+        rubric = IndicatorSet(problem_id="p", indicators={"CU1": "a", "PF1": "b"})
         mp = compute_mp_ratios(rubric, {"CU1": 1, "PF1": 0})
         assert mp.present == {"CU": True, "SC": False, "PF": True, "AR": False}
         assert mp.counts["SC"] == (0, 0)
@@ -370,11 +367,11 @@ class TestComputeMPRatios:
            st.data())
     def test_flipping_verdict_up_never_lowers_a_ratio(self, spec, data):
         ordinals = {"CU": 0, "SC": 0, "PF": 0, "AR": 0}
-        inds, verdicts = [], {}
+        inds, verdicts = {}, {}
         for cat, sat in spec:
             ordinals[cat] += 1
             code = f"{cat}{ordinals[cat]}"
-            inds.append(Indicator.from_code(code, "step"))
+            inds[code] = "step"
             verdicts[code] = int(sat)
         rubric = IndicatorSet(problem_id="p", indicators=inds)
         before = compute_mp_ratios(rubric, verdicts)
@@ -1406,7 +1403,7 @@ class TestMockChatClient:
         raw = client.complete("", render_indicator_prompt(problem), ChatParams())
         rubric = parse_indicators(raw, problem.problem_id)
         assert 8 <= len(rubric.indicators) <= 15
-        assert {ind.category for ind in rubric.indicators} == {"CU", "SC", "PF", "AR"}
+        assert {code[:2] for code in rubric.indicators} == {"CU", "SC", "PF", "AR"}
 
     def test_outputs_are_pure_functions_of_the_prompt(self, problem):
         prompt = render_indicator_prompt(problem)

@@ -46,7 +46,9 @@ class TestGenerate:
         assert len(data.sequences) == 20
         assert all(len(seq.steps) == 15 for seq in data.sequences)
         for seq in data.sequences:
-            seq.validate()
+            assert all(r.student_id == seq.student_id for r in seq.steps)
+            ts = [r.timestamp for r in seq.steps]
+            assert ts == sorted(ts)
 
     def test_round_trips_through_loader_and_preprocess(self, tmp_path):
         data = generate(tiny())

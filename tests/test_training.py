@@ -385,6 +385,17 @@ class TestTrainLoop:
         result = train(small_model(), tb, vb, tiny_config(max_epochs=10, patience=10))
         assert result.history[-1].train_loss < result.history[0].train_loss
 
+    def test_non_finite_loss_names_the_epoch_and_batch(self):
+        tb, vb = self.batches()
+        model = small_model()
+        model.params["head.bias"].data[:] = np.nan
+        first = nn.init.named_rng(42, "epoch-1").permutation(len(tb))[0]
+        with pytest.raises(RuntimeError, match=rf"^non-finite loss at epoch 1, batch {first}: "
+                                               r"question_ids range \[\d+, \d+\], "
+                                               r"supervised positions \d+, "
+                                               r"P\(correct\) range \[nan, nan\]$"):
+            train(model, tb, vb, tiny_config())
+
     @pytest.mark.parametrize("backbone", ["recurrent", "attention"])
     def test_each_step_graph_is_freed_before_the_next_forward(self, backbone, monkeypatch):
         # A step's graph is what its output and loss reach. With the cyclic
