@@ -36,7 +36,14 @@ from .data import (
 )
 from .models import ConfigError, ModelConfig, build_model
 from .nn import load_checkpoint, save_checkpoint
-from .pipeline import ChatClientError, ChatParams, HttpChatClient, MockChatClient, run_pipeline
+from .pipeline import (
+    ChatClientError,
+    ChatParams,
+    HttpChatClient,
+    MockChatClient,
+    ratio_agreement,
+    run_pipeline,
+)
 from .training import GRID, TrainConfig, evaluate, grid_search
 from .verify import run_suite
 
@@ -186,8 +193,12 @@ def cmd_extract_mp(args) -> int:
                                      concurrency=args.concurrency,
                                      params=ChatParams(max_retries=args.max_retries))
     outputs = [*save_dataset(args.out, annotated), Path(args.out) / "pipeline_report.json"]
+    doc = report.to_json()
+    agreement = ratio_agreement(dataset, annotated)  # with the ratios the input carried
+    if agreement is not None:
+        doc["agreement"] = agreement
     with open(outputs[-1], "w") as fh:
-        json.dump(report.to_json(), fh, indent=1)
+        json.dump(doc, fh, indent=1)
     write_manifest(args.out, "extract-mp",
                    {**vars(args), "func": None, "model": getattr(client, "model", None)}, 0,
                    [args.data], outputs, started)

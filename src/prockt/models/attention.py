@@ -40,8 +40,7 @@ class AttentionKT(KTModel):
         B, T = batch.question_ids.shape
 
         position = (self.params["embed.position"], np.broadcast_to(np.arange(T), (B, T)))
-        x = self.interaction_embedding(batch, extra=[position])
-        x = nn.dropout(x, self._dropout_mask(x.shape, training, rng))
+        x = self.interaction_embedding(batch, training, rng, extra=[position])
         next_q = self.next_question_embedding(batch)
 
         q = nn.matmul(next_q, self.params["attn.wq"])
@@ -54,10 +53,10 @@ class AttentionKT(KTModel):
         ctx = nn.attention(q, k, v, bias, cfg.attention_heads, weight_mask)  # (B, T, d)
         ctx = nn.matmul(ctx, self.params["attn.wo"])
 
-        h1 = nn.layer_norm(nn.add(ctx, next_q), self.params["ln1.gain"],
-                           self.params["ln1.bias"], LAYER_NORM_EPS)
-        f = nn.feed_forward(h1, *(self.params[f"ffn.{n}"] for n in ("w1", "b1", "w2", "b2")))
-        f = nn.dropout(f, self._dropout_mask(f.shape, training, rng))
-        state = nn.layer_norm(nn.add(f, h1), self.params["ln2.gain"],
-                              self.params["ln2.bias"], LAYER_NORM_EPS)
+        h1 = nn.layer_norm(ctx, next_q, self.params["ln1.gain"], self.params["ln1.bias"],
+                           LAYER_NORM_EPS)
+        f = nn.feed_forward(h1, *(self.params[f"ffn.{n}"] for n in ("w1", "b1", "w2", "b2")),
+                            self._dropout_mask(h1.shape, training, rng))
+        state = nn.layer_norm(f, h1, self.params["ln2.gain"], self.params["ln2.bias"],
+                              LAYER_NORM_EPS)
         return self.readout(state, next_q)

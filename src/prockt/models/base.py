@@ -87,16 +87,18 @@ class KTModel:
         u *= 1.0 / (1.0 - rate)
         return u
 
-    def interaction_embedding(self, batch: Batch, extra=()) -> nn.Tensor:
+    def interaction_embedding(self, batch: Batch, training: bool,
+                              rng: np.random.Generator | None, extra=()) -> nn.Tensor:
         """e_t = question + concept + response embeddings (+ fused ratios),
-        then the ``nn.embed`` terms in ``extra``, as one node."""
+        then the ``nn.embed`` terms in ``extra``, with dropout, as one node."""
         terms = [(self.params["embed.question"], batch.question_ids),
                  (self.params["embed.concept"], batch.concept_ids),
                  (self.params["embed.response"], batch.correctness)]
         if self.config.variant == "statuskt":
             terms.append((batch.mp_inputs, self.params["mp.proj.weight"],
                           self.params["mp.proj.bias"]))
-        return nn.embed(terms + list(extra))
+        shape = (*batch.question_ids.shape, self.config.embed_dim)
+        return nn.embed(terms + list(extra), self._dropout_mask(shape, training, rng))
 
     def next_question_embedding(self, batch: Batch) -> nn.Tensor:
         return nn.embed([(self.params["embed.question"], shift_left(batch.question_ids)),

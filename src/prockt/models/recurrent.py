@@ -21,11 +21,9 @@ class RecurrentKT(KTModel):
     def forward(self, batch: Batch, training: bool = False,
                 rng: np.random.Generator | None = None) -> nn.Tensor:
         self._check_batch(batch)
-        x = self.interaction_embedding(batch)
-        x = nn.dropout(x, self._dropout_mask(x.shape, training, rng))
+        x = self.interaction_embedding(batch, training, rng)
 
         wx, wh, b = self.params["rnn.wx"], self.params["rnn.wh"], self.params["rnn.b"]
         xw = nn.matmul(x, wx)  # (B, T, 4d): the input contribution for all steps at once
-        state = nn.lstm(xw, wh, b)  # (B, T, d)
-        state = nn.dropout(state, self._dropout_mask(state.shape, training, rng))
+        state = nn.lstm(xw, wh, b, self._dropout_mask(x.shape, training, rng))  # (B, T, d)
         return self.readout(state, self.next_question_embedding(batch))

@@ -1,10 +1,8 @@
 from .tensor import (
     ShapeError,
     Tensor,
-    add,
     as_tensor,
     attention,
-    dropout,
     embed,
     feed_forward,
     layer_norm,
@@ -23,8 +21,7 @@ from .heap import keep_heap
 keep_heap()
 
 __all__ = [
-    "Adam", "PROB_EPS", "ShapeError", "Tensor", "add", "as_tensor", "attention",
-    "check_gradients", "composite_loss", "dropout", "embed", "feed_forward", "init",
-    "layer_norm", "load_checkpoint", "lstm", "matmul", "no_grad", "numeric_gradient",
-    "readout", "save_checkpoint",
+    "Adam", "PROB_EPS", "ShapeError", "Tensor", "as_tensor", "attention", "check_gradients",
+    "composite_loss", "embed", "feed_forward", "init", "layer_norm", "load_checkpoint", "lstm",
+    "matmul", "no_grad", "numeric_gradient", "readout", "save_checkpoint",
 ]

@@ -125,21 +125,17 @@ def _make(data, parents, backward_fn, op):
                   backward_fn=backward_fn if req else None, op=op)
 
 
-# -- elementwise / structural ops ----------------------------------------
+def _dropped(op: str, value: np.ndarray, mask: np.ndarray | None, out=None) -> np.ndarray:
+    """``value`` times the dropout ``mask``, into ``out``; ``value`` itself if
+    ``mask`` is None (no dropout). The mask must have the value's shape."""
+    if mask is None:
+        return value
+    if mask.shape != value.shape:
+        raise ShapeError(f"{op}: dropout mask shape {mask.shape} != output shape {value.shape}")
+    return np.multiply(value, mask, out=out)
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out_data = a.data + b.data
-    except ValueError:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-
-    def backward_fn(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(g, b.shape))
-
-    return _make(out_data, (a, b), backward_fn, "add")
+# -- ops ------------------------------------------------------------------
 
 
 def matmul(a, b) -> Tensor:
@@ -163,35 +159,18 @@ def matmul(a, b) -> Tensor:
     return _make((a2 @ b.data).reshape(*a.shape[:-1], n), (a, b), backward_fn, "matmul")
 
 
-def dropout(a, mask: np.ndarray | None) -> Tensor:
-    """``a`` times a dropout multiplier (0 where dropped, 1/(1-rate) where kept).
-
-    A ``mask`` of None (eval mode, or a zero rate) returns ``a`` itself.
-    """
-    a = as_tensor(a)
-    if mask is None:
-        return a
-    if mask.shape != a.shape:
-        raise ShapeError(f"dropout: mask shape {mask.shape} != value shape {a.shape}")
-    out_data = a.data * mask
-
-    def backward_fn(g):
-        a._accumulate(g * mask)
-
-    return _make(out_data, (a,), backward_fn, "dropout")
-
-
-def embed(terms) -> Tensor:
-    """The sum of ``terms``, added left to right into one buffer, as one node.
+def embed(terms, mask: np.ndarray | None = None) -> Tensor:
+    """The sum of ``terms``, added left to right into one buffer, times the
+    dropout ``mask`` (None for no dropout), as one node.
 
     A term is a ``(table, ids)`` pair, the rows of a (vocab, d) table at an
     index array, or an ``(x, w, b)`` triple, ``x @ w + b`` for a data array
     ``x`` of shape (*ids.shape, k), a (k, d) ``w`` and a (d,) ``b``; ``x``
     gets no gradient. In that order the output has the bits of the
     ``embedding_lookup``, ``matmul`` and ``add`` graph in
-    ``tests/reference.py``. Each term gets the output's gradient: a table's
-    is a sparse scatter of it, a dense term's the products of ``matmul``
-    and ``add``.
+    ``tests/reference.py``, then its ``dropout``. Each term gets the output's
+    gradient times the mask: a table's is a sparse scatter of it, a dense
+    term's the products of ``matmul`` and ``add``.
     """
     lookups, denses, out = [], [], None
     for term in terms:
@@ -216,9 +195,11 @@ def embed(terms) -> Tensor:
             raise ShapeError(f"embed: a term of shape {value.shape} added to {out.shape}")
         else:
             out += value
+    out = _dropped("embed", out, mask, out=out)
     d = out.shape[-1]
 
     def backward_fn(g):
+        g = g if mask is None else g * mask
         g2 = g.reshape(-1, d)
         for table, idx in lookups:
             # a (vocab, N) 0/1 matrix: each table row sums its gradient rows
@@ -239,8 +220,9 @@ def embed(terms) -> Tensor:
     return _make(out, tuple(params), backward_fn, "embed")
 
 
-def lstm(xw, wh, b) -> Tensor:
-    """Single-layer LSTM over a (B, T, 4d) input projection; returns (B, T, d).
+def lstm(xw, wh, b, mask: np.ndarray | None = None) -> Tensor:
+    """Single-layer LSTM over a (B, T, 4d) input projection; returns the
+    (B, T, d) hidden states times the dropout ``mask`` (None for no dropout).
 
     Gates are laid out [input, forget, cell, output] along the last axis and
     the state starts at zero. The forward does the float operations of the
@@ -251,7 +233,7 @@ def lstm(xw, wh, b) -> Tensor:
     sigmoid covers the whole row and tanh then overwrites the cell-gate slot;
     c, tanh(c) and h fill (B, T, d) arrays. Backward is hand-written BPTT
     that writes each step's gate gradients into its slice of the (B, T, 4d)
-    gradient of ``xw``.
+    gradient of ``xw``. It reads the undropped states: a mask makes a new output.
     """
     xw, wh, b = as_tensor(xw), as_tensor(wh), as_tensor(b)
     B, T, four_d = xw.shape
@@ -296,6 +278,7 @@ def lstm(xw, wh, b) -> Tensor:
         np.multiply(o, tcs[:, t], out=hs[:, t])
 
     def backward_fn(grad):
+        grad = grad if mask is None else grad * mask
         dgates = np.empty_like(xw.data)
         dh_next = dc_next = zeros
         for t in reversed(range(T)):
@@ -317,23 +300,26 @@ def lstm(xw, wh, b) -> Tensor:
         wh._accumulate(hs[:, :-1].reshape(-1, d).T @ dgates[:, 1:].reshape(-1, four_d))
         b._accumulate(dgates.sum(axis=(0, 1)))
 
-    return _make(hs, (xw, wh, b), backward_fn, "lstm")
+    return _make(_dropped("lstm", hs, mask), (xw, wh, b), backward_fn, "lstm")
 
 
-def layer_norm(x, gain, bias, eps: float) -> Tensor:
-    """Normalize ``x`` over its last axis, then scale by ``gain`` and shift by ``bias``.
+def layer_norm(x, residual, gain, bias, eps: float) -> Tensor:
+    """Normalize ``x + residual`` over its last axis, then scale by ``gain``
+    and shift by ``bias``: a Transformer's Add & Norm.
 
-    The forward does the float operations of the node-by-node graph in
-    ``tests/reference.py`` in the same order, so its output matches that
-    graph bit for bit. Backward is the closed form of Ba et al. (2016).
-    Forward and backward each write into two (..., d) buffers: the forward
-    keeps x̂ in one and returns the other.
+    The forward does the float operations of the ``add`` and node-by-node
+    graph in ``tests/reference.py`` in the same order, so its output matches
+    that graph bit for bit. Backward is the closed form of Ba et al. (2016);
+    ``x`` and ``residual`` share one gradient. Forward and backward each write
+    into two (..., d) buffers: the forward keeps x̂ in one and returns the other.
     """
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    x, residual, gain, bias = (as_tensor(t) for t in (x, residual, gain, bias))
     d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"layer_norm: incompatible shapes {x.shape}, {gain.shape}, {bias.shape}")
-    xhat = x.data + x.data.mean(axis=-1, keepdims=True) * -1.0  # centred, then x̂
+    if residual.shape != x.shape or gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(f"layer_norm: incompatible shapes {x.shape}, {residual.shape}, "
+                         f"{gain.shape}, {bias.shape}")
+    xhat = x.data + residual.data  # the sum, centred, then x̂
+    xhat += xhat.mean(axis=-1, keepdims=True) * -1.0
     out = np.multiply(xhat, xhat)
     inv = (out.mean(axis=-1, keepdims=True) + eps) ** -0.5
     xhat *= inv
@@ -348,19 +334,21 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
         dx -= np.multiply(xhat, dot, out=tmp)
         dx *= inv
         x._accumulate(dx)
+        residual._accumulate(dx)
         gain._accumulate(np.multiply(g, xhat, out=tmp).reshape(-1, d).sum(axis=0))
         bias._accumulate(g.reshape(-1, d).sum(axis=0))
 
-    return _make(out, (x, gain, bias), backward_fn, "layer_norm")
+    return _make(out, (x, residual, gain, bias), backward_fn, "layer_norm")
 
 
-def feed_forward(x, w1, b1, w2, b2) -> Tensor:
-    """The position-wise block ``relu(x @ w1 + b1) @ w2 + b2`` as one node.
+def feed_forward(x, w1, b1, w2, b2, mask: np.ndarray | None = None) -> Tensor:
+    """The position-wise block ``relu(x @ w1 + b1) @ w2 + b2`` times the
+    dropout ``mask`` (None for no dropout), as one node.
 
-    Each GEMM output takes its bias, and the first its relu, in place. The
-    float operations are those of the ``matmul``/``add``/``relu`` graph in
-    ``tests/reference.py``, in the same order, so the output and every
-    gradient match that graph bit for bit.
+    Each GEMM output takes its bias, the first its relu and the second the
+    mask, in place. The float operations are those of the ``matmul``/``add``/
+    ``relu``/``dropout`` graph in ``tests/reference.py``, in the same order,
+    so the output and every gradient match that graph bit for bit.
     """
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
     d = x.shape[-1]
@@ -372,10 +360,12 @@ def feed_forward(x, w1, b1, w2, b2) -> Tensor:
     h = x2 @ w1.data
     h += b1.data
     np.maximum(h, 0.0, out=h)
-    out = h @ w2.data
+    out = (h @ w2.data).reshape(x.shape)
     out += b2.data
+    out = _dropped("feed_forward", out, mask, out=out)
 
     def backward_fn(g):
+        g = g if mask is None else g * mask
         g2 = g.reshape(-1, d)
         dh = g2 @ w2.data.T
         dh *= h > 0.0
@@ -385,7 +375,7 @@ def feed_forward(x, w1, b1, w2, b2) -> Tensor:
         x._accumulate((dh @ w1.data.T).reshape(x.shape))
         w1._accumulate(x2.T @ dh)
 
-    return _make(out.reshape(x.shape), (x, w1, b1, w2, b2), backward_fn, "feed_forward")
+    return _make(out, (x, w1, b1, w2, b2), backward_fn, "feed_forward")
 
 
 def attention(q, k, v, bias: np.ndarray, heads: int, mask: np.ndarray | None) -> Tensor:
@@ -432,7 +422,7 @@ def attention(q, k, v, bias: np.ndarray, heads: int, mask: np.ndarray | None) ->
     np.exp(probs, out=probs, where=~underflow)
     np.copyto(probs, 0.0, where=underflow)
     probs /= probs.sum(axis=-1, keepdims=True)
-    weights = probs if mask is None else probs * mask
+    weights = _dropped("attention", probs, mask)
 
     def backward_fn(g):
         gh = split(g)

@@ -1,7 +1,7 @@
 from .types import EmptyRubricError, IncompleteVerdictError, IndicatorSet, ParseError
 from .prompts import render_eval_prompt, render_indicator_prompt, render_student_prompt
 from .parsing import extract_json_object, parse_indicators, parse_responses, parse_verdicts
-from .ratios import compute_mp_ratios
+from .ratios import compute_mp_ratios, ratio_agreement
 from .client import (
     ChatClient,
     ChatClientError,
@@ -16,7 +16,7 @@ __all__ = [
     "HttpChatClient", "IncompleteVerdictError", "IndicatorSet",
     "MockChatClient", "ParseError", "PipelineReport",
     "compute_mp_ratios", "extract_json_object",
-    "parse_indicators", "parse_responses", "parse_verdicts",
+    "parse_indicators", "parse_responses", "parse_verdicts", "ratio_agreement",
     "render_eval_prompt", "render_indicator_prompt", "render_student_prompt",
     "run_pipeline",
 ]

@@ -165,8 +165,11 @@ class MockChatClient:
 
     Outputs are a pure function of the prompt text (hash-seeded), schema
     valid, and stage-aware, so the full pipeline runs offline and
-    bit-identically across runs.
+    bit-identically across runs. ``model`` names the rules and keys the
+    cached completions; it changes with them.
     """
+
+    model = "mock-1"
 
     def complete(self, system_message: str, user_message: str, params: ChatParams) -> str:
         for stage, head in prompts.STAGE_HEADS.items():

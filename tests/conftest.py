@@ -65,8 +65,7 @@ class CountingClient:
     def __init__(self, delay=0.001, model="", fail_first=None, stall_first=None):
         self.inner = MockChatClient()
         self.delay = delay
-        if model:
-            self.model = model
+        self.model = model or self.inner.model
         self.fail_first = fail_first
         self.stall_first = stall_first
         self.prompts = []

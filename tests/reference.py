@@ -17,12 +17,15 @@ from ``bce`` and one ``masked_mse`` per proficiency dimension, as the
 training loop did before ``nn.composite_loss`` made it one node.
 ``layer_norm``, ``attention`` and ``unfused_attention_forward`` build the
 attention block node by node, as ``AttentionKT.forward`` did before
-``nn.layer_norm`` and ``nn.attention`` replaced it;
+``nn.layer_norm`` and ``nn.attention`` replaced it; ``nn.layer_norm``'s
+residual is the ``add`` before ``layer_norm`` here.
 ``layer_norm_closed_form`` is ``nn.layer_norm`` computing every
 intermediate into a new array, the bit-for-bit oracle of its gradients.
 ``unrolled_lstm`` and ``unrolled_recurrent_forward`` build the LSTM step
 by step, as ``RecurrentKT.forward`` did before ``nn.lstm``. Each dropout
-mask is one plain draw at its activation's shape.
+mask is one plain draw at its activation's shape, and ``dropout`` is the
+node that ``nn.embed``, ``nn.feed_forward`` and ``nn.lstm`` fold in when
+given that mask.
 
 The ``render_*`` functions are the pipeline's prompt renderers as a chain
 of ``str.replace`` calls with one ``json.dumps`` per JSON piece, the way
@@ -45,6 +48,9 @@ chunks.
 array. ``old_interaction_key`` is an interaction's result-log key as it
 was before each problem was digested from a JSON array of its fields:
 a record digest and a problem digest, joined by a third.
+
+``delong_placements`` is the paired DeLong test computed from every
+pairwise comparison, the oracle of ``prockt.training.delong``'s midranks.
 
 ``extract_json_object`` is the completion parser's fence-first scan as it
 was before it skipped the fence regex on a completion without a fence and
@@ -72,6 +78,20 @@ from prockt.pipeline import prompts
 
 LAYER_NORM_EPS = 1e-5
 MASK_FILL = -1e9
+
+
+def add(a, b) -> nn.Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    try:
+        out_data = a.data + b.data
+    except ValueError:
+        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+
+    def backward_fn(g):
+        a._accumulate(_unbroadcast(g, a.shape))
+        b._accumulate(_unbroadcast(g, b.shape))
+
+    return _make(out_data, (a, b), backward_fn, "add")
 
 
 def stacked_matmul(a, b) -> nn.Tensor:
@@ -238,14 +258,14 @@ def embed(terms) -> nn.Tensor:
             value = embedding_lookup(*term)
         else:
             x, w, b = term
-            value = nn.add(nn.matmul(nn.Tensor(x), w), b)
-        out = value if out is None else nn.add(out, value)
+            value = add(nn.matmul(nn.Tensor(x), w), b)
+        out = value if out is None else add(out, value)
     return out
 
 
 def feed_forward(x, w1, b1, w2, b2) -> nn.Tensor:
     """``nn.feed_forward`` as the ``matmul``/``add``/``relu`` graph."""
-    return nn.add(nn.matmul(relu(nn.add(nn.matmul(x, w1), b1)), w2), b2)
+    return add(nn.matmul(relu(add(nn.matmul(x, w1), b1)), w2), b2)
 
 
 def dropout(a, rate: float, rng: np.random.Generator | None = None,
@@ -334,7 +354,7 @@ def bce(labels, probs: nn.Tensor, mask=None) -> nn.Tensor:
         mask = np.ones_like(y)
     m = np.asarray(mask, dtype=probs.data.dtype)
     p = clamp(probs, PROB_EPS, 1.0 - PROB_EPS)
-    ll = nn.add(mul(y, log(p)), mul(1.0 - y, log(nn.add(1.0, mul(p, -1.0)))))
+    ll = add(mul(y, log(p)), mul(1.0 - y, log(add(1.0, mul(p, -1.0)))))
     return mul(masked_mean(ll, m), -1.0)
 
 
@@ -342,7 +362,7 @@ def masked_mse(targets, preds: nn.Tensor, mask) -> nn.Tensor:
     """Mean squared error over masked positions; 0 when the mask is empty."""
     t = np.asarray(targets, dtype=preds.data.dtype)
     m = np.asarray(mask, dtype=preds.data.dtype)
-    diff = nn.add(preds, -t)
+    diff = add(preds, -t)
     return masked_mean(mul(diff, diff), m)
 
 
@@ -362,61 +382,65 @@ def composite_loss(r_gt, probs, mp_gt, mp_mask, valid_mask, alpha) -> nn.Tensor:
     for i in range(probs.shape[-1] - 1):
         term = masked_mse(mp_gt[..., i], slice_(probs, np.s_[..., 1 + i]),
                           valid * mp_mask[..., i])
-        mp_total = term if mp_total is None else nn.add(mp_total, term)
-    return nn.add(loss, mul(mp_total, alpha))
+        mp_total = term if mp_total is None else add(mp_total, term)
+    return add(loss, mul(mp_total, alpha))
 
 
 def readout(state, next_q, w, b, limit) -> nn.Tensor:
     """``nn.readout`` as a graph: one matmul of ``[state | next_q]`` by the
     heads' weight, plus their bias, then clamp and sigmoid."""
-    logits = nn.add(nn.matmul(concat([state, next_q]), w), b)
+    logits = add(nn.matmul(concat([state, next_q]), w), b)
     return sigmoid(clamp(logits, -limit, limit))
 
 
 def layer_norm(x, gain, bias) -> nn.Tensor:
     mu = mean(x, axis=-1, keepdims=True)
-    centered = nn.add(x, mul(mu, -1.0))
+    centered = add(x, mul(mu, -1.0))
     var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(nn.add(var, LAYER_NORM_EPS), -0.5)
-    return nn.add(mul(mul(centered, inv), gain), bias)
+    inv = power(add(var, LAYER_NORM_EPS), -0.5)
+    return add(mul(mul(centered, inv), gain), bias)
 
 
 def interaction_embedding(model, batch) -> nn.Tensor:
     """``KTModel.interaction_embedding`` as the lookups and adds it was built from."""
     params = model.params
-    e = nn.add(nn.add(embedding_lookup(params["embed.question"], batch.question_ids),
+    e = add(add(embedding_lookup(params["embed.question"], batch.question_ids),
                       embedding_lookup(params["embed.concept"], batch.concept_ids)),
                embedding_lookup(params["embed.response"], batch.correctness))
     if model.config.variant == "statuskt":
-        fused = nn.add(nn.matmul(nn.Tensor(batch.mp_inputs), params["mp.proj.weight"]),
+        fused = add(nn.matmul(nn.Tensor(batch.mp_inputs), params["mp.proj.weight"]),
                        params["mp.proj.bias"])
-        e = nn.add(e, fused)
+        e = add(e, fused)
     return e
 
 
 def next_question_embedding(model, batch) -> nn.Tensor:
-    return nn.add(embedding_lookup(model.params["embed.question"], shift_left(batch.question_ids)),
+    return add(embedding_lookup(model.params["embed.question"], shift_left(batch.question_ids)),
                   embedding_lookup(model.params["embed.concept"], shift_left(batch.concept_ids)))
 
 
-def layer_norm_closed_form(x, gain, bias, eps=LAYER_NORM_EPS) -> nn.Tensor:
+def layer_norm_closed_form(x, residual, gain, bias, eps=LAYER_NORM_EPS) -> nn.Tensor:
     """``nn.layer_norm`` with a new array for every intermediate: the forward
-    of ``layer_norm`` above and the closed-form backward of Ba et al. (2016),
-    each float operation in the order ``nn.layer_norm`` does it."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    of ``add`` and ``layer_norm`` above and the closed-form backward of Ba et
+    al. (2016), each float operation in the order ``nn.layer_norm`` does it."""
+    x, residual, gain, bias = (as_tensor(t) for t in (x, residual, gain, bias))
     d = x.shape[-1]
-    centered = x.data + x.data.mean(axis=-1, keepdims=True) * -1.0
+    s = x.data + residual.data
+    centered = s + s.mean(axis=-1, keepdims=True) * -1.0
     inv = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
     xhat = centered * inv
 
     def backward_fn(g):
         dxhat = g * gain.data
-        x._accumulate(inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)))
+        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        x._accumulate(dx)
+        residual._accumulate(dx)
         gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
         bias._accumulate(g.reshape(-1, d).sum(axis=0))
 
-    return _make(xhat * gain.data + bias.data, (x, gain, bias), backward_fn, "layer_norm")
+    return _make(xhat * gain.data + bias.data, (x, residual, gain, bias), backward_fn,
+                 "layer_norm")
 
 
 def attention(q, k, v, bias, heads, mask) -> nn.Tensor:
@@ -430,7 +454,7 @@ def attention(q, k, v, bias, heads, mask) -> nn.Tensor:
         return transpose(reshape(t, (B, T, heads, dh)), (0, 2, 1, 3))
 
     scores = mul(stacked_matmul(split(q), transpose(split(k), (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    weights = softmax(nn.add(scores, bias))
+    weights = softmax(add(scores, bias))
     if mask is not None:
         weights = mul(weights, mask)
     return reshape(transpose(stacked_matmul(weights, split(v)), (0, 2, 1, 3)), (B, T, d))
@@ -443,7 +467,7 @@ def unfused_attention_forward(model, batch, training=False, rng=None):
     B, T = batch.question_ids.shape
 
     pos = embedding_lookup(params["embed.position"], np.broadcast_to(np.arange(T), (B, T)))
-    x = nn.add(interaction_embedding(model, batch), pos)
+    x = add(interaction_embedding(model, batch), pos)
     x = dropout(x, cfg.dropout, rng, training)
     next_q = next_question_embedding(model, batch)
 
@@ -461,10 +485,10 @@ def unfused_attention_forward(model, batch, training=False, rng=None):
     ctx = attention(q, k, v, bias, cfg.attention_heads, weight_mask)
     ctx = nn.matmul(ctx, params["attn.wo"])
 
-    h1 = layer_norm(nn.add(ctx, next_q), params["ln1.gain"], params["ln1.bias"])
+    h1 = layer_norm(add(ctx, next_q), params["ln1.gain"], params["ln1.bias"])
     f = feed_forward(h1, params["ffn.w1"], params["ffn.b1"], params["ffn.w2"], params["ffn.b2"])
     f = dropout(f, cfg.dropout, rng, training)
-    state = layer_norm(nn.add(f, h1), params["ln2.gain"], params["ln2.bias"])
+    state = layer_norm(add(f, h1), params["ln2.gain"], params["ln2.bias"])
     return model.readout(state, next_q)
 
 
@@ -476,12 +500,12 @@ def unrolled_lstm(xw, wh, b) -> nn.Tensor:
     c = nn.Tensor(np.zeros((B, d)))
     hs = []
     for t in range(T):
-        gates = nn.add(nn.add(slice_(xw, np.s_[:, t, :]), nn.matmul(h, wh)), b)
+        gates = add(add(slice_(xw, np.s_[:, t, :]), nn.matmul(h, wh)), b)
         i = sigmoid(slice_(gates, np.s_[:, 0 * d:1 * d]))
         f = sigmoid(slice_(gates, np.s_[:, 1 * d:2 * d]))
         g = tanh(slice_(gates, np.s_[:, 2 * d:3 * d]))
         o = sigmoid(slice_(gates, np.s_[:, 3 * d:4 * d]))
-        c = nn.add(mul(f, c), mul(i, g))
+        c = add(mul(f, c), mul(i, g))
         h = mul(o, tanh(c))
         hs.append(reshape(h, (B, 1, d)))
     return concat(hs, axis=1)
@@ -496,6 +520,24 @@ def unrolled_recurrent_forward(model, batch, training=False, rng=None):
     state = unrolled_lstm(xw, params["rnn.wh"], params["rnn.b"])
     state = dropout(state, rate, rng, training)
     return model.readout(state, next_question_embedding(model, batch))
+
+
+def delong_placements(labels, scores_a, scores_b) -> tuple[float, float]:
+    """The paired DeLong test from O(m·n) placement values: the Mann-Whitney
+    kernel of every (positive, negative) pair, 1 where the positive scores
+    higher and 1/2 for a tie. Returns auc_a - auc_b and its variance."""
+    pos = np.asarray(labels) == 1
+    v10, v01, aucs = [], [], []
+    for scores in (scores_a, scores_b):
+        s = np.asarray(scores, dtype=float)
+        x, z = s[pos][:, None], s[~pos][None, :]
+        kernel = (x > z) + 0.5 * (x == z)  # (m, n)
+        v10.append(kernel.mean(axis=1))
+        v01.append(kernel.mean(axis=0))
+        aucs.append(kernel.mean())
+    m, n = kernel.shape
+    var = np.var(v10[0] - v10[1], ddof=1) / m + np.var(v01[0] - v01[1], ddof=1) / n
+    return aucs[0] - aucs[1], var
 
 
 def _option_string(problem) -> str:

@@ -249,6 +249,7 @@ def test_criterion_7_training_protocol():
 class _FaultyClient:
     def __init__(self, inner, marker):
         self.inner = inner
+        self.model = inner.model  # its completions are keyed as the wrapped client's
         self.marker = marker
 
     def complete(self, system_message, user_message, params):

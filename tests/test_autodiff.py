@@ -97,7 +97,7 @@ class TestBackwardValues:
     def test_broadcast_add_sums_gradient(self):
         b = Tensor(np.zeros(3), requires_grad=True)
         x = Tensor(np.ones((4, 3)))
-        ref.sum_(nn.add(x, b)).backward()
+        ref.sum_(ref.add(x, b)).backward()
         np.testing.assert_array_equal(b.grad, np.full(3, 4.0))
 
     def test_clamp_zero_gradient_outside(self):
@@ -112,7 +112,7 @@ class TestBackwardValues:
 
     def test_overlapping_slices_accumulate(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        ref.sum_(nn.add(ref.mul(ref.slice_(x, np.s_[:, :2]), 2.0),
+        ref.sum_(ref.add(ref.mul(ref.slice_(x, np.s_[:, :2]), 2.0),
                         ref.slice_(x, np.s_[:, 1:]))).backward()
         np.testing.assert_array_equal(x.grad, [[2, 3, 1], [2, 3, 1]])
 
@@ -125,14 +125,14 @@ class TestBackwardValues:
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         y = x if same else Tensor(np.ones((2, 3)), requires_grad=True)
         w = np.array([[1.0, -2.0, 3.0], [4.0, 5.0, -6.0]])
-        s = nn.add(x, y)
+        s = ref.add(x, y)
         terms = [ref.sum_(ref.mul(s, w)), ref.sum_(ref.slice_(s, np.s_[:, :2])),
                  ref.sum_(ref.slice_(x, np.s_[:, 1:])), ref.sum_(ref.slice_(y, np.s_[0]))]
         if reverse:
             terms.reverse()
         loss = terms[0]
         for term in terms[1:]:
-            loss = nn.add(loss, term)
+            loss = ref.add(loss, term)
         loss.backward()
         ds = w + np.array([[1, 1, 0], [1, 1, 0]])
         dx = ds + np.array([[0, 1, 1], [0, 1, 1]])
@@ -195,10 +195,10 @@ class TestGradientOwnership:
         # the operand order of the joining add moves which backward reaches x first
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         w = np.array([[1.0, -2.0, 3.0], [4.0, 5.0, -6.0]])
-        terms = [nn.add(ref.slice_(x, np.s_[0]), ref.slice_(x, np.s_[1])), ref.mul(x, w)]
+        terms = [ref.add(ref.slice_(x, np.s_[0]), ref.slice_(x, np.s_[1])), ref.mul(x, w)]
         if not slices_first:
             terms.reverse()
-        ref.sum_(nn.add(*terms)).backward()
+        ref.sum_(ref.add(*terms)).backward()
         np.testing.assert_array_equal(x.grad, 2.0 + w)
 
     @pytest.mark.parametrize("backbone", ("recurrent", "attention"))
@@ -229,7 +229,7 @@ class TestGradientOwnership:
 class TestShapeErrors:
     def test_add_mismatch(self):
         with pytest.raises(ShapeError):
-            nn.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+            ref.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
 
     def test_matmul_mismatch(self):
         with pytest.raises(ShapeError):
@@ -247,8 +247,11 @@ class TestShapeErrors:
 
     def test_fused_op_mismatch(self):
         x = Tensor(np.ones((2, 3, 4)))
-        with pytest.raises(ShapeError):
-            nn.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(4)), 1e-5)
+        with pytest.raises(ShapeError, match="layer_norm"):
+            nn.layer_norm(x, x, Tensor(np.ones(3)), Tensor(np.zeros(4)), 1e-5)
+        with pytest.raises(ShapeError, match="layer_norm"):  # a residual of another shape
+            nn.layer_norm(x, Tensor(np.ones((2, 3, 1))), Tensor(np.ones(4)), Tensor(np.zeros(4)),
+                          1e-5)
         with pytest.raises(ShapeError):
             nn.attention(x, x, x, 0.0, 3, None)  # 3 heads do not divide 4 features
         with pytest.raises(ShapeError):
@@ -267,10 +270,20 @@ class TestShapeErrors:
         with pytest.raises(ShapeError):
             ref.masked_mean(Tensor(np.ones((2, 3))), np.ones((2, 2)))
 
-    @pytest.mark.parametrize("mask_shape", ((2, 2), (2, 3, 1)))
-    def test_dropout_mask_must_match_input(self, mask_shape):
-        with pytest.raises(ShapeError):
-            nn.dropout(Tensor(np.ones((2, 3))), np.ones(mask_shape))
+    @pytest.mark.parametrize("op", ("embed", "feed_forward", "lstm", "attention"))
+    @pytest.mark.parametrize("mask_shape", ((2, 3), (2, 3, 1)))
+    def test_dropout_mask_must_match_output(self, op, mask_shape):
+        # each op's output is (2, 3, 4), the attention weights (2, 2, 3, 3)
+        x, mask = Tensor(np.ones((2, 3, 4))), np.ones(mask_shape)
+        call = {"embed": lambda: nn.embed([(np.ones((2, 3, 1)), np.ones((1, 4)),
+                                            np.zeros(4))], mask),
+                "feed_forward": lambda: nn.feed_forward(x, np.ones((4, 5)), np.zeros(5),
+                                                        np.ones((5, 4)), np.zeros(4), mask),
+                "lstm": lambda: nn.lstm(np.ones((2, 3, 16)), np.ones((4, 16)), np.zeros(16),
+                                        mask),
+                "attention": lambda: nn.attention(x, x, x, 0.0, 2, mask)}[op]
+        with pytest.raises(ShapeError, match=f"^{op}: dropout mask"):
+            call()
 
 
 def bce(labels, probs, mask=None):
@@ -334,7 +347,7 @@ class TestNumericGradients:
         x = np.random.default_rng(seed + 100).normal(size=(5, 4))
 
         def f():
-            h = ref.tanh(nn.add(nn.matmul(Tensor(x), w), b))
+            h = ref.tanh(ref.add(nn.matmul(Tensor(x), w), b))
             return ref.mean(ref.mul(ref.softmax(h), h))
 
         assert check_gradients(f, [w, b]) < 1e-6
@@ -377,7 +390,7 @@ class TestAdam:
         opt = Adam({"p": p}, lr=0.05)
         for _ in range(1000):
             opt.zero_grad()
-            diff = nn.add(p, -2.0)
+            diff = ref.add(p, -2.0)
             ref.sum_(ref.mul(diff, diff)).backward()
             opt.step()
         assert abs(p.data[0] - 2.0) < 1e-3

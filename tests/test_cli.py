@@ -21,7 +21,7 @@ from prockt.cli import (
 )
 from prockt.data import DIMENSIONS, load_dataset, split
 from prockt.models import build_model
-from prockt.pipeline import MockChatClient
+from prockt.pipeline import MockChatClient, ratio_agreement
 from prockt.training import grid_search
 
 SIM = """
@@ -517,6 +517,49 @@ class TestExtractMP:
                      "--cache", str(workspace / "cache"), "--client", "mock"]) == EXIT_OK
         report = json.loads((tmp_path / "annotated2" / "pipeline_report.json").read_text())
         assert report["cached"] == 96
+        cold = json.loads((workspace / "annotated" / "pipeline_report.json").read_text())
+        assert report["agreement"] == cold["agreement"]
+        assert (tmp_path / "annotated2" / "interactions.jsonl").read_bytes() == \
+            (workspace / "annotated" / "interactions.jsonl").read_bytes()
+
+    def test_report_scores_the_input_ratios(self, workspace):
+        # synth records carry the simulator's ratios, which the extracted ones are scored against
+        report = json.loads((workspace / "annotated" / "pipeline_report.json").read_text())
+        block = ratio_agreement(load_dataset(workspace / "data"),
+                                load_dataset(workspace / "annotated"))
+        assert list(report["agreement"]) == list(DIMENSIONS)
+        assert report["agreement"] == json.loads(json.dumps(block))
+        assert all(0 < doc["n"] <= 96 and 0.0 <= doc["presence"] <= 1.0
+                   for doc in block.values())
+        assert set(report) == {"annotated", "failed", "cached", "failure_rate", "failures",
+                               "agreement"}
+
+    def test_input_without_ratios_gets_no_agreement(self, workspace, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "problems.json").write_bytes((workspace / "data" / "problems.json").read_bytes())
+        (data / "interactions.jsonl").write_text(
+            _every_record("mp", None)((workspace / "data" / "interactions.jsonl").read_text()))
+        assert main(["extract-mp", "--data", str(data), "--out", str(tmp_path / "out"),
+                     "--cache", str(workspace / "cache"), "--client", "mock"]) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "pipeline_report.json").read_text())
+        assert "agreement" not in report and report["cached"] == 96
+
+    def test_mock_is_named_and_annotates_as_the_unnamed_mock(self, workspace, tmp_path,
+                                                             monkeypatch):
+        # naming the mock moves its cache keys, not one byte of what it annotates
+        config = json.loads((workspace / "annotated" / "manifest.json").read_text())["config"]
+        assert config["model"] == MockChatClient.model == "mock-1"
+
+        class Unnamed(MockChatClient):
+            model = ""  # keyed as the mock was before it had a name
+
+        monkeypatch.setattr(cli, "MockChatClient", Unnamed)
+        assert main(["extract-mp", "--data", str(workspace / "data"),
+                     "--out", str(tmp_path / "out"), "--cache", str(tmp_path / "cache"),
+                     "--client", "mock"]) == EXIT_OK
+        assert (tmp_path / "out" / "interactions.jsonl").read_bytes() == \
+            (workspace / "annotated" / "interactions.jsonl").read_bytes()
 
     def test_manifest_records_every_flag_and_the_model(self, workspace, tmp_path,
                                                         monkeypatch, capsys):

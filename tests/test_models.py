@@ -373,6 +373,13 @@ def signed_zeros(g):
     return g
 
 
+def dropout_pair(shape, rate=0.3, seed=7):
+    """A dropout mask of ``shape``, and a function putting tests/reference.py's
+    ``dropout`` node, which draws the same mask, on a tensor."""
+    mask = (np.random.default_rng(seed).random(shape) >= rate) * (1.0 / (1.0 - rate))
+    return mask, lambda t: ref.dropout(t, rate, np.random.default_rng(seed))
+
+
 class TestEmbedOp:
     """Oracle: tests/reference.py's ``embedding_lookup``, ``matmul`` and
     ``add`` graph; output and every gradient bit for bit, signs of zeros
@@ -381,7 +388,7 @@ class TestEmbedOp:
     @staticmethod
     def inputs(rng, dense_at):
         """Three tables, and a dense term in the sum at index ``dense_at``
-        unless that is None."""
+        unless that is None; ``call(nn, mask)`` passes ``nn.embed`` a mask."""
         tables = [rng.normal(size=(vocab, 4)) for vocab in (7, 3, 5)]
         ids = [rng.integers(0, len(t), size=(3, 6)) for t in tables]
         ids[0][0, :3] = 2  # repeated ids within a row and across rows
@@ -390,12 +397,12 @@ class TestEmbedOp:
         arrays = tables + ([] if dense_at is None else [rng.normal(size=(2, 4)),
                                                         rng.normal(size=4)])
 
-        def call(module):
+        def call(module, *mask):
             def fn(*leaves):
                 terms = list(zip(leaves[:3], ids))
                 if dense_at is not None:
                     terms.insert(dense_at, (x, *leaves[3:]))
-                return module.embed(terms)
+                return module.embed(terms, *mask)
             return fn
 
         return call, arrays, signed_zeros(rng.normal(size=(3, 6, 4)))
@@ -404,6 +411,14 @@ class TestEmbedOp:
     def test_matches_graph(self, rng, dense_at):
         call, arrays, g = self.inputs(rng, dense_at)
         assert_same_bits(run_op(call(nn), arrays, g), run_op(call(ref), arrays, g))
+
+    @pytest.mark.parametrize("dense_at", (None, 2))
+    def test_matches_graph_with_dropout(self, rng, dense_at):
+        call, arrays, g = self.inputs(rng, dense_at)
+        mask, dropout = dropout_pair(g.shape)
+        assert_same_bits(run_op(call(nn, mask), arrays, g),
+                         run_op(lambda *leaves: dropout(call(ref)(*leaves)), arrays, g))
+        assert_backward_twice_doubles(call(nn, mask), arrays, g)
 
     @pytest.mark.parametrize("dense_at", (None, 2))
     def test_backward_twice_doubles_gradients(self, rng, dense_at):
@@ -445,6 +460,14 @@ class TestFeedForwardOp:
         assert_same_bits(run_op(nn.feed_forward, arrays, g),
                          run_op(ref.feed_forward, arrays, g))
 
+    def test_matches_graph_with_dropout(self, rng):
+        arrays, g = self.inputs(rng)
+        mask, dropout = dropout_pair(g.shape)
+        op = partial(nn.feed_forward, mask=mask)
+        assert_same_bits(run_op(op, arrays, g),
+                         run_op(lambda *leaves: dropout(ref.feed_forward(*leaves)), arrays, g))
+        assert_backward_twice_doubles(op, arrays, g)
+
     def test_backward_twice_doubles_gradients(self, rng):
         assert_backward_twice_doubles(nn.feed_forward, *self.inputs(rng))
 
@@ -484,34 +507,39 @@ class TestAttentionOp:
                                       arrays, g)
 
 
+def layer_norm(x, residual, gain, bias):
+    return nn.layer_norm(x, residual, gain, bias, ref.LAYER_NORM_EPS)
+
+
+def layer_norm_graph(x, residual, gain, bias):
+    return ref.layer_norm(ref.add(x, residual), gain, bias)
+
+
 class TestLayerNormOp:
-    """Oracles: the output against tests/reference.py's node-by-node graph,
-    the gradients against its out-of-place closed form, each bit for bit with
-    the signs of zeros; the closed form's gradients against the graph's within
-    1e-12 relative, as they sum in another order."""
+    """Oracles: the output against tests/reference.py's ``add`` and
+    node-by-node graph, the gradients against its out-of-place closed form,
+    each bit for bit with the signs of zeros; the closed form's gradients
+    against the graph's within 1e-12 relative, as they sum in another order."""
 
     @staticmethod
     def inputs(rng):
-        x = rng.normal(size=(3, 4, 6))
-        x[0, 1] = 0.5  # a constant row: every centred value is exactly 0
-        arrays = [x, rng.normal(size=6), rng.normal(size=6)]
+        x, residual = rng.normal(size=(3, 4, 6)), rng.normal(size=(3, 4, 6))
+        x[0, 1], residual[0, 1] = 0.5, 0.25  # a constant row: every centred value is exactly 0
+        arrays = [x, residual, rng.normal(size=6), rng.normal(size=6)]
         return arrays, signed_zeros(rng.normal(size=(3, 4, 6)))
 
     def test_matches_graph_and_closed_form(self, rng):
         arrays, g = self.inputs(rng)
-        got = run_op(lambda x, gain, bias: nn.layer_norm(x, gain, bias, ref.LAYER_NORM_EPS),
-                     arrays, g)
+        got = run_op(layer_norm, arrays, g)
         closed = run_op(ref.layer_norm_closed_form, arrays, g)
-        graph = run_op(ref.layer_norm, arrays, g)
+        graph = run_op(layer_norm_graph, arrays, g)
         assert_same_bits(got, closed)
         assert_same_bits(got[:1], graph[:1])
         for a, b in zip(closed[1:], graph[1:]):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     def test_backward_twice_doubles_gradients(self, rng):
-        assert_backward_twice_doubles(
-            lambda x, gain, bias: nn.layer_norm(x, gain, bias, ref.LAYER_NORM_EPS),
-            *self.inputs(rng))
+        assert_backward_twice_doubles(layer_norm, *self.inputs(rng))
 
 
 class TestNonFiniteInputs:
@@ -533,9 +561,8 @@ class TestNonFiniteInputs:
     def test_layer_norm(self, rng):
         arrays, g = TestLayerNormOp.inputs(rng)
         arrays[0][2, 3, 1] = np.nan
-        got = run_op(lambda x, gain, bias: nn.layer_norm(x, gain, bias, ref.LAYER_NORM_EPS),
-                     arrays, g)
-        self.assert_same_nans(got, run_op(ref.layer_norm, arrays, g))
+        self.assert_same_nans(run_op(layer_norm, arrays, g),
+                              run_op(layer_norm_graph, arrays, g))
 
     def test_feed_forward(self, rng):
         arrays, g = TestFeedForwardOp.inputs(rng)
@@ -660,14 +687,12 @@ class TestFusedLSTM:
         return [nn.Tensor(rng.normal(size=shape), requires_grad=True)
                 for shape in ((B, T, 4 * d), (d, 4 * d), (4 * d,))], rng.normal(size=(B, T, d))
 
-    @pytest.mark.parametrize("T", (1, 5))
-    def test_op_matches_unrolled_graph(self, rng, T):
-        # oracle: tests/reference.py's step-by-step graph; output identical,
-        # gradients within 1e-12 relative. At T = 1 the only step sees h = 0,
-        # so wh's gradient is exactly zero.
-        inputs, w = self.lstm_inputs(rng, T)
+    @staticmethod
+    def assert_op_matches(inputs, w, op, graph):
+        """``op`` against the step-by-step ``graph``: output identical,
+        gradients within 1e-12 relative; returns the gradients."""
         results = []
-        for fn in (nn.lstm, ref.unrolled_lstm):
+        for fn in (op, graph):
             leaves = [nn.Tensor(t.data, requires_grad=True) for t in inputs]
             out = fn(*leaves)
             ref.sum_(ref.mul(out, w)).backward()
@@ -676,8 +701,21 @@ class TestFusedLSTM:
         np.testing.assert_array_equal(out, out_ref)
         for g, g_ref in zip(grads, grads_ref):
             assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+        return grads
+
+    @pytest.mark.parametrize("T", (1, 5))
+    def test_op_matches_unrolled_graph(self, rng, T):
+        # oracle: tests/reference.py's step-by-step graph. At T = 1 the only
+        # step sees h = 0, so wh's gradient is exactly zero.
+        grads = self.assert_op_matches(*self.lstm_inputs(rng, T), nn.lstm, ref.unrolled_lstm)
         if T == 1:
             np.testing.assert_array_equal(grads[1], 0.0)
+
+    def test_op_with_dropout_matches_unrolled_graph(self, rng):
+        inputs, w = self.lstm_inputs(rng, 5)
+        mask, dropout = dropout_pair(w.shape)
+        self.assert_op_matches(inputs, w, partial(nn.lstm, mask=mask),
+                               lambda *leaves: dropout(ref.unrolled_lstm(*leaves)))
 
     def test_backward_twice_doubles_gradients(self, rng):
         # the buffers the forward fills are read, never overwritten, by backward
@@ -734,15 +772,17 @@ class TestOpSet:
 
 class TestGraphSize:
     @pytest.mark.parametrize("backbone, variant, nodes", [
-        ("recurrent", "statuskt", 8), ("recurrent", "original", 8),
-        ("attention", "statuskt", 16), ("attention", "original", 16)])
+        ("recurrent", "statuskt", 6), ("recurrent", "original", 6),
+        ("attention", "statuskt", 12), ("attention", "original", 12)])
     def test_op_nodes_per_training_step(self, backbone, variant, nodes):
         # the loss is one node on the readout's output, where the graph in
         # tests/reference.py slices the columns out and has 32 nodes
         # (statuskt) or 11 (original). The heads are one readout node,
         # where the reference graph has 5 nodes. Each embedding is one
         # embed node (3 to 11 lookup, matmul and add nodes in the reference
-        # graph), and the feed-forward block one node (5).
+        # graph), and the feed-forward block one node (5). Each dropout is
+        # part of the op whose output it masks, and each residual add part
+        # of the layer norm after it.
         model = build_model(small_config(backbone, variant, dropout=0.2))
         batch = toy_batch(0)
         probs = model.forward(batch, training=True, rng=np.random.default_rng(0))

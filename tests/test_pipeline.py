@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from conftest import CountingClient, logged_failures, make_dataset, make_problem
+from conftest import CountingClient, logged_failures, make_dataset, make_problem, make_record
 from prockt import synth
-from prockt.data import Dataset, MPRatios
+from prockt.data import DIMENSIONS, Dataset, MPRatios, StudentSequence
 from prockt.pipeline import (
     ChatClientError,
     ChatParams,
@@ -32,6 +32,7 @@ from prockt.pipeline import (
     parse_indicators,
     parse_responses,
     parse_verdicts,
+    ratio_agreement,
     render_eval_prompt,
     render_indicator_prompt,
     render_student_prompt,
@@ -389,6 +390,7 @@ class FaultyClient:
 
     def __init__(self, inner, marker):
         self.inner = inner
+        self.model = inner.model  # its completions are keyed as the wrapped client's
         self.marker = marker
 
     def complete(self, system_message, user_message, params):
@@ -396,6 +398,50 @@ class FaultyClient:
                 and self.marker in user_message):
             raise ChatClientError("injected transport failure")
         return self.inner.complete(system_message, user_message, params)
+
+
+def with_ratios(counts):
+    """One student's records, with the ratios of each ``counts`` dict (None: none)."""
+    return Dataset(problems={}, sequences=[StudentSequence("s1", [
+        make_record(timestamp=1000 + t, mp=None if c is None else MPRatios.from_counts(c))
+        for t, c in enumerate(counts)])])
+
+
+class TestRatioAgreement:
+    # per dimension over the three records that carried ratios (the fourth did not):
+    # CU in 0, 1/2, 1 and out 1/2, 1/2, 1: r = (1/4) / sqrt(1/2 * 1/6) = sqrt(3)/2, mse 1/12;
+    # SC absent in, absent out, and 1/4 against 3/4: one pair, so no r; mse 1/4;
+    # PF in 1/2, 1/2 (constant, so no r) and out 0, 1: mse 1/4; AR absent throughout
+    INPUTS = [{"CU": (0, 1), "PF": (1, 2)}, {"CU": (1, 2), "SC": (1, 2), "PF": (2, 4)},
+              {"CU": (3, 3), "SC": (1, 4)}, None]
+    OUTPUTS = [{"CU": (1, 2), "SC": (1, 1), "PF": (0, 1)}, {"CU": (2, 4), "PF": (3, 3)},
+               {"CU": (2, 2), "SC": (3, 4)}, {"CU": (1, 1)}]
+
+    def test_hand_computed_values(self):
+        block = ratio_agreement(with_ratios(self.INPUTS), with_ratios(self.OUTPUTS))
+        assert list(block) == list(DIMENSIONS)
+        assert block["CU"] == {"n": 3, "r": pytest.approx(3 ** 0.5 / 2, abs=1e-15),
+                               "mse": pytest.approx(1 / 12, abs=1e-15), "presence": 1.0}
+        assert block["SC"] == {"n": 1, "r": None, "mse": 0.25, "presence": 1 / 3}
+        assert block["PF"] == {"n": 2, "r": None, "mse": 0.25, "presence": 1.0}
+        assert block["AR"] == {"n": 0, "r": None, "mse": None, "presence": 1.0}
+
+    def test_input_without_ratios_gives_none(self):
+        assert ratio_agreement(with_ratios([None, None]), with_ratios(self.OUTPUTS[:2])) is None
+
+    def test_input_ratios_change_no_prompt(self, tmp_path):
+        data = make_dataset()
+        changed = make_dataset()
+        for seq in changed.sequences:
+            for rec in seq.steps:
+                rec.mp = MPRatios.from_counts({"SC": (1, 1)})
+        prompts, outputs = [], []
+        for run, dataset in enumerate((data, changed)):
+            client = CountingClient(delay=0)
+            out, _ = run_pipeline(dataset, client, tmp_path / str(run))
+            prompts.append(sorted(client.prompts))
+            outputs.append([r.to_json() for seq in out.sequences for r in seq.steps])
+        assert prompts[0] == prompts[1] and outputs[0] == outputs[1]
 
 
 class TestRunPipeline:
@@ -1096,7 +1142,7 @@ class TestCacheKeys:
         # an array of its fields; the completions' keys did not change
         data = make_dataset()
         cold, _ = run_pipeline(data, MockChatClient(), tmp_path)
-        old = [ref.old_interaction_key(data.problems[rec.problem_id], rec)
+        old = [ref.old_interaction_key(data.problems[rec.problem_id], rec, MockChatClient.model)
                for seq in data.sequences for rec in seq.steps]
         for name in ("ratios.jsonl", "audit.jsonl"):
             path = tmp_path / name

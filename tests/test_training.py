@@ -20,6 +20,7 @@ from prockt.training import (
     TrainConfig,
     acc,
     auc,
+    delong,
     evaluate,
     gather_predictions,
     grid_search,
@@ -246,6 +247,41 @@ class TestAUC:
         a = auc(labels, scores)
         b = auc(labels, scale * scores + 2.0)
         assert a == pytest.approx(b, abs=1e-12)
+
+
+class TestDeLong:
+    @staticmethod
+    def tied_scores(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 400))
+        labels = rng.integers(0, 2, size=n)
+        labels[:4] = [0, 1, 0, 1]
+        # quantized scores force ties within and across the classes
+        a = np.round(rng.random(n), 1 + seed % 2)
+        b = np.round(np.clip(a + rng.normal(0.0, 0.2, size=n), 0.0, 1.0), 1)
+        return labels, a, b
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_placement_oracle(self, seed):
+        labels, a, b = self.tied_scores(seed)
+        got = delong(labels, a, b)
+        diff, var = ref.delong_placements(labels, a, b)
+        assert abs(got["diff"] - diff) <= 1e-12
+        assert abs(got["se"] ** 2 - var) <= 1e-12
+        assert got["auc_a"] == auc(labels, a) and got["auc_b"] == auc(labels, b)
+        z = abs(got["diff"]) / got["se"]
+        assert got["p"] == pytest.approx(2.0 * scipy.stats.norm.sf(z), rel=1e-12)
+
+    def test_equal_scores_give_no_p(self):
+        labels, a, _ = self.tied_scores(0)
+        got = delong(labels, a, a.copy())
+        assert (got["diff"], got["se"], got["p"]) == (0.0, 0.0, None)
+
+    @pytest.mark.parametrize("labels, b", [([1, 0, 0, 0], [0.1, 0.2, 0.3, 0.4]),
+                                           ([1, 1, 0, 0], [0.1, float("nan"), 0.3, 0.4])])
+    def test_rejects_one_positive_and_a_nan_score(self, labels, b):
+        with pytest.raises(ValueError):
+            delong(labels, [0.4, 0.3, 0.2, 0.1], b)
 
 
 class TestAcc:
