@@ -1,8 +1,9 @@
-"""Attention backbone: one causal self-attention block.
+"""Attention backbone: one causal self-attention block, post-LN.
 
-Queries come from the next question's embedding; keys and values from
-past interaction embeddings. The mask is strictly causal: the query at
-position t (predicting step t+1) attends to key positions <= t only.
+Queries come from the next question's embedding; keys and values from past
+interaction embeddings. One ``nn.attention`` node is the whole sublayer, its
+four projections and its strictly causal mask included: the query at
+position t (predicting step t+1) attends to real key positions <= t only.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from ..data.batches import Batch
 from .base import KTModel
 from .config import ModelConfig
 
-MASK_FILL = -1e9
 LAYER_NORM_EPS = 1e-5
 
 
@@ -43,16 +43,10 @@ class AttentionKT(KTModel):
         x = self.interaction_embedding(batch, training, rng, extra=[position])
         next_q = self.next_question_embedding(batch)
 
-        q = nn.matmul(next_q, self.params["attn.wq"])
-        k = nn.matmul(x, self.params["attn.wk"])
-        v = nn.matmul(x, self.params["attn.wv"])
-        causal = np.tril(np.ones((T, T), dtype=bool))
-        key_valid = batch.valid_mask.astype(bool)[:, None, None, :]
-        bias = np.where(causal[None, None, :, :] & key_valid, 0.0, MASK_FILL)
         weight_mask = self._dropout_mask((B, cfg.attention_heads, T, T), training, rng)
-        ctx = nn.attention(q, k, v, bias, cfg.attention_heads, weight_mask)  # (B, T, d)
-        ctx = nn.matmul(ctx, self.params["attn.wo"])
-
+        attn = (self.params[f"attn.{n}"] for n in ("wq", "wk", "wv", "wo"))
+        ctx = nn.attention(next_q, x, *attn, batch.valid_mask, cfg.attention_heads,
+                           weight_mask)  # (B, T, d)
         h1 = nn.layer_norm(ctx, next_q, self.params["ln1.gain"], self.params["ln1.bias"],
                            LAYER_NORM_EPS)
         f = nn.feed_forward(h1, *(self.params[f"ffn.{n}"] for n in ("w1", "b1", "w2", "b2")),

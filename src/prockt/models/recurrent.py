@@ -1,4 +1,5 @@
-"""Recurrent backbone: single-layer LSTM over interaction embeddings."""
+"""Recurrent backbone: single-layer LSTM over interaction embeddings, one
+``nn.lstm`` node that takes its own input projection and output dropout."""
 
 from __future__ import annotations
 
@@ -22,8 +23,6 @@ class RecurrentKT(KTModel):
                 rng: np.random.Generator | None = None) -> nn.Tensor:
         self._check_batch(batch)
         x = self.interaction_embedding(batch, training, rng)
-
-        wx, wh, b = self.params["rnn.wx"], self.params["rnn.wh"], self.params["rnn.b"]
-        xw = nn.matmul(x, wx)  # (B, T, 4d): the input contribution for all steps at once
-        state = nn.lstm(xw, wh, b, self._dropout_mask(x.shape, training, rng))  # (B, T, d)
+        state = nn.lstm(x, *(self.params[f"rnn.{n}"] for n in ("wx", "wh", "b")),
+                        self._dropout_mask(x.shape, training, rng))  # (B, T, d)
         return self.readout(state, self.next_question_embedding(batch))

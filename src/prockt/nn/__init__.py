@@ -7,7 +7,6 @@ from .tensor import (
     feed_forward,
     layer_norm,
     lstm,
-    matmul,
     no_grad,
     readout,
 )
@@ -23,5 +22,5 @@ keep_heap()
 __all__ = [
     "Adam", "PROB_EPS", "ShapeError", "Tensor", "as_tensor", "attention", "check_gradients",
     "composite_loss", "embed", "feed_forward", "init", "layer_norm", "load_checkpoint", "lstm",
-    "matmul", "no_grad", "numeric_gradient", "readout", "save_checkpoint",
+    "no_grad", "numeric_gradient", "readout", "save_checkpoint",
 ]

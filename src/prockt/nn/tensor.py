@@ -138,27 +138,6 @@ def _dropped(op: str, value: np.ndarray, mask: np.ndarray | None, out=None) -> n
 # -- ops ------------------------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
-    """Dense layer: an N-D ``a`` (N >= 2) times a 2-D ``b``.
-
-    It runs as one 2-D GEMM in every direction: ``a`` is viewed as
-    ``(-1, k)``, so the weight gradient is one ``a2.T @ g2`` rather than a
-    stacked product summed over the leading axes.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    k, n = b.shape
-    a2 = a.data.reshape(-1, k)
-
-    def backward_fn(g):
-        g2 = g.reshape(-1, n)
-        a._accumulate((g2 @ b.data.T).reshape(a.shape))
-        b._accumulate(a2.T @ g2)
-
-    return _make((a2 @ b.data).reshape(*a.shape[:-1], n), (a, b), backward_fn, "matmul")
-
-
 def embed(terms, mask: np.ndarray | None = None) -> Tensor:
     """The sum of ``terms``, added left to right into one buffer, times the
     dropout ``mask`` (None for no dropout), as one node.
@@ -220,26 +199,30 @@ def embed(terms, mask: np.ndarray | None = None) -> Tensor:
     return _make(out, tuple(params), backward_fn, "embed")
 
 
-def lstm(xw, wh, b, mask: np.ndarray | None = None) -> Tensor:
-    """Single-layer LSTM over a (B, T, 4d) input projection; returns the
+def lstm(x, wx, wh, b, mask: np.ndarray | None = None) -> Tensor:
+    """Single-layer LSTM over (B, T, k) inputs ``x`` with its input projection
+    ``x @ wx`` (``wx`` is (k, 4d), one GEMM for all steps); returns the
     (B, T, d) hidden states times the dropout ``mask`` (None for no dropout).
 
     Gates are laid out [input, forget, cell, output] along the last axis and
     the state starts at zero. The forward does the float operations of the
-    per-step ``add``/``matmul``/``sigmoid``/``tanh``/``mul`` graph in the same
-    order, so its output matches that graph bit for bit. Every step writes
-    with ``out=`` into buffers made once per call: its gate activations fill
-    one contiguous (B, 4d) row of a time-major (T, B, 4d) array, where one
-    sigmoid covers the whole row and tanh then overwrites the cell-gate slot;
-    c, tanh(c) and h fill (B, T, d) arrays. Backward is hand-written BPTT
-    that writes each step's gate gradients into its slice of the (B, T, 4d)
-    gradient of ``xw``. It reads the undropped states: a mask makes a new output.
+    ``matmul`` and per-step ``add``/``matmul``/``sigmoid``/``tanh``/``mul``
+    graph in ``tests/reference.py`` in the same order, so its output matches
+    that graph bit for bit. Every step writes with ``out=`` into buffers made
+    once per call: its gate activations fill one contiguous (B, 4d) row of a
+    time-major (T, B, 4d) array, where one sigmoid covers the whole row and
+    tanh then overwrites the cell-gate slot; c, tanh(c) and h fill (B, T, d)
+    arrays. Backward is hand-written BPTT that writes each step's gate
+    gradients into its slice of one (B, T, 4d) array, the projection's
+    output gradient. It reads the undropped states: a mask makes a new output.
     """
-    xw, wh, b = as_tensor(xw), as_tensor(wh), as_tensor(b)
-    B, T, four_d = xw.shape
+    x, wx, wh, b = (as_tensor(t) for t in (x, wx, wh, b))
+    (B, T, k), four_d = x.shape, wx.shape[-1]
     d = four_d // 4
-    if four_d != 4 * d or wh.shape != (d, four_d) or b.shape != (four_d,):
-        raise ShapeError(f"lstm: incompatible shapes {xw.shape}, {wh.shape}, {b.shape}")
+    if wx.shape != (k, 4 * d) or wh.shape != (d, 4 * d) or b.shape != (4 * d,):
+        raise ShapeError(f"lstm: incompatible shapes {x.shape}, {wx.shape}, {wh.shape}, {b.shape}")
+    x2 = x.data.reshape(-1, k)
+    xw = (x2 @ wx.data).reshape(B, T, four_d)  # the input contribution for all steps at once
     acts = np.empty((T, B, four_d))  # i, f, o after sigmoid, g after tanh
     cs = np.empty((B, T, d))
     tcs = np.empty((B, T, d))
@@ -262,7 +245,7 @@ def lstm(xw, wh, b, mask: np.ndarray | None = None) -> Tensor:
             h_prev[:B] = hs[:, t - 1]
         # (h @ wh + xw_t) + b has the bits of (xw_t + h @ wh) + b
         np.matmul(h_prev, wh.data, out=pre_rows)
-        pre += xw.data[:, t]
+        pre += xw[:, t]
         pre += b.data
         a = acts[t]
         np.negative(pre, out=a)
@@ -279,7 +262,7 @@ def lstm(xw, wh, b, mask: np.ndarray | None = None) -> Tensor:
 
     def backward_fn(grad):
         grad = grad if mask is None else grad * mask
-        dgates = np.empty_like(xw.data)
+        dgates = np.empty((B, T, four_d))
         dh_next = dc_next = zeros
         for t in reversed(range(T)):
             i, f, g, o = gates(t)
@@ -295,12 +278,14 @@ def lstm(xw, wh, b, mask: np.ndarray | None = None) -> Tensor:
             dc_next = dc * f
             if t:
                 dh_next = np.matmul(da, wh.data.T)
-        xw._accumulate(dgates)
+        g2 = dgates.reshape(-1, four_d)
+        x._accumulate((g2 @ wx.data.T).reshape(x.shape))
+        wx._accumulate(x2.T @ g2)
         # step 0 saw h = 0, so it adds nothing to dwh
         wh._accumulate(hs[:, :-1].reshape(-1, d).T @ dgates[:, 1:].reshape(-1, four_d))
         b._accumulate(dgates.sum(axis=(0, 1)))
 
-    return _make(_dropped("lstm", hs, mask), (xw, wh, b), backward_fn, "lstm")
+    return _make(_dropped("lstm", hs, mask), (x, wx, wh, b), backward_fn, "lstm")
 
 
 def layer_norm(x, residual, gain, bias, eps: float) -> Tensor:
@@ -378,17 +363,20 @@ def feed_forward(x, w1, b1, w2, b2, mask: np.ndarray | None = None) -> Tensor:
     return _make(out, (x, w1, b1, w2, b2), backward_fn, "feed_forward")
 
 
-def attention(q, k, v, bias: np.ndarray, heads: int, mask: np.ndarray | None) -> Tensor:
-    """Multi-head scaled dot-product attention over (B, T, d) queries, keys and values.
+def attention(query, keys, wq, wk, wv, wo, key_valid: np.ndarray, heads: int,
+              mask: np.ndarray | None) -> Tensor:
+    """One causal multi-head attention block over (B, T, d) ``query`` and ``keys``.
 
-    Each of ``heads`` heads takes d/heads of the features. Scores are
-    q·kᵀ/√dh plus the additive ``bias`` (broadcast to (B, heads, T, T), hugely
-    negative where a key is hidden); their softmax is multiplied by the
-    dropout ``mask`` (None for no dropout) and applied to ``v``, and the heads
-    are merged back into (B, T, d). The forward does the float operations of
-    the node-by-node graph in ``tests/reference.py`` in the same order, so its
-    output matches that graph bit for bit. Backward goes through the softmax
-    as dS = P∘(dP − rowsum(dP∘P)) (Dao et al., 2022).
+    q = query·wq, k = keys·wk and v = keys·wv (each weight (d, d)) are split
+    into ``heads`` heads. Scores q·kᵀ/√dh get −1e9 added where the key is
+    later than the query or false in the (B, T) ``key_valid``; their softmax
+    times the dropout ``mask`` (None for none) weights v, and the merged heads
+    are projected by ``wo``. The forward does the float operations of the
+    graph in ``tests/reference.py`` in the same order, so its output matches
+    that graph bit for bit. Backward goes through the softmax as
+    dS = P∘(dP − rowsum(dP∘P)) (Dao et al., 2022), takes each projection's
+    backward as soon as its head's gradient is formed, drops dS before the
+    value product, and sums the k and v parts of ``keys``' gradient in place.
 
     One (B, heads, T, T) buffer holds the scores and then, in place, the
     probabilities; backward likewise turns one dP buffer into dS. The
@@ -399,44 +387,57 @@ def attention(q, k, v, bias: np.ndarray, heads: int, mask: np.ndarray | None) ->
     arguments. The test is negated, so a NaN is not taken for an underflow:
     it goes through exp and the division as NaN, not as a 0/0.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    B, T, d = q.shape
+    query, keys, wq, wk, wv, wo = (as_tensor(t) for t in (query, keys, wq, wk, wv, wo))
+    key_valid = np.asarray(key_valid, dtype=bool)
+    B, T, d = query.shape
     dh = d // heads
-    if k.shape != q.shape or v.shape != q.shape or dh * heads != d:
-        raise ShapeError(f"attention: incompatible shapes {q.shape}, {k.shape}, {v.shape} "
-                         f"for {heads} heads")
+    if (keys.shape != query.shape or dh * heads != d or key_valid.shape != (B, T)
+            or any(w.shape != (d, d) for w in (wq, wk, wv, wo))):
+        raise ShapeError(f"attention: incompatible shapes {query.shape}, {keys.shape}, "
+                         f"{[w.shape for w in (wq, wk, wv, wo)]}, {key_valid.shape}, {heads} heads")
 
-    def split(t):  # (B, T, d) -> (B, heads, T, dh)
+    def split(t):  # (B·T, d) -> (B, heads, T, dh)
         return t.reshape(B, T, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(t):  # (B, heads, T, dh) -> (B, T, d)
-        return t.transpose(0, 2, 1, 3).reshape(B, T, d)
+    def merge(t):  # (B, heads, T, dh) -> (B·T, d)
+        return t.transpose(0, 2, 1, 3).reshape(-1, d)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    query2, keys2 = query.data.reshape(-1, d), keys.data.reshape(-1, d)
+    qh, kh, vh = split(query2 @ wq.data), split(keys2 @ wk.data), split(keys2 @ wv.data)
     scale = 1.0 / np.sqrt(dh)
     probs = np.matmul(qh, kh.transpose(0, 1, 3, 2))  # the scores, then their softmax
     probs *= scale
-    probs += bias
+    causal = np.tril(np.ones((T, T), dtype=bool))
+    probs += np.where(causal[None, None, :, :] & key_valid[:, None, None, :], 0.0, -1e9)
     probs -= probs.max(axis=-1, keepdims=True)
     underflow = probs < -746.0
     np.exp(probs, out=probs, where=~underflow)
     np.copyto(probs, 0.0, where=underflow)
     probs /= probs.sum(axis=-1, keepdims=True)
     weights = _dropped("attention", probs, mask)
+    ctx2 = merge(np.matmul(weights, vh))
+
+    def project_back(g2, x2, w):  # x2 @ w's backward in matmul's order: x2's gradient, then w's
+        dx2 = g2 @ w.data.T
+        w._accumulate(x2.T @ g2)
+        return dx2
 
     def backward_fn(g):
-        gh = split(g)
+        gh = split(project_back(g.reshape(-1, d), ctx2, wo))
         ds = np.matmul(gh, vh.transpose(0, 1, 3, 2))  # dP, then dS
         if mask is not None:
             ds *= mask
         ds -= (ds * probs).sum(axis=-1, keepdims=True)
         ds *= probs
         ds *= scale
-        q._accumulate(merge(np.matmul(ds, kh)))
-        k._accumulate(merge(np.matmul(ds.transpose(0, 1, 3, 2), qh)))
-        v._accumulate(merge(np.matmul(weights.transpose(0, 1, 3, 2), gh)))
+        query._accumulate(project_back(merge(np.matmul(ds, kh)), query2, wq).reshape(B, T, d))
+        dkeys = project_back(merge(np.matmul(ds.transpose(0, 1, 3, 2), qh)), keys2, wk)
+        del ds
+        dkeys += project_back(merge(np.matmul(weights.transpose(0, 1, 3, 2), gh)), keys2, wv)
+        keys._accumulate(dkeys.reshape(B, T, d))
 
-    return _make(merge(np.matmul(weights, vh)), (q, k, v), backward_fn, "attention")
+    return _make((ctx2 @ wo.data).reshape(B, T, d), (query, keys, wq, wk, wv, wo), backward_fn,
+                 "attention")
 
 
 def readout(state, next_q, w, b, limit: float) -> Tensor:

@@ -17,76 +17,81 @@ from .models.base import LOGIT_CLAMP
 REL_TOL = 1e-4
 
 
-def _rand(rng, *shape):
-    return nn.Tensor(rng.normal(0.0, 1.0, size=shape), requires_grad=True)
+def _reduce(x):
+    """sum(w·x) for the fixed weights w = sin(1), sin(2), ...: one node built
+    here, so that no op stays in ``nn`` only for this check."""
+    w = np.sin(np.arange(1.0, x.size + 1)).reshape(x.shape)
+    return nn.Tensor((x.data * w).sum(), parents=(x,), backward_fn=lambda g: x._accumulate(g * w))
+
+
+def _leaves(rng, *shapes):
+    return [nn.Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+
+
+def _mask(rng, shape, keep=0.5):
+    """An inverted-dropout mask that keeps each entry with probability ``keep``."""
+    return (rng.random(shape) < keep) / keep
+
+
+def _embed(rng, name):
+    params = _leaves(rng, (5, 3), (4, 3), (2, 3), (3,))
+    terms = [(t, rng.integers(0, len(t.data), size=(2, 4))) for t in params[:2]]
+    if name == "embed":
+        return lambda: _reduce(nn.embed(terms)), params[:2]
+    terms.insert(1, (rng.normal(size=(2, 4, 2)), *params[2:]))  # a dense term between them
+    mask = _mask(rng, (2, 4, 3))
+    return lambda: _reduce(nn.embed(terms, mask)), params
+
+
+def _feed_forward(rng, name):
+    x, w1, b1, _, _ = params = _leaves(rng, (2, 3, 4), (4, 5), (5,), (5, 4), (4,))
+    while np.abs(x.data @ w1.data + b1.data).min() < 1e-2:  # 100 steps from relu's kink
+        b1.data = rng.normal(size=5)
+    mask = _mask(rng, (2, 3, 4)) if name.endswith("_dropout") else None
+    return lambda: _reduce(nn.feed_forward(*params, mask)), params
+
+
+def _lstm(rng, name):
+    params = _leaves(rng, (2, 3, 2), (2, 8), (2, 8), (8,))  # B=2, T=3, k=2, d=2
+    mask = _mask(rng, (2, 3, 2)) if name.endswith("_dropout") else None
+    return lambda: _reduce(nn.lstm(*params, mask)), params
+
+
+def _layer_norm(rng, name):
+    params = _leaves(rng, (2, 3, 8), (2, 3, 8), (8,), (8,))
+    return lambda: _reduce(nn.layer_norm(*params, 1e-5)), params
+
+
+def _attention(rng, name):
+    params = _leaves(rng, (2, 3, 4), (2, 3, 4), (4, 4), (4, 4), (4, 4), (4, 4))  # 2 heads of 2
+    key_valid = np.array([[True, True, True], [True, True, False]])  # a padded last key
+    mask = _mask(rng, (2, 2, 3, 3), keep=0.8)
+    return lambda: _reduce(nn.attention(*params, key_valid, 2, mask)), params
+
+
+def _readout(rng, name):
+    # all statuskt heads at once, as ``KTModel.readout`` reads them out
+    params = _leaves(rng, (2, 3, 2), (2, 3, 2), (4, 5), (5,))
+    if name == "readout":
+        return lambda: _reduce(nn.readout(*params, LOGIT_CLAMP)), params
+    labels, valid = (rng.random((2, 3)) < 0.5) * 1.0, (rng.random((2, 3)) < 0.6) * 1.0
+    mp_targets, mp_mask = rng.random((2, 3, 4)), (rng.random((2, 3, 4)) < 0.7) * 1.0
+    return (lambda: nn.composite_loss(labels, nn.readout(*params, LOGIT_CLAMP), mp_targets,
+                                      mp_mask, valid, 0.5)), params
+
+
+# each case's builder, called with the case's generator and name
+CASES = {"embed": _embed, "embed_dense_dropout": _embed, "feed_forward": _feed_forward,
+         "feed_forward_dropout": _feed_forward, "lstm": _lstm, "lstm_dropout": _lstm,
+         "layer_norm": _layer_norm, "attention": _attention, "readout": _readout,
+         "composite_loss": _readout}
 
 
 def op_cases(seed: int):
-    """(name, loss_fn, params) triples; every loss_fn reduces to a scalar."""
-    rng = np.random.default_rng(seed)
-    a23 = _rand(rng, 2, 3)
-    rng.normal(size=(2, 3))  # a retired case's draws keep every later value as it was
-    m34 = _rand(rng, 3, 4)
-    table, table2 = _rand(rng, 5, 3), _rand(rng, 4, 3)
-    idx, idx2 = rng.integers(0, 5, size=(2, 4)), rng.integers(0, 4, size=(2, 4))
-    dense_x, dense_w, dense_b = rng.normal(size=(2, 4, 2)), _rand(rng, 2, 3), _rand(rng, 3)
-    mask = (rng.random((2, 3)) < 0.6).astype(float)
-    labels = (rng.random((2, 3)) < 0.5).astype(float)
-    rng.random((2, 3))
-    xw = _rand(rng, 2, 3, 8)  # B=2, T=3, d=2
-    wh = _rand(rng, 2, 8)
-    bias = _rand(rng, 8)
-    a234 = _rand(rng, 2, 3, 4)  # a dense layer over (B, T, k)
-    m42 = _rand(rng, 4, 2)
-    w1, b1, w2, b2 = _rand(rng, 4, 5), _rand(rng, 5), _rand(rng, 5, 4), _rand(rng, 4)
-    ln_x, gain, shift = _rand(rng, 2, 3, 8), _rand(rng, 8), _rand(rng, 8)
-    q, k, v = _rand(rng, 2, 3, 4), _rand(rng, 2, 3, 4), _rand(rng, 2, 3, 4)  # 2 heads of 2
-    padded = np.zeros((2, 1, 1, 3), dtype=bool)
-    padded[1, ..., 2] = True  # the second sequence's last key
-    attn_bias = np.where(np.triu(np.ones((3, 3), dtype=bool), 1) | padded, -1e9, 0.0)
-    attn_mask = (rng.random((2, 2, 3, 3)) < 0.8) / 0.8
-    mp_targets = rng.random((2, 3, 4))
-    mp_mask = (rng.random((2, 3, 4)) < 0.7).astype(float)
-    state, next_q = _rand(rng, 2, 3, 2), _rand(rng, 2, 3, 2)
-    # the statuskt heads: correctness, then the four proficiency ratios
-    head_w, head_b = _rand(rng, 4, 5), _rand(rng, 5)
-    ln_res = _rand(rng, 2, 3, 8)
-    # dropout masks at rate 0.5 for embed, feed_forward and lstm
-    embed_mask, ffn_mask, lstm_mask = ((rng.random(shape) < 0.5) / 0.5
-                                       for shape in ((2, 4, 3), (2, 3, 4), (2, 3, 2)))
-
-    def reduce(x):
-        """sum(w·x) for the fixed weights w = sin(1), sin(2), ...: one node
-        built here, so that no op stays in ``nn`` only for this check."""
-        w = np.sin(np.arange(1.0, x.size + 1)).reshape(x.shape)
-        return nn.Tensor((x.data * w).sum(), parents=(x,),
-                         backward_fn=lambda g: x._accumulate(g * w))
-
-    def head():  # as ``KTModel.readout`` reads all heads out at once
-        return nn.readout(state, next_q, head_w, head_b, LOGIT_CLAMP)
-
-    def loss():
-        return nn.composite_loss(labels, head(), mp_targets, mp_mask, mask, 0.5)
-
-    return [
-        ("matmul", lambda: reduce(nn.matmul(a23, m34)), [a23, m34]),
-        ("matmul_3d", lambda: reduce(nn.matmul(a234, m42)), [a234, m42]),
-        ("embed", lambda: reduce(nn.embed([(table, idx), (table2, idx2)])), [table, table2]),
-        ("embed_dense_dropout", lambda: reduce(nn.embed(
-            [(table, idx), (dense_x, dense_w, dense_b), (table2, idx2)], embed_mask)),
-         [table, table2, dense_w, dense_b]),
-        ("feed_forward", lambda: reduce(nn.feed_forward(a234, w1, b1, w2, b2)),
-         [a234, w1, b1, w2, b2]),
-        ("feed_forward_dropout", lambda: reduce(nn.feed_forward(a234, w1, b1, w2, b2, ffn_mask)),
-         [a234, w1, b1, w2, b2]),
-        ("lstm", lambda: reduce(nn.lstm(xw, wh, bias)), [xw, wh, bias]),
-        ("lstm_dropout", lambda: reduce(nn.lstm(xw, wh, bias, lstm_mask)), [xw, wh, bias]),
-        ("layer_norm", lambda: reduce(nn.layer_norm(ln_x, ln_res, gain, shift, 1e-5)),
-         [ln_x, ln_res, gain, shift]),
-        ("attention", lambda: reduce(nn.attention(q, k, v, attn_bias, 2, attn_mask)), [q, k, v]),
-        ("readout", lambda: reduce(head()), [state, next_q, head_w, head_b]),
-        ("composite_loss", loss, [state, next_q, head_w, head_b]),
-    ]
+    """(name, loss_fn, params) triples; every loss_fn reduces to a scalar. Each
+    case draws from its own generator, named after it, so adding or dropping a
+    case changes no other case's values."""
+    return [(name, *build(nn.init.named_rng(seed, name), name)) for name, build in CASES.items()]
 
 
 def check_ops(seeds=range(100)) -> dict[str, float]:

@@ -2,9 +2,9 @@
 
 The ops here are the autodiff primitives that no program calls any more:
 the elementwise, reduction and reshaping ops, ``relu``,
-``embedding_lookup``, ``slice_`` (basic indexing), the stacked branch of
-``matmul``, and ``dropout`` drawing its own mask. With them, ``embed`` is
-the oracle of ``nn.embed`` and ``feed_forward`` that of
+``embedding_lookup``, ``slice_`` (basic indexing), ``matmul`` (a dense
+layer) and ``stacked_matmul``, and ``dropout`` drawing its own mask. With
+them, ``embed`` is the oracle of ``nn.embed`` and ``feed_forward`` that of
 ``nn.feed_forward``; ``interaction_embedding`` and
 ``next_question_embedding`` build a model's embeddings as the lookups and
 adds they were before each became one ``embed`` node. ``readout`` is the
@@ -18,14 +18,16 @@ training loop did before ``nn.composite_loss`` made it one node.
 ``layer_norm``, ``attention`` and ``unfused_attention_forward`` build the
 attention block node by node, as ``AttentionKT.forward`` did before
 ``nn.layer_norm`` and ``nn.attention`` replaced it; ``nn.layer_norm``'s
-residual is the ``add`` before ``layer_norm`` here.
+residual is the ``add`` before ``layer_norm`` here, and ``nn.attention``'s
+projections and causal key bias are the ``matmul`` nodes and the bias
+array around the attention graph.
 ``layer_norm_closed_form`` is ``nn.layer_norm`` computing every
 intermediate into a new array, the bit-for-bit oracle of its gradients.
 ``unrolled_lstm`` and ``unrolled_recurrent_forward`` build the LSTM step
-by step, as ``RecurrentKT.forward`` did before ``nn.lstm``. Each dropout
-mask is one plain draw at its activation's shape, and ``dropout`` is the
-node that ``nn.embed``, ``nn.feed_forward`` and ``nn.lstm`` fold in when
-given that mask.
+by step after its input projection's ``matmul``, as ``RecurrentKT.forward``
+did before ``nn.lstm``. Each dropout mask is one plain draw at its
+activation's shape, and ``dropout`` is the node that ``nn.embed``,
+``nn.feed_forward`` and ``nn.lstm`` fold in when given that mask.
 
 The ``render_*`` functions are the pipeline's prompt renderers as a chain
 of ``str.replace`` calls with one ``json.dumps`` per JSON piece, the way
@@ -92,6 +94,27 @@ def add(a, b) -> nn.Tensor:
         b._accumulate(_unbroadcast(g, b.shape))
 
     return _make(out_data, (a, b), backward_fn, "add")
+
+
+def matmul(a, b) -> nn.Tensor:
+    """Dense layer: an N-D ``a`` (N >= 2) times a 2-D ``b``.
+
+    It runs as one 2-D GEMM in every direction: ``a`` is viewed as
+    ``(-1, k)``, so the weight gradient is one ``a2.T @ g2`` rather than a
+    stacked product summed over the leading axes.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    k, n = b.shape
+    a2 = a.data.reshape(-1, k)
+
+    def backward_fn(g):
+        g2 = g.reshape(-1, n)
+        a._accumulate((g2 @ b.data.T).reshape(a.shape))
+        b._accumulate(a2.T @ g2)
+
+    return _make((a2 @ b.data).reshape(*a.shape[:-1], n), (a, b), backward_fn, "matmul")
 
 
 def stacked_matmul(a, b) -> nn.Tensor:
@@ -258,14 +281,14 @@ def embed(terms) -> nn.Tensor:
             value = embedding_lookup(*term)
         else:
             x, w, b = term
-            value = add(nn.matmul(nn.Tensor(x), w), b)
+            value = add(matmul(nn.Tensor(x), w), b)
         out = value if out is None else add(out, value)
     return out
 
 
 def feed_forward(x, w1, b1, w2, b2) -> nn.Tensor:
     """``nn.feed_forward`` as the ``matmul``/``add``/``relu`` graph."""
-    return add(nn.matmul(relu(add(nn.matmul(x, w1), b1)), w2), b2)
+    return add(matmul(relu(add(matmul(x, w1), b1)), w2), b2)
 
 
 def dropout(a, rate: float, rng: np.random.Generator | None = None,
@@ -389,7 +412,7 @@ def composite_loss(r_gt, probs, mp_gt, mp_mask, valid_mask, alpha) -> nn.Tensor:
 def readout(state, next_q, w, b, limit) -> nn.Tensor:
     """``nn.readout`` as a graph: one matmul of ``[state | next_q]`` by the
     heads' weight, plus their bias, then clamp and sigmoid."""
-    logits = add(nn.matmul(concat([state, next_q]), w), b)
+    logits = add(matmul(concat([state, next_q]), w), b)
     return sigmoid(clamp(logits, -limit, limit))
 
 
@@ -408,7 +431,7 @@ def interaction_embedding(model, batch) -> nn.Tensor:
                       embedding_lookup(params["embed.concept"], batch.concept_ids)),
                embedding_lookup(params["embed.response"], batch.correctness))
     if model.config.variant == "statuskt":
-        fused = add(nn.matmul(nn.Tensor(batch.mp_inputs), params["mp.proj.weight"]),
+        fused = add(matmul(nn.Tensor(batch.mp_inputs), params["mp.proj.weight"]),
                        params["mp.proj.bias"])
         e = add(e, fused)
     return e
@@ -443,21 +466,27 @@ def layer_norm_closed_form(x, residual, gain, bias, eps=LAYER_NORM_EPS) -> nn.Te
                  "layer_norm")
 
 
-def attention(q, k, v, bias, heads, mask) -> nn.Tensor:
-    """``nn.attention`` as a graph: the heads split by ``reshape`` and
-    ``transpose``, the scaled scores, ``softmax`` and the dropout ``mul``,
-    and the heads merged back."""
+def attention(query, keys, wq, wk, wv, wo, key_valid, heads, mask) -> nn.Tensor:
+    """``nn.attention`` as a graph: the ``matmul`` projections, the heads
+    split by ``reshape`` and ``transpose``, the scaled scores plus the causal
+    key bias, ``softmax`` and the dropout ``mul``, the heads merged back and
+    the output projection."""
+    q, k, v = matmul(query, wq), matmul(keys, wk), matmul(keys, wv)
     B, T, d = q.shape
     dh = d // heads
 
     def split(t):
         return transpose(reshape(t, (B, T, heads, dh)), (0, 2, 1, 3))
 
+    causal = np.tril(np.ones((T, T), dtype=bool))
+    allowed = causal[None, None, :, :] & np.asarray(key_valid, dtype=bool)[:, None, None, :]
+    bias = np.where(allowed, 0.0, MASK_FILL)
     scores = mul(stacked_matmul(split(q), transpose(split(k), (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     weights = softmax(add(scores, bias))
     if mask is not None:
         weights = mul(weights, mask)
-    return reshape(transpose(stacked_matmul(weights, split(v)), (0, 2, 1, 3)), (B, T, d))
+    ctx = reshape(transpose(stacked_matmul(weights, split(v)), (0, 2, 1, 3)), (B, T, d))
+    return matmul(ctx, wo)
 
 
 def unfused_attention_forward(model, batch, training=False, rng=None):
@@ -471,19 +500,12 @@ def unfused_attention_forward(model, batch, training=False, rng=None):
     x = dropout(x, cfg.dropout, rng, training)
     next_q = next_question_embedding(model, batch)
 
-    q = nn.matmul(next_q, params["attn.wq"])
-    k = nn.matmul(x, params["attn.wk"])
-    v = nn.matmul(x, params["attn.wv"])
-    causal = np.tril(np.ones((T, T), dtype=bool))
-    key_valid = batch.valid_mask.astype(bool)[:, None, None, :]
-    allowed = causal[None, None, :, :] & key_valid
-    bias = np.where(allowed, 0.0, MASK_FILL)
     weight_mask = None
     if training and cfg.dropout:  # drawn as ``dropout`` draws it
         keep = rng.random((B, cfg.attention_heads, T, T)) >= cfg.dropout
         weight_mask = keep * (1.0 / (1.0 - cfg.dropout))
-    ctx = attention(q, k, v, bias, cfg.attention_heads, weight_mask)
-    ctx = nn.matmul(ctx, params["attn.wo"])
+    ctx = attention(next_q, x, *(params[f"attn.{n}"] for n in ("wq", "wk", "wv", "wo")),
+                    batch.valid_mask, cfg.attention_heads, weight_mask)
 
     h1 = layer_norm(add(ctx, next_q), params["ln1.gain"], params["ln1.bias"])
     f = feed_forward(h1, params["ffn.w1"], params["ffn.b1"], params["ffn.w2"], params["ffn.b2"])
@@ -492,15 +514,17 @@ def unfused_attention_forward(model, batch, training=False, rng=None):
     return model.readout(state, next_q)
 
 
-def unrolled_lstm(xw, wh, b) -> nn.Tensor:
-    """``nn.lstm`` as per-step ``add``/``matmul``/``sigmoid``/``tanh``/``mul`` nodes."""
+def unrolled_lstm(x, wx, wh, b) -> nn.Tensor:
+    """``nn.lstm`` as the input projection's ``matmul`` and per-step
+    ``add``/``matmul``/``sigmoid``/``tanh``/``mul`` nodes."""
+    xw = matmul(x, wx)
     B, T, four_d = xw.shape
     d = four_d // 4
     h = nn.Tensor(np.zeros((B, d)))
     c = nn.Tensor(np.zeros((B, d)))
     hs = []
     for t in range(T):
-        gates = add(add(slice_(xw, np.s_[:, t, :]), nn.matmul(h, wh)), b)
+        gates = add(add(slice_(xw, np.s_[:, t, :]), matmul(h, wh)), b)
         i = sigmoid(slice_(gates, np.s_[:, 0 * d:1 * d]))
         f = sigmoid(slice_(gates, np.s_[:, 1 * d:2 * d]))
         g = tanh(slice_(gates, np.s_[:, 2 * d:3 * d]))
@@ -516,8 +540,7 @@ def unrolled_recurrent_forward(model, batch, training=False, rng=None):
     params = model.params
     rate = model.config.dropout
     x = dropout(interaction_embedding(model, batch), rate, rng, training)
-    xw = nn.matmul(x, params["rnn.wx"])
-    state = unrolled_lstm(xw, params["rnn.wh"], params["rnn.b"])
+    state = unrolled_lstm(x, params["rnn.wx"], params["rnn.wh"], params["rnn.b"])
     state = dropout(state, rate, rng, training)
     return model.readout(state, next_question_embedding(model, batch))
 

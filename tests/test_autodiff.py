@@ -6,10 +6,10 @@ import pytest
 
 import reference as ref
 from prockt import nn
-from prockt.nn import heap
 from prockt.models import ModelConfig, build_model
 from prockt.nn import Adam, ShapeError, Tensor, check_gradients, composite_loss
-from prockt.verify import check_ops, toy_batch
+from prockt.nn import gradcheck, heap
+from prockt.verify import check_ops, op_cases, toy_batch
 
 
 class TestForwardValues:
@@ -18,7 +18,7 @@ class TestForwardValues:
 
     def test_matmul_identity(self, rng):
         a = rng.normal(size=(4, 4))
-        out = nn.matmul(Tensor(a), Tensor(np.eye(4)))
+        out = ref.matmul(Tensor(a), Tensor(np.eye(4)))
         np.testing.assert_array_equal(out.data, a)
 
     @pytest.mark.parametrize("shape,transposed", [((3, 4, 5), False), ((2, 3, 4, 5), False),
@@ -32,7 +32,7 @@ class TestForwardValues:
         a = Tensor(a_data, requires_grad=True)
         w = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
         g = rng.normal(size=(*shape[:-1], 6))
-        out = nn.matmul(a, w)
+        out = ref.matmul(a, w)
         ref.sum_(ref.mul(out, g)).backward()
         np.testing.assert_allclose(out.data, np.matmul(a_data, w.data), rtol=1e-12)
         np.testing.assert_allclose(a.grad, np.matmul(g, w.data.T), rtol=1e-12)
@@ -42,17 +42,22 @@ class TestForwardValues:
 
     def test_softmax_of_constant_row_is_uniform(self, rng):
         # zero queries score every key alike, so each position averages the
-        # values of the keys the causal bias leaves it
-        v = rng.normal(size=(2, 5, 4))
-        causal = np.where(np.tril(np.ones((5, 5), dtype=bool)), 0.0, -1e9)
-        out = nn.attention(Tensor(np.zeros((2, 5, 4))), Tensor(rng.normal(size=(2, 5, 4))),
-                           Tensor(v), causal, 2, None)
-        expect = np.cumsum(v, axis=1) / np.arange(1, 6)[None, :, None]
+        # values of the keys the causal mask leaves it; every projection is
+        # the identity, so the values are the keys
+        keys, eye = rng.normal(size=(2, 5, 4)), np.eye(4)
+        out = nn.attention(np.zeros((2, 5, 4)), keys, eye, eye, eye, eye, np.ones((2, 5)), 2,
+                           None)
+        expect = np.cumsum(keys, axis=1) / np.arange(1, 6)[None, :, None]
         np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self, rng):
-        q, k = rng.normal(size=(3, 7, 4)) * 50, rng.normal(size=(3, 7, 4))
-        out = nn.attention(Tensor(q), Tensor(k), Tensor(np.ones((3, 7, 4))), 0.0, 2, None)
+        # keys' first feature is 1 and wv copies it into every value feature,
+        # so each position's output is its row of attention weights summed
+        query, keys = rng.normal(size=(3, 7, 4)) * 50, rng.normal(size=(3, 7, 4))
+        keys[..., 0] = 1.0
+        wv, eye = np.zeros((4, 4)), np.eye(4)
+        wv[0] = 1.0
+        out = nn.attention(query, keys, eye, eye, wv, eye, np.ones((3, 7)), 2, None)
         np.testing.assert_allclose(out.data, 1.0, atol=1e-12)
 
     def test_clamp_values(self):
@@ -233,38 +238,58 @@ class TestShapeErrors:
 
     def test_matmul_mismatch(self):
         with pytest.raises(ShapeError):
-            nn.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+            ref.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
 
     def test_dense_matmul_mismatch(self):
         with pytest.raises(ShapeError):
-            nn.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((4, 5))))
+            ref.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((4, 5))))
 
     @pytest.mark.parametrize("a_shape, b_shape", [((2, 3, 4), (2, 4, 5)), ((3,), (3, 2)),
                                                   ((2, 3), (3,))])
     def test_matmul_weight_must_be_2d(self, a_shape, b_shape):
         with pytest.raises(ShapeError):
-            nn.matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
+            ref.matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
 
     def test_fused_op_mismatch(self):
-        x = Tensor(np.ones((2, 3, 4)))
+        x, w, valid = Tensor(np.ones((2, 3, 4))), np.ones((4, 4)), np.ones((2, 3))
         with pytest.raises(ShapeError, match="layer_norm"):
             nn.layer_norm(x, x, Tensor(np.ones(3)), Tensor(np.zeros(4)), 1e-5)
         with pytest.raises(ShapeError, match="layer_norm"):  # a residual of another shape
             nn.layer_norm(x, Tensor(np.ones((2, 3, 1))), Tensor(np.ones(4)), Tensor(np.zeros(4)),
                           1e-5)
-        with pytest.raises(ShapeError):
-            nn.attention(x, x, x, 0.0, 3, None)  # 3 heads do not divide 4 features
-        with pytest.raises(ShapeError):
-            nn.attention(x, x, Tensor(np.ones((2, 3, 2))), 0.0, 2, None)
+        with pytest.raises(ShapeError, match="attention"):  # 3 heads do not divide 4 features
+            nn.attention(x, x, w, w, w, w, valid, 3, None)
+        with pytest.raises(ShapeError, match="attention"):  # keys of another shape
+            nn.attention(x, Tensor(np.ones((2, 3, 2))), w, w, w, w, valid, 2, None)
         with pytest.raises(ShapeError):  # 4 + 4 inputs, a weight for 7
             nn.readout(x, x, Tensor(np.ones((7, 1))), Tensor(np.zeros(1)), 15.0)
         with pytest.raises(ShapeError, match="embed: a table must be 2-d"):
             nn.embed([(x, np.array([[0, 1]]))])
         with pytest.raises(ShapeError, match="lstm"):  # d = 1 of 4 gates, a (4, 4) wh
-            nn.lstm(x, Tensor(np.ones((4, 4))), Tensor(np.zeros(4)))
+            nn.lstm(x, Tensor(np.ones((4, 4))), Tensor(np.ones((4, 4))), Tensor(np.zeros(4)))
         with pytest.raises(ShapeError, match="feed_forward"):  # 4 features, a (3, 8) w1
             nn.feed_forward(x, Tensor(np.ones((3, 8))), Tensor(np.zeros(8)),
                             Tensor(np.ones((8, 4))), Tensor(np.zeros(4)))
+
+    def test_lstm_input_weight_must_match_input_width(self):
+        # 4 input features, a wx with 3 rows (d = 2: wh is (2, 8), b is (8,))
+        with pytest.raises(ShapeError, match="^lstm: incompatible shapes"):
+            nn.lstm(np.ones((2, 3, 4)), np.ones((3, 8)), np.ones((2, 8)), np.zeros(8))
+
+    @pytest.mark.parametrize("which", ("wq", "wk", "wv", "wo"))
+    @pytest.mark.parametrize("shape", ((4, 3), (3, 4)))
+    def test_attention_projection_must_be_d_by_d(self, which, shape):
+        x = np.ones((2, 3, 4))
+        weights = {name: np.ones((4, 4)) for name in ("wq", "wk", "wv", "wo")}
+        weights[which] = np.ones(shape)
+        with pytest.raises(ShapeError, match="^attention: incompatible shapes"):
+            nn.attention(x, x, *weights.values(), np.ones((2, 3)), 2, None)
+
+    @pytest.mark.parametrize("shape", ((2, 4), (3, 3), (2, 3, 1)))
+    def test_attention_key_valid_must_be_batch_by_steps(self, shape):
+        x, w = np.ones((2, 3, 4)), np.ones((4, 4))
+        with pytest.raises(ShapeError, match="^attention: incompatible shapes"):
+            nn.attention(x, x, w, w, w, w, np.ones(shape), 2, None)
 
     def test_masked_mean_mask_mismatch(self):
         with pytest.raises(ShapeError):
@@ -279,9 +304,10 @@ class TestShapeErrors:
                                             np.zeros(4))], mask),
                 "feed_forward": lambda: nn.feed_forward(x, np.ones((4, 5)), np.zeros(5),
                                                         np.ones((5, 4)), np.zeros(4), mask),
-                "lstm": lambda: nn.lstm(np.ones((2, 3, 16)), np.ones((4, 16)), np.zeros(16),
+                "lstm": lambda: nn.lstm(x, np.ones((4, 16)), np.ones((4, 16)), np.zeros(16),
                                         mask),
-                "attention": lambda: nn.attention(x, x, x, 0.0, 2, mask)}[op]
+                "attention": lambda: nn.attention(x, x, *[np.ones((4, 4))] * 4, np.ones((2, 3)),
+                                                  2, mask)}[op]
         with pytest.raises(ShapeError, match=f"^{op}: dropout mask"):
             call()
 
@@ -339,6 +365,15 @@ class TestNumericGradients:
         bad = {name: err for name, err in worst.items() if err >= 1e-4}
         assert not bad, bad
 
+    def test_feed_forward_cases_keep_clear_of_relu_kink(self):
+        # a pre-activation within a few difference steps of 0 would make the
+        # central difference straddle the kink, however right the gradient
+        for seed in range(100):
+            for name, _, params in op_cases(seed):
+                if name.startswith("feed_forward"):
+                    x, w1, b1 = (p.data for p in params[:3])
+                    assert np.abs(x @ w1 + b1).min() >= 100 * gradcheck.EPS, (seed, name)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_composite_expression(self, seed):
         rng = np.random.default_rng(seed)
@@ -347,7 +382,7 @@ class TestNumericGradients:
         x = np.random.default_rng(seed + 100).normal(size=(5, 4))
 
         def f():
-            h = ref.tanh(ref.add(nn.matmul(Tensor(x), w), b))
+            h = ref.tanh(ref.add(ref.matmul(Tensor(x), w), b))
             return ref.mean(ref.mul(ref.softmax(h), h))
 
         assert check_gradients(f, [w, b]) < 1e-6

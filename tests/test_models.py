@@ -478,15 +478,19 @@ class TestFeedForwardOp:
 
 
 def attention_inputs(rng, masked=True):
-    """q, k, v for 2 heads of 2 over 5 steps; a causal bias that also hides
-    the second sequence's last two keys; a dropout mask; an incoming gradient
-    with signed zeros."""
-    arrays = [rng.normal(size=(2, 5, 4)) for _ in range(3)]
-    hidden = np.triu(np.ones((5, 5), dtype=bool), 1) | np.zeros((2, 1, 1, 5), dtype=bool)
-    hidden[1, ..., 3:] = True
-    bias = np.where(hidden, -1e9, 0.0)
+    """Queries and keys for 2 heads of 2 over 5 steps, and the four (4, 4)
+    projections; a ``key_valid`` that hides the second sequence's last two
+    keys; a dropout mask; an incoming gradient with signed zeros."""
+    arrays = [rng.normal(size=shape) for shape in [(2, 5, 4)] * 2 + [(4, 4)] * 4]
+    key_valid = np.ones((2, 5), dtype=bool)
+    key_valid[1, 3:] = False
     mask = (rng.random((2, 2, 5, 5)) >= 0.3) * (1.0 / 0.7) if masked else None
-    return arrays, bias, mask, signed_zeros(rng.normal(size=(2, 5, 4)))
+    return arrays, key_valid, mask, signed_zeros(rng.normal(size=(2, 5, 4)))
+
+
+def attention_op(op, key_valid, mask):
+    """``op`` (``nn.attention`` or ``ref.attention``) as a function of its six tensors."""
+    return lambda *leaves: op(*leaves, key_valid, 2, mask)
 
 
 class TestAttentionOp:
@@ -496,15 +500,14 @@ class TestAttentionOp:
 
     @pytest.mark.parametrize("masked", (True, False))
     def test_matches_graph(self, rng, masked):
-        arrays, bias, mask, g = attention_inputs(rng, masked)
-        got, want = (run_op(lambda q, k, v: op(q, k, v, bias, 2, mask), arrays, g)
+        arrays, key_valid, mask, g = attention_inputs(rng, masked)
+        got, want = (run_op(attention_op(op, key_valid, mask), arrays, g)
                      for op in (nn.attention, ref.attention))
         assert_same_bits(got, want)
 
     def test_backward_twice_doubles_gradients(self, rng):
-        arrays, bias, mask, g = attention_inputs(rng)
-        assert_backward_twice_doubles(lambda q, k, v: nn.attention(q, k, v, bias, 2, mask),
-                                      arrays, g)
+        arrays, key_valid, mask, g = attention_inputs(rng)
+        assert_backward_twice_doubles(attention_op(nn.attention, key_valid, mask), arrays, g)
 
 
 def layer_norm(x, residual, gain, bias):
@@ -546,16 +549,16 @@ class TestNonFiniteInputs:
     """A NaN in one input row gives NaN in exactly the output and gradient
     positions where tests/reference.py's graph gives it."""
 
-    @pytest.mark.parametrize("operand", (0, 1, 2))  # q, k, v
+    @pytest.mark.parametrize("operand", (0, 1, 2))  # query, keys, wq
     def test_attention(self, rng, operand):
         # a NaN score makes its row NaN, and the row stays NaN through exp
         # and the division; had the exp guard taken it for an underflow and
         # written 0 there, the row would be 0/0, which raises here
-        arrays, bias, mask, g = attention_inputs(rng)
-        arrays[operand][1, 2, 0] = np.nan
+        arrays, key_valid, mask, g = attention_inputs(rng)
+        arrays[operand][(1, 2, 0)[-arrays[operand].ndim:]] = np.nan
         with np.errstate(invalid="raise"):
-            got = run_op(lambda q, k, v: nn.attention(q, k, v, bias, 2, mask), arrays, g)
-        want = run_op(lambda q, k, v: ref.attention(q, k, v, bias, 2, mask), arrays, g)
+            got = run_op(attention_op(nn.attention, key_valid, mask), arrays, g)
+        want = run_op(attention_op(ref.attention, key_valid, mask), arrays, g)
         self.assert_same_nans(got, want)
 
     def test_layer_norm(self, rng):
@@ -683,9 +686,11 @@ class TestFusedLSTM:
         assert ops[0] == "readout"  # the output is the readout node itself
 
     @staticmethod
-    def lstm_inputs(rng, T, B=3, d=4):
+    def lstm_inputs(rng, T, B=3, k=5, d=4):
+        """x, wx, wh and b, and an incoming gradient."""
         return [nn.Tensor(rng.normal(size=shape), requires_grad=True)
-                for shape in ((B, T, 4 * d), (d, 4 * d), (4 * d,))], rng.normal(size=(B, T, d))
+                for shape in ((B, T, k), (k, 4 * d), (d, 4 * d), (4 * d,))], \
+            rng.normal(size=(B, T, d))
 
     @staticmethod
     def assert_op_matches(inputs, w, op, graph):
@@ -709,7 +714,7 @@ class TestFusedLSTM:
         # step sees h = 0, so wh's gradient is exactly zero.
         grads = self.assert_op_matches(*self.lstm_inputs(rng, T), nn.lstm, ref.unrolled_lstm)
         if T == 1:
-            np.testing.assert_array_equal(grads[1], 0.0)
+            np.testing.assert_array_equal(grads[2], 0.0)
 
     def test_op_with_dropout_matches_unrolled_graph(self, rng):
         inputs, w = self.lstm_inputs(rng, 5)
@@ -772,17 +777,18 @@ class TestOpSet:
 
 class TestGraphSize:
     @pytest.mark.parametrize("backbone, variant, nodes", [
-        ("recurrent", "statuskt", 6), ("recurrent", "original", 6),
-        ("attention", "statuskt", 12), ("attention", "original", 12)])
+        ("recurrent", "statuskt", 5), ("recurrent", "original", 5),
+        ("attention", "statuskt", 8), ("attention", "original", 8)])
     def test_op_nodes_per_training_step(self, backbone, variant, nodes):
         # the loss is one node on the readout's output, where the graph in
         # tests/reference.py slices the columns out and has 32 nodes
         # (statuskt) or 11 (original). The heads are one readout node,
         # where the reference graph has 5 nodes. Each embedding is one
         # embed node (3 to 11 lookup, matmul and add nodes in the reference
-        # graph), and the feed-forward block one node (5). Each dropout is
-        # part of the op whose output it masks, and each residual add part
-        # of the layer norm after it.
+        # graph), and the feed-forward block one node (5). The LSTM takes its
+        # input projection, and the attention block its four projections and
+        # its causal key bias. Each dropout is part of the op whose output it
+        # masks, and each residual add part of the layer norm after it.
         model = build_model(small_config(backbone, variant, dropout=0.2))
         batch = toy_batch(0)
         probs = model.forward(batch, training=True, rng=np.random.default_rng(0))
