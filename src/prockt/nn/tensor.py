@@ -92,13 +92,11 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` to undo numpy broadcasting."""
-    while grad.ndim > len(shape):
+def _bias_grad(grad: np.ndarray) -> np.ndarray:
+    """The gradient of a (k,) bias broadcast along ``grad``'s leading axes:
+    ``grad`` summed over its first axis until one axis is left."""
+    while grad.ndim > 1:
         grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
     return grad
 
 
@@ -181,19 +179,18 @@ def embed(terms, mask: np.ndarray | None = None) -> Tensor:
         g = g if mask is None else g * mask
         g2 = g.reshape(-1, d)
         for table, idx in lookups:
-            # a (vocab, N) 0/1 matrix: each table row sums its gradient rows
-            # in input order, as np.add.at does, so the sums have the same bits;
-            # row i's columns are the positions of id i, in order (stable sort)
+            # a (vocab, N) 0/1 matrix with a 1 at each (id, position) pair: the
+            # conversion to CSR keeps each row's positions in order, so each
+            # table row sums its gradient rows in input order, as np.add.at
+            # does, and the sums have the same bits
             flat = idx.reshape(-1)
-            indptr = np.zeros(table.shape[0] + 1, dtype=np.int64)
-            np.cumsum(np.bincount(flat, minlength=table.shape[0]), out=indptr[1:])
             scatter = scipy.sparse.csr_matrix(
-                (np.ones(flat.size), np.argsort(flat, kind="stable"), indptr),
+                (np.ones(flat.size), (flat, np.arange(flat.size))),
                 shape=(table.shape[0], flat.size))
             table._accumulate(scatter @ g2)
         for x2, w, b in denses:
             w._accumulate(x2.T @ g2)
-            b._accumulate(_unbroadcast(g, b.shape))
+            b._accumulate(_bias_grad(g))
 
     params = [t for t, _ in lookups] + [p for _, w, b in denses for p in (w, b)]
     return _make(out, tuple(params), backward_fn, "embed")
@@ -354,9 +351,9 @@ def feed_forward(x, w1, b1, w2, b2, mask: np.ndarray | None = None) -> Tensor:
         g2 = g.reshape(-1, d)
         dh = g2 @ w2.data.T
         dh *= h > 0.0
-        b2._accumulate(_unbroadcast(g, b2.shape))
+        b2._accumulate(_bias_grad(g))
         w2._accumulate(h.T @ g2)
-        b1._accumulate(_unbroadcast(dh.reshape(*x.shape[:-1], -1), b1.shape))
+        b1._accumulate(_bias_grad(dh.reshape(*x.shape[:-1], -1)))
         x._accumulate((dh @ w1.data.T).reshape(x.shape))
         w1._accumulate(x2.T @ dh)
 
@@ -466,6 +463,6 @@ def readout(state, next_q, w, b, limit: float) -> Tensor:
         state._accumulate(dz[..., :state.shape[-1]])
         next_q._accumulate(dz[..., state.shape[-1]:])
         w._accumulate(z2.T @ g2)
-        b._accumulate(_unbroadcast(g, (k,)))
+        b._accumulate(_bias_grad(g))
 
     return _make(probs, (state, next_q, w, b), backward_fn, "readout")

@@ -232,7 +232,7 @@ Answer Indicate: {answer_indicator_text}
 
 
 # The text every prompt of a stage starts with: its template up to the first
-# placeholder. Keyed by the stage names that the runner keys completions under.
+# placeholder, by stage name. The mock client tells the stages apart by them.
 STAGE_HEADS = {
     "indicators": INDICATOR_TEMPLATE[:INDICATOR_TEMPLATE.index("{Problem_text}")],
     "responses": STUDENT_TEMPLATE[:STUDENT_TEMPLATE.index("{indicator_text}")],

@@ -31,21 +31,18 @@ lines:
   and never read.
 - ``completions.jsonl``: client completions, read only by a run that misses.
 
-Completions are keyed on (stage, model, temperature, prompt). Each key is
-hashed on from a copy of a SHA-256 already fed with the stage, the model,
-the temperature and the template text before the stage's first
-placeholder, which every prompt of the stage starts with. An
-interaction has one key, used by its result, its audit and the report's
-failure list: one SHA-256 over its problem's digest and the record's
-student id, timestamp, trace and selected answer, with the lengths that
-keep those fields apart. Each problem a run
-meets is digested once, from a JSON array of its fields, with the three
-prompt templates, the model and the temperature. A change to any of
-these is a miss; correctness and duration are not in the key. Deleting
-``ratios.jsonl`` re-annotates every interaction from the cached
-completions: it retries the failed ones, and it is how a cache written
-before the result log existed, or under an earlier key, is read (once,
-with no client calls for what was annotated before).
+Each completion is keyed on one SHA-256 of its stage, the model, the
+temperature and its prompt, joined by a separator. An interaction has one
+key, used by its result, its audit and the report's failure list: one
+SHA-256 over its problem's digest and the record's student id, timestamp,
+trace and selected answer, with the lengths that keep those fields apart.
+Each problem a run meets is digested once, from a JSON array of its
+fields, with the three prompt templates, the model and the temperature. A
+change to any of these is a miss; correctness and duration are not in the
+key. Deleting ``ratios.jsonl`` re-annotates every interaction from the
+cached completions: it retries the failed ones, and it is how a cache
+written before the result log existed, or under an earlier key, is read
+(once, with no client calls for what was annotated before).
 """
 
 from __future__ import annotations
@@ -247,32 +244,6 @@ class _Job:
         return doc
 
 
-def _prompt_keys(setting: tuple):
-    """The function that keys a stage's prompt: ``_digest(name, *setting, prompt)``.
-
-    It hashes from a copy of a SHA-256 already fed with what comes before the
-    prompt and, for a prompt that starts with its stage's fixed head (as every
-    rendered one does), with that head too.
-    """
-    states = {}
-    for name, head in prompts.STAGE_HEADS.items():
-        before = hashlib.sha256("\x1f".join((name, *setting, "")).encode())
-        after = before.copy()
-        after.update(head.encode())
-        states[name] = head, before, after
-
-    def key(name: str, prompt: str) -> str:
-        head, before, after = states[name]
-        if prompt.startswith(head):
-            digest = after.copy()
-            digest.update(prompt[len(head):].encode())
-        else:
-            digest = before.copy()
-            digest.update(prompt.encode())
-        return digest.hexdigest()
-    return key
-
-
 def _annotate(jobs: list[_Job], client: ChatClient, params: ChatParams, setting: tuple,
               completions: JsonLog, concurrency: int) -> None:
     """Takes ``jobs`` through the three stages; each ends with ``ratios`` or ``error`` set.
@@ -298,7 +269,6 @@ def _annotate(jobs: list[_Job], client: ChatClient, params: ChatParams, setting:
 
     rubric_prompts: dict[str, str] = {}  # rendered once per problem
     rubric = functools.cache(parse_indicators)  # a rubric that parses is parsed once
-    prompt_key = _prompt_keys(setting)
 
     def stages(job: _Job):
         """The job's three stages: yields each (stage, prompt) and is sent its completion."""
@@ -328,7 +298,7 @@ def _annotate(jobs: list[_Job], client: ChatClient, params: ChatParams, setting:
         try:
             while True:
                 name, prompt = chains[job.key].send(completion)
-                key = prompt_key(name, prompt)
+                key = _digest(name, *setting, prompt)
                 # a call in ``waiting`` is pending even once its worker has logged the
                 # completion, so the order of calls depends on the ended calls alone
                 completion = None if key in waiting else completions.get(key)
@@ -380,7 +350,10 @@ def run_pipeline(dataset: Dataset, client: ChatClient, cache_dir,
 
     Returns a new dataset (records carry ``mp``) plus a report. Failed
     interactions get all-absent ratios and are listed in the report.
+    ``concurrency`` is the number of worker threads that make client calls.
     """
+    if concurrency < 1:
+        raise ValueError(f"run_pipeline: concurrency must be at least 1, got {concurrency}")
     params = params or ChatParams()
     cache_dir = Path(cache_dir)
     os.makedirs(cache_dir, exist_ok=True)

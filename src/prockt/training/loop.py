@@ -29,8 +29,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.alpha < 0:
+        if not self.alpha >= 0:  # NaN too
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if not 0.0 <= self.lr < float("inf"):  # 0 trains nothing: a frozen control
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
 
 
 @dataclass

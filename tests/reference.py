@@ -3,8 +3,10 @@
 The ops here are the autodiff primitives that no program calls any more:
 the elementwise, reduction and reshaping ops, ``relu``,
 ``embedding_lookup``, ``slice_`` (basic indexing), ``matmul`` (a dense
-layer) and ``stacked_matmul``, and ``dropout`` drawing its own mask. With
-them, ``embed`` is the oracle of ``nn.embed`` and ``feed_forward`` that of
+layer) and ``stacked_matmul``, and ``dropout`` drawing its own mask.
+``_unbroadcast`` sums their gradients down to each operand's broadcast
+shape; ``nn``'s ops only ever sum a bias's leading axes. With them,
+``embed`` is the oracle of ``nn.embed`` and ``feed_forward`` that of
 ``nn.feed_forward``; ``interaction_embedding`` and
 ``next_question_embedding`` build a model's embeddings as the lookups and
 adds they were before each became one ``embed`` node. ``readout`` is the
@@ -75,11 +77,21 @@ from prockt.data.batches import MP_IMPUTE, Batch, shift_left
 from prockt.data.schema import DIMENSIONS, ValidationError
 from prockt.nn import PROB_EPS
 from prockt.nn.optim import BETA1, BETA2, EPS
-from prockt.nn.tensor import ShapeError, _make, _unbroadcast, as_tensor
+from prockt.nn.tensor import ShapeError, _make, as_tensor
 from prockt.pipeline import prompts
 
 LAYER_NORM_EPS = 1e-5
 MASK_FILL = -1e9
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum ``grad`` down to ``shape`` to undo numpy broadcasting."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, dim in enumerate(shape):
+        if dim == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
 
 
 def add(a, b) -> nn.Tensor:

@@ -425,6 +425,18 @@ class TestEmbedOp:
         call, arrays, g = self.inputs(rng, dense_at)
         assert_backward_twice_doubles(call(nn), arrays, g)
 
+    @pytest.mark.parametrize("vocab, dim", [(2, 256), (41, 256), (501, 256), (151, 200)])
+    def test_table_gradient_is_add_at(self, rng, vocab, dim):
+        # a training step's shape: 16 windows of 50 ids, the padding id 0 most common
+        table = rng.normal(size=(vocab, dim))
+        ids = rng.integers(0, vocab, size=(16, 50))
+        ids[:, 30:] = 0
+        g = signed_zeros(rng.normal(size=(16, 50, dim)))
+        _, grad = run_op(lambda t: nn.embed([(t, ids)]), [table], g)
+        expect = np.zeros((vocab, dim))
+        np.add.at(expect, ids.reshape(-1), g.reshape(-1, dim))
+        assert_same_bits([grad], [expect])
+
     def test_one_call_is_one_node(self, rng):
         call, arrays, _ = self.inputs(rng, 2)
         ops = graph_ops(call(nn)(*(nn.Tensor(a, requires_grad=True) for a in arrays)))

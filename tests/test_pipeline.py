@@ -1011,6 +1011,19 @@ class TestWorkers:
             assert raised.value is error
         assert set(threading.enumerate()) == before
 
+    @pytest.mark.parametrize("concurrency", (0, -3))
+    @pytest.mark.parametrize("warm", (False, True), ids=["cold", "warm"])
+    def test_concurrency_below_one_is_rejected(self, tmp_path, concurrency, warm):
+        # with no worker to make the calls, a miss would wait forever
+        data = make_dataset(num_students=2, steps=2)
+        cache = tmp_path / "cache"
+        if warm:
+            run_pipeline(data, MockChatClient(), cache)
+        client = CountingClient(delay=0)
+        with pytest.raises(ValueError, match=f"concurrency must be at least 1, got {concurrency}"):
+            run_pipeline(data, client, cache, concurrency=concurrency)
+        assert client.prompts == [] and cache.exists() == warm
+
     def test_calls_not_taken_are_dropped_on_an_interrupt(self, tmp_path):
         # the five rubric calls are queued at once; the first raises, and the one
         # worker takes at most one more (50 ms each) before the rest are dropped
@@ -1022,15 +1035,67 @@ class TestWorkers:
         assert len((tmp_path / "completions.jsonl").read_text().splitlines()) == client.calls - 1
 
 
+class FixedClient:
+    """Answers under model ``mock-1`` with ``fixed_indicators()``, then
+    ``FIXED_RESPONSES``, then a 1 for each indicator; records the prompts."""
+
+    model = "mock-1"
+
+    def __init__(self):
+        self.prompts = []
+
+    def complete(self, system_message, user_message, params):
+        self.prompts.append(user_message)
+        codes = fixed_indicators().indicators
+        return json.dumps({
+            "indicators": {"mathematical_proficiency_indicators": [
+                {code: text} for code, text in codes.items()]},
+            "responses": FIXED_RESPONSES,
+            "verdicts": dict.fromkeys(codes, 1),
+        }[stage_of(user_message)])
+
+
+# The keys the pipeline wrote for one interaction of make_problem() with the
+# trace FIXED_PROCESS and answer "2", at temperature 0.0: its three
+# completions' keys, by stage, and its own. A change to any of them misses
+# every cache written before it.
+PINNED_COMPLETION_KEYS = {
+    "indicators": "61471dafab2e6246f1d650ea9aa969100c65c4c4e5872afa431ecaf161e798f1",
+    "responses": "9c9e4b5fb6736f76f7c542697b8fd6b540493ec8d12960334cd6d0751918400f",
+    "verdicts": "8456da82d62e88e07934f8ec4a0685d7e30f31f286539a948fc4404d5c5ef566",
+}
+PINNED_INTERACTION_KEY = "11b8ef005c87811ca7f0ca2077a29171"
+
+
 class TestCacheKeys:
     @pytest.mark.parametrize("setting", [("", "0.0"), ("model-é", "0.7")])
     def test_prompt_keys_equal_the_joined_digest(self, setting):
-        key = runner_module._prompt_keys(setting)
         for name, head in prompts.STAGE_HEADS.items():
             for prompt in ("", "plain ASCII", "é 😀 ✓ 한국어", "x" * 3000, "é" * 1500, head,
                            head + "a trace", head + "é" * 2000, head[:-1], "a" + head,
                            head[:-1] + "Z" + "a trace"):
-                assert key(name, prompt) == ref._digest(name, *setting, prompt)
+                assert runner_module._digest(name, *setting, prompt) == \
+                    ref._digest(name, *setting, prompt)
+
+    def test_keys_are_pinned(self, tmp_path):
+        problem = make_problem()
+        rec = make_record()
+        rec.process_text = FIXED_PROCESS
+        data = Dataset(problems={problem.problem_id: problem},
+                       sequences=[StudentSequence(student_id=rec.student_id, steps=[rec])])
+        client = FixedClient()
+        _, report = run_pipeline(data, client, tmp_path)
+        assert report.annotated == 1
+        assert client.prompts == [
+            render_indicator_prompt(problem),
+            render_student_prompt(problem, fixed_indicators(), FIXED_PROCESS, "2"),
+            render_eval_prompt(problem, fixed_indicators(), FIXED_RESPONSES)]
+
+        def keys(name):
+            return [key for key, _ in map(json.loads, (tmp_path / name).read_text().splitlines())]
+
+        assert keys("completions.jsonl") == list(PINNED_COMPLETION_KEYS.values())
+        assert keys("ratios.jsonl") == [PINNED_INTERACTION_KEY]
 
     def test_each_stage_head_is_its_prompts_start(self):
         problem = make_problem()

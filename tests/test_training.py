@@ -499,8 +499,16 @@ class TestTrainConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(patience=0)
-        with pytest.raises(ValueError):
-            TrainConfig(alpha=-1.0)
+        for alpha in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="alpha"):
+                TrainConfig(alpha=alpha)
+        for max_epochs in (0, -1):
+            with pytest.raises(ValueError, match="max_epochs"):
+                TrainConfig(max_epochs=max_epochs)
+        for lr in (-1e-3, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="lr"):
+                TrainConfig(lr=lr)
+        assert TrainConfig(lr=0.0, max_epochs=1).lr == 0.0  # a frozen control
         with pytest.raises(ValueError):
             grid_search(small_model, [toy_batch(0)], [toy_batch(10)], tiny_config(), cells=())
 
